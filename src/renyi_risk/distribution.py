@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,38 @@ def var_level(d: DiscreteDistribution, alpha: float) -> float:
     return float(d.values[idx])
 
 
+def _log_gaps(
+    values: np.ndarray, logp: np.ndarray, t: float, gap: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Atoms of sorted ``values`` where (Y - t)_+ is positive, or (t - Y)_+ when ``gap``.
+
+    Returns their log-probabilities and the log of that positive part, found
+    with one ``searchsorted`` and one ``log``.
+    """
+    if gap:
+        i = int(np.searchsorted(values, t, side="left"))
+        return logp[:i], np.log(t - values[:i])
+    i = int(np.searchsorted(values, t, side="right"))
+    return logp[i:], np.log(values[i:] - t)
+
+
+def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> Tuple[float, float]:
+    """The log-moment kernel: log sum e^logp x^k and log sum e^logp x^(k-1).
+
+    ``logx`` is the finite log of x > 0 on each atom and ``logp`` its log
+    probability (-inf entries contribute nothing).  The order-(k-1) terms are
+    derived from the order-k ones, and each sum is taken after subtracting
+    its largest term, so any k and any spread of x stay overflow-safe.  No
+    atom, or every term -inf, gives -inf.
+    """
+    a = logp + k * logx
+    out = []
+    for terms in (a, a - logx):
+        m = float(terms.max()) if terms.size else -math.inf
+        out.append(m if m == -math.inf else m + math.log(float(np.exp(terms - m).sum())))
+    return out[0], out[1]
+
+
 def power_mean(d: DiscreteDistribution, p: float, shift: float, mode: str = "plus_part") -> float:
     """Weighted p-mean of the shifted values, evaluated in log space.
 
@@ -107,22 +138,15 @@ def power_mean(d: DiscreteDistribution, p: float, shift: float, mode: str = "plu
     """
     if p == 0.0 or math.isnan(p) or math.isinf(p):
         raise ValueError("p must be a nonzero finite real")
-    if mode == "plus_part":
-        g = d.values - shift
-        active = g > 0.0
-        if p < 0.0 and not np.all(active):
-            raise ValueError("nonpositive argument raised to a negative power")
-        if not active.any():
-            return 0.0
-        lse = logsumexp(np.log(d.probs[active]) + p * np.log(g[active]))
-    elif mode == "full":
-        g = shift - d.values
-        if np.any(g <= 0.0):
-            raise ValueError("full mode needs the shift above every value")
-        lse = logsumexp(np.log(d.probs) + p * np.log(g))
-    else:
+    if mode not in ("plus_part", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    return float(np.exp(lse / p))
+    logp, logx = _log_gaps(d.values, np.log(d.probs), shift, gap=(mode == "full"))
+    if logx.size < d.n_atoms:
+        if mode == "full":
+            raise ValueError("full mode needs the shift above every value")
+        if p < 0.0:
+            raise ValueError("nonpositive argument raised to a negative power")
+    return math.exp(_log_moments(logp, logx, p)[0] / p)
 
 
 def lp_norm(d: DiscreteDistribution, p: float) -> float:
@@ -137,7 +161,4 @@ def lp_norm(d: DiscreteDistribution, p: float) -> float:
     active = a > 0.0
     if p < 0.0 and not np.all(active):
         raise ValueError("negative p needs strictly nonzero values")
-    if not active.any():
-        return 0.0
-    lse = logsumexp(np.log(d.probs[active]) + p * np.log(a[active]))
-    return float(np.exp(lse / p))
+    return math.exp(_log_moments(np.log(d.probs[active]), np.log(a[active]), p)[0] / p)

@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .distribution import DiscreteDistribution
+from .distribution import DiscreteDistribution, _log_moments
 
 MEAN_TOL = 1e-10
 
@@ -40,9 +39,9 @@ def renyi_entropy(z: Density, q: float) -> float:
     """Entropy of order q; q is any real or +inf.
 
     Orders 0, 1 and +inf are dispatched exactly by value, everything else
-    uses log E Z^q / (q - 1) via log-sum-exp.  The convention 0 log 0 = 0
-    applies at q = 1; zero weights count as exact zeros at q = 0.  Negative
-    orders require a strictly positive density.
+    uses log E Z^q / (q - 1) from the log-moment kernel.  The convention
+    0 log 0 = 0 applies at q = 1; zero weights count as exact zeros at
+    q = 0.  Negative orders require a strictly positive density.
     """
     if math.isnan(q) or (math.isinf(q) and q < 0):
         raise ValueError("order must be a real number or +inf")
@@ -58,8 +57,7 @@ def renyi_entropy(z: Density, q: float) -> float:
         return float(np.dot(p[pos] * wp, np.log(wp)))
     if math.isinf(q):
         return float(np.log(w.max()))
-    lse = logsumexp(np.log(p[pos]) + q * np.log(w[pos]))
-    return float(lse / (q - 1.0))
+    return _log_moments(np.log(p[pos]), np.log(w[pos]), q)[0] / (q - 1.0)
 
 
 def renyi_divergence(q_density: Density, q: float) -> float:
@@ -78,7 +76,7 @@ def hellinger_divergence(z: Density, q: float) -> float:
     pos = w > 0.0
     if q < 0.0 and not np.all(pos):
         raise ValueError("negative order needs a strictly positive density")
-    ezq = float(np.exp(logsumexp(np.log(p[pos]) + q * np.log(w[pos])))) if pos.any() else 0.0
+    ezq = math.exp(_log_moments(np.log(p[pos]), np.log(w[pos]), q)[0])
     return (ezq - 1.0) / (q - 1.0)
 
 

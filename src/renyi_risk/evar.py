@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distribution import (
     DiscreteDistribution,
+    _log_gaps,
+    _log_moments,
     essinf,
     esssup,
     expectation,
     power_mean,
-    var_level,
 )
 from .entropy import Density
 from .solver import SolverError, bisect
@@ -112,37 +112,30 @@ def _argmax_density(d: DiscreteDistribution) -> Density:
     return Density(d, w)
 
 
-def _log_plus_moment(d: DiscreteDistribution, t: float, k: float) -> float:
-    """log E (Y - t)_+^k, -inf when no atom is above t."""
-    g = d.values - t
-    m = g > 0.0
-    if not m.any():
-        return -math.inf
-    return float(logsumexp(np.log(d.probs[m]) + k * np.log(g[m])))
+def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray, np.ndarray]:
+    """Standardize once: ``(m, s, (Y - m)/s, log probs)`` with m = esssup, s = spread.
+
+    The family is translation-equivariant and positively homogeneous, so the
+    iterative solvers work on the standardized atoms, which lie in [-1, 0]
+    whatever the magnitude or offset of the data, and map back with
+    value = m + s value' and t* = m + s t'.  Needs at least two atoms.
+    """
+    m = esssup(d)
+    s = m - essinf(d)
+    return m, s, (d.values - m) / s, np.log(d.probs)
 
 
-def _log_gap_moment(d: DiscreteDistribution, t: float, k: float) -> float:
-    """log E (t - Y)^k for t strictly above every atom."""
-    g = t - d.values
-    if np.any(g <= 0.0):
-        raise ValueError("t must exceed the essential supremum")
-    return float(logsumexp(np.log(d.probs) + k * np.log(g)))
+def _stationarity(lk: float, lk1: float, p: float, log_beta: float) -> float:
+    """d/dt of the scalar dual from the log-moments of orders p and p - 1.
 
-
-def _stationarity_high(d: DiscreteDistribution, t: float, p: float, log_beta: float) -> float:
-    # d/dt of t + beta^(1/p) ||(Y - t)_+||_p; one-sided at atom kinks
-    lp = _log_plus_moment(d, t, p)
-    if lp == -math.inf:
+    For p > 1 the dual is t + beta^(1/p) ||(Y - t)_+||_p (one-sided at atom
+    kinks, 1 once no atom is above t); for p < 0 it is
+    t - beta^(1/p) ||t - Y||_p on (esssup, inf).  Both derivatives read
+    1 - beta^(1/p) E[X^p]^(1/p - 1) E[X^(p-1)] with X the positive gap.
+    """
+    if lk == -math.inf:
         return 1.0
-    lpm1 = _log_plus_moment(d, t, p - 1.0)
-    return 1.0 - math.exp(log_beta / p + (1.0 / p - 1.0) * lp + lpm1)
-
-
-def _stationarity_neg(d: DiscreteDistribution, t: float, p: float, log_beta: float) -> float:
-    # d/dt of t - beta^(1/p) ||t - Y||_p on (esssup, inf)
-    lp = _log_gap_moment(d, t, p)
-    lpm1 = _log_gap_moment(d, t, p - 1.0)
-    return 1.0 - math.exp(log_beta / p + (1.0 / p - 1.0) * lp + lpm1)
+    return 1.0 - math.exp(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
 
 
 def _solve_stationary(
@@ -178,7 +171,10 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     cdf = np.cumsum(p)
     idx = min(int(np.searchsorted(cdf, alpha, side="left")), d.n_atoms - 1)
     t = float(v[idx])  # left-continuous lower quantile, same rule as var_level
-    frac = min(max((float(cdf[idx]) - alpha) / float(p[idx]), 0.0), 1.0)
+    # the split takes the tail mass above the quantile atom as an exact sum,
+    # not from the rounded cdf, so the reweighted mass is 1 - alpha by construction
+    upper = math.fsum(p[idx + 1 :].tolist())
+    frac = min(max(((1.0 - alpha) - upper) / float(p[idx]), 0.0), 1.0)
     w = np.zeros(d.n_atoms)
     w[idx + 1 :] = beta
     w[idx] = beta * frac
@@ -194,10 +190,11 @@ def evar_inf_high(
     When the top atom carries probability at least 1 - alpha the minimum sits
     at the essential supremum and the attaining density is the normalized
     indicator of that atom (exact pre-test, no solve).  Otherwise the
-    stationary point is interior; it is bracketed by expanding the left end
-    of [essinf - 1, esssup] until the derivative turns negative, then located
-    by bisection on the derivative.  The attaining density is the normalized
-    tail power (Y - t*)_+^(p-1).
+    stationary point is interior.  On the standardized atoms (esssup 0,
+    spread 1) it is bracketed by expanding the left end of [-2, 0] until
+    the derivative turns negative, then located by bisection on the
+    derivative.  The attaining density is the normalized tail power
+    (Y - t*)_+^(p-1).
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
@@ -209,29 +206,27 @@ def evar_inf_high(
     if pmax >= 1.0 - alpha:
         return RiskResult(M, M, _argmax_density(d), "higher_order", 0, 0.0)
 
-    lo = essinf(d) - 1.0
-    hi = M
+    m, s, y, logp = _unit_space(d)
+
+    def fprime(t: float) -> float:
+        return _stationarity(*_log_moments(*_log_gaps(y, logp, t), p), p, log_beta)
+
+    lo, hi = -2.0, 0.0
     expansions = 0
-    while _stationarity_high(d, lo, p, log_beta) >= 0.0:
+    while fprime(lo) >= 0.0:
         if expansions >= _MAX_EXPANSIONS:
             raise SolverError("left bracket expansion failed; pathological scaling")
         lo = hi - 2.0 * (hi - lo)
         expansions += 1
-
-    def fprime(t: float) -> float:
-        return _stationarity_high(d, t, p, log_beta)
-
-    t_star, iterations = _solve_stationary(fprime, lo, hi, tol)
-    value = t_star + math.exp(log_beta / p + _log_plus_moment(d, t_star, p) / p)
-    g = d.values - t_star
-    active = g > 0.0
-    logw = (p - 1.0) * np.log(g[active])
-    lognorm = logsumexp(np.log(d.probs[active]) + logw)
+    t, iterations = _solve_stationary(fprime, lo, hi, tol)
+    logp_t, logx = _log_gaps(y, logp, t)
+    lk, lk1 = _log_moments(logp_t, logx, p)
+    value = t + math.exp(log_beta / p + lk / p)
     w = np.zeros(d.n_atoms)
-    w[active] = np.exp(logw - lognorm)
+    w[d.n_atoms - logx.size :] = np.exp((p - 1.0) * logx - lk1)
     return RiskResult(
-        float(value), float(t_star), Density(d, w), "higher_order", iterations,
-        abs(fprime(t_star)),
+        m + s * value, m + s * t, Density(d, w), "higher_order", iterations,
+        abs(_stationarity(lk, lk1, p, log_beta)),
     )
 
 
@@ -243,10 +238,10 @@ def evar_inf_neg(
     The exact pre-test P(Y = esssup) >= 1 - alpha selects the degenerate
     branch where the infimum is the boundary limit at the essential supremum
     (value esssup, indicator density).  Otherwise the stationary point is
-    interior: start just above esssup, shrink toward it if the derivative is
-    already nonnegative, expand the right end until the derivative turns
-    positive, then bisect.  The attaining density is the normalized gap power
-    (t* - Y)^(p-1).
+    interior.  On the standardized atoms (esssup 0, spread 1): start just
+    above 0, shrink toward it if the derivative is already nonnegative,
+    expand the right end until the derivative turns positive, then bisect.
+    The attaining density is the normalized gap power (t* - Y)^(p-1).
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
@@ -258,43 +253,35 @@ def evar_inf_neg(
     if pmax >= 1.0 - alpha:
         return RiskResult(M, M, _argmax_density(d), "degenerate_negative_order", 0, 0.0)
 
+    m, s, y, logp = _unit_space(d)
+
     def fprime(t: float) -> float:
-        return _stationarity_neg(d, t, p, log_beta)
+        return _stationarity(*_log_moments(*_log_gaps(y, logp, t, gap=True), p), p, log_beta)
 
-    def objective(t: float) -> float:
-        return t - math.exp(log_beta / p + _log_gap_moment(d, t, p) / p)
-
-    scale = max(1.0, abs(M))
-    eps = 1e-8
-    lo = M + eps * scale
-    while fprime(lo) >= 0.0:
-        eps *= 1e-2
-        closer = M + eps * scale
-        if not closer > M:
-            break
-        lo = closer
-    if fprime(lo) >= 0.0:
+    lo = 1e-8
+    f_lo = fprime(lo)
+    while f_lo >= 0.0 and lo * 1e-2 > 0.0:
+        lo *= 1e-2
+        f_lo = fprime(lo)
+    if f_lo >= 0.0:
         # interior optimum closer to esssup than float resolution allows
-        value = min(M, objective(lo))
-        logw = (p - 1.0) * np.log(lo - d.values)
-        w = np.exp(logw - logsumexp(np.log(d.probs) + logw))
-        return RiskResult(float(value), float(lo), Density(d, w), "negative_order", 0,
-                          abs(fprime(lo)))
-
-    hi = lo + max(1.0, M - essinf(d))
-    expansions = 0
-    while fprime(hi) <= 0.0:
-        if expansions >= _MAX_EXPANSIONS:
-            raise SolverError("right bracket expansion failed; pathological scaling")
-        hi = lo + 2.0 * (hi - lo)
-        expansions += 1
-    t_star, iterations = _solve_stationary(fprime, lo, hi, tol)
-    value = objective(t_star)
-    logw = (p - 1.0) * np.log(t_star - d.values)
-    w = np.exp(logw - logsumexp(np.log(d.probs) + logw))
+        t, iterations = lo, 0
+    else:
+        hi = lo + 1.0
+        expansions = 0
+        while fprime(hi) <= 0.0:
+            if expansions >= _MAX_EXPANSIONS:
+                raise SolverError("right bracket expansion failed; pathological scaling")
+            hi = lo + 2.0 * (hi - lo)
+            expansions += 1
+        t, iterations = _solve_stationary(fprime, lo, hi, tol)
+    logp_t, logx = _log_gaps(y, logp, t, gap=True)
+    lk, lk1 = _log_moments(logp_t, logx, p)
+    value = min(0.0, t - math.exp(log_beta / p + lk / p))
+    w = np.exp((p - 1.0) * logx - lk1)
     return RiskResult(
-        float(value), float(t_star), Density(d, w), "negative_order", iterations,
-        abs(fprime(t_star)),
+        m + s * value, m + s * t, Density(d, w), "negative_order", iterations,
+        abs(_stationarity(lk, lk1, p, log_beta)),
     )
 
 
@@ -310,8 +297,10 @@ def evar_shannon(
     nondecreasing in theta >= 0, so the entropy budget log(1/(1-alpha)) is
     met by bisection on theta.  If even the largest reachable entropy
     log(1/P(Y = esssup)) fits the budget, the value is the essential
-    supremum with the uniform density on the top atom.  ``t_star`` holds the
-    tilt parameter; it is 0 at alpha = 0 and None on the esssup branch.
+    supremum with the uniform density on the top atom.  The tilt is found on
+    the standardized atoms (esssup 0, spread 1) and rescaled.  ``t_star``
+    holds the tilt parameter; it is 0 at alpha = 0 and None on the esssup
+    branch.
     """
     if math.isnan(alpha) or not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0,1)")
@@ -323,21 +312,20 @@ def evar_shannon(
     if -math.log(pmax) <= log_beta:
         return RiskResult(M, None, _argmax_density(d), "shannon", 0, 0.0)
 
-    logp = np.log(d.probs)
-    v = d.values
+    m, s, y, logp = _unit_space(d)
+    py = d.probs * y
 
-    def tilt_weights(theta: float) -> np.ndarray:
-        s = logp + theta * v
-        return np.exp(s - logsumexp(s) - logp)
+    def tilt_weights(theta: float) -> Tuple[np.ndarray, float]:
+        # density e^(theta y) / E e^(theta y) and its log-normalizer, which is
+        # the kernel's log-moment of order theta of x = e^y
+        lam = _log_moments(logp, y, theta)[0]
+        return np.exp(theta * y - lam), lam
 
     def kl(theta: float) -> float:
-        s = logp + theta * v
-        lam = float(logsumexp(s))
-        q = np.exp(s - lam)
-        return theta * float(np.dot(q, v)) - lam
+        w, lam = tilt_weights(theta)
+        return theta * float(np.dot(py, w)) - lam
 
-    spread = M - essinf(d)
-    theta_hi = 1.0 / spread
+    theta_hi = 1.0
     expansions = 0
     while kl(theta_hi) < log_beta:
         theta_hi *= 2.0
@@ -353,10 +341,10 @@ def evar_shannon(
         return kl(theta) - log_beta
 
     theta = bisect(gap, 0.0, theta_hi, tol=theta_tol, max_iterations=max_bisect)
-    w = tilt_weights(theta)
-    value = float(np.dot(d.probs * v, w))
-    return RiskResult(value, float(theta), Density(d, w), "shannon", calls,
-                      abs(kl(theta) - log_beta))
+    w, lam = tilt_weights(theta)
+    value = float(np.dot(py, w))
+    return RiskResult(m + s * value, theta / s, Density(d, w), "shannon", calls,
+                      abs(theta * value - lam - log_beta))
 
 
 def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -> RiskResult:

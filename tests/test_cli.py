@@ -130,6 +130,16 @@ class TestRisk:
         assert code == 3
 
 
+    def test_tail_mean_on_200k_rows_at_high_level(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        y = np.random.default_rng(0).normal(size=200_000)
+        path.write_text("value\n" + "\n".join(map(repr, y.tolist())) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["risk", "--input", str(path),
+                                      "--alpha", "0.99", "--order", "1"])
+        assert code == 0, err
+        assert json.loads(out)["entries"][0]["branch"] == "avar"
+
+
 class TestSweep:
     def test_monotone_values_plus_reference_rows(self, capsys, sample_csv, tmp_path):
         out_path = tmp_path / "sweep.csv"

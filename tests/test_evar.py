@@ -139,6 +139,14 @@ class TestAvar:
             a = float(rng.uniform(0.05, 0.9))
             assert avar(d, a).value == pytest.approx(avar_grid_oracle(d, a), abs=1e-6)
 
+    def test_density_exact_at_a_million_atoms(self):
+        d = from_samples(np.random.default_rng(0).normal(size=1_000_000))
+        r = evar(d, RiskSpec(0.95, 1.0))
+        assert abs(float(np.dot(d.probs, r.density.weights)) - 1.0) <= 1e-12
+        upper = math.fsum((d.probs * d.values)[d.values > r.t_star].tolist())
+        split = (1.0 - 0.95 - math.fsum(d.probs[d.values > r.t_star].tolist())) * r.t_star
+        assert r.value == pytest.approx((upper + split) / 0.05, rel=1e-12)
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_nondecreasing_in_level_and_bounded(self, seed):
@@ -275,6 +283,74 @@ class TestCoherence:
             rsum = evar(from_samples(v1 + v2, pr), spec).value
             assert r1 <= r2 + 1e-10
             assert rsum <= r1 + r2 + 1e-8
+
+
+class TestUnitSpace:
+    """The solvers standardize the atoms, so magnitude and offset never reach them."""
+
+    ORDERS = (1.0, 2.0, 10.0, math.inf, -2.0)
+    BASE = np.random.default_rng(0).lognormal(size=1000)
+
+    def test_tiny_magnitudes_stay_in_the_sandwich(self):
+        base = from_samples(self.BASE)
+        d = from_samples(self.BASE * 1e-150)
+        for o in (2.0, 10.0, -2.0):
+            r = evar(d, RiskSpec(0.95, o))
+            assert expectation(d) <= r.value <= esssup(d)
+            assert r.value == pytest.approx(1e-150 * evar(base, RiskSpec(0.95, o)).value,
+                                            rel=1e-9)
+
+    def test_large_offsets_stay_in_the_sandwich(self):
+        base = from_samples(self.BASE)
+        d = from_samples(self.BASE + 1e12)
+        for o in (math.inf, -2.0):
+            r = evar(d, RiskSpec(0.95, o))
+            assert expectation(d) <= r.value <= esssup(d)
+            # the offset data are rounded to 1.2e-4, which bounds the value shift
+            assert r.value - 1e12 == pytest.approx(evar(base, RiskSpec(0.95, o)).value,
+                                                   abs=1e-3)
+
+    def test_direct_callers_scale_too(self):
+        d = from_samples(self.BASE[:50])
+        tiny = from_samples(self.BASE[:50] * 1e-150)
+        assert evar_derivative_pprime(tiny, 0.9, 3.0) == pytest.approx(
+            1e-150 * evar_derivative_pprime(d, 0.9, 3.0), rel=1e-8)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(-200, 200))
+    @settings(max_examples=30, deadline=None)
+    def test_positive_homogeneity_across_scales(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-5, 5, 6)
+        pr = rng.dirichlet(np.ones(6) * 2.0)
+        lam = 10.0 ** exponent
+        base = from_samples(v, pr)
+        scaled = from_samples(lam * v, pr)
+        for o in self.ORDERS:
+            spec = RiskSpec(0.7, o)
+            want = lam * evar(base, spec).value
+            got = evar(scaled, spec).value
+            slack = 1e-12 * lam * (esssup(base) - essinf(base))
+            assert got == pytest.approx(want, abs=1e3 * slack)
+            assert expectation(scaled) - slack <= got <= esssup(scaled) + slack
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(-200, 200), st.integers(-3, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_translation_equivariance_across_scales(self, seed, exponent, offset):
+        rng = np.random.default_rng(seed)
+        lam = 10.0 ** exponent
+        y = lam * rng.uniform(-5, 5, 6)
+        pr = rng.dirichlet(np.ones(6) * 2.0)
+        c = lam * 10.0 ** offset
+        base = from_samples(y, pr)
+        moved = from_samples(y + c, pr)
+        spread = esssup(base) - essinf(base)
+        for o in self.ORDERS:
+            spec = RiskSpec(0.7, o)
+            got = evar(moved, spec).value
+            # shifting rounds the atoms by up to half an ulp of the offset
+            tol = 1e-9 * spread + 8.0 * math.ulp(abs(c) + spread)
+            assert got == pytest.approx(evar(base, spec).value + c, abs=tol)
+            assert got <= esssup(moved) + 1e-3 * tol
 
 
 class TestOrderStructure:
