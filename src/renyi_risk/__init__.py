@@ -16,10 +16,9 @@ from .entropy import (
     Density,
     hellinger_divergence,
     kl_divergence,
-    renyi_divergence,
     renyi_entropy,
 )
-from .solver import BracketError, BracketSpec, SolverError, bisect, minimize_convex_1d
+from .solver import SolverError, find_root
 from .evar import (
     BRANCHES,
     RiskResult,

@@ -9,9 +9,10 @@ means) representation is rebuilt from the attaining density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .distribution import DiscreteDistribution, essinf, esssup, expectation, fro
 from .entropy import Density
 from .evar import RiskSpec, avar, conjugate, evar, evar_inf_high, evar_inf_neg
 
-_GRID_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
 _GRID_ROW_CAP = 50_000_000
 _CHUNK = 2_000_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,12 +33,13 @@ class DegenerateBranchError(RuntimeError):
     """The risk solve ended on a boundary branch; no interior witness exists."""
 
 
+@functools.lru_cache(maxsize=8)
 def _simplex_grid(parts: int, total: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    key = (parts, total)
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
+
+    Read-only and cached for the last few shapes, since the oracle rebuilds
+    the same grid for every distribution of a given atom count.
+    """
     if math.comb(total + parts - 1, parts - 1) > _GRID_ROW_CAP:
         raise ValueError("atom count too large for this resolution (combinatorial blow-up)")
     rows = np.zeros((1, 0), dtype=np.int32)
@@ -53,7 +54,6 @@ def _simplex_grid(parts: int, total: int) -> np.ndarray:
         budget = np.repeat(budget, counts) - ramp
     grid = np.column_stack([rows, budget.astype(np.int32)])
     grid.setflags(write=False)
-    _GRID_CACHE[key] = grid
     return grid
 
 
@@ -164,15 +164,18 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-11) -> Tuple[float, flo
     return tv, fv
 
 
-def _ratio_high(d: DiscreteDistribution, w: np.ndarray, W: np.ndarray, t: float,
-                beta_pow: float, p: float) -> float:
-    a = np.maximum(t + W, 0.0)
-    num = float(np.dot(d.probs, a * w))
-    b = a - t
-    den = t + beta_pow * float(np.dot(d.probs, b ** p)) ** (1.0 / p)
-    if den <= 1e-300:
-        return -math.inf
-    return num / den
+def _scan_max(ratio, ts: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
+    """Maximize a vectorized ratio: grid scan, then golden section on the best cell.
+
+    Returns ``(t_best, r_best, scan values)``.
+    """
+    vals = ratio(ts)
+    if not np.any(vals > -np.inf):
+        raise ValueError("dual-norm denominator nonpositive on the search range")
+    k = int(np.argmax(vals))
+    t_best, r_best = _golden_max(lambda t: float(ratio(t)), float(ts[max(k - 1, 0)]),
+                                 float(ts[min(k + 1, ts.size - 1)]), tol)
+    return t_best, r_best, vals
 
 
 def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
@@ -180,7 +183,8 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     """Scalar-search dual norm; returns (value, finite optimizer t or None).
 
     ``None`` marks the supremum approached only as t -> inf, where the
-    ratio tends to E|Z|.
+    ratio tends to E|Z|.  Each regime's ratio takes a scalar or an array of
+    t, so the scan and the refinement evaluate the same formula.
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
@@ -194,22 +198,17 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     if p > 1.0 and not math.isinf(p):
         beta_pow = (1.0 / (1.0 - alpha)) ** (1.0 / p)
         W = np.where(w > 0.0, w ** (pprime - 1.0), 0.0)
+
+        def ratio(ts):
+            t = np.asarray(ts, dtype=float)
+            A = np.maximum(t[..., None] + W, 0.0)
+            num = (A * w) @ pr
+            den = t + beta_pow * np.power(((A - t[..., None]) ** p) @ pr, 1.0 / p)
+            valid = den > 1e-300
+            return np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
+
         s = 10.0 * (1.0 + float(W.max()))
-        ts = np.linspace(-s, s, 1001)
-        A = np.maximum(ts[:, None] + W[None, :], 0.0)
-        num = (A * w[None, :]) @ pr
-        B = A - ts[:, None]
-        den = ts + beta_pow * np.power((B ** p) @ pr, 1.0 / p)
-        valid = den > 1e-300
-        if not valid.any():
-            raise ValueError("dual-norm denominator nonpositive on the search range")
-        ratio = np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
-        k = int(np.argmax(ratio))
-        t_lo = ts[max(k - 1, 0)]
-        t_hi = ts[min(k + 1, ts.size - 1)]
-        t_best, r_best = _golden_max(
-            lambda t: _ratio_high(d, w, W, t, beta_pow, p), t_lo, t_hi, tol
-        )
+        t_best, r_best, _ = _scan_max(ratio, np.linspace(-s, s, 1001), tol)
         if r_best >= limit:
             return float(r_best), float(t_best)
         return limit, None
@@ -218,16 +217,13 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
         beta_pow = math.exp(-math.log1p(-alpha) / p)
         W = np.where(w > 0.0, w ** (pprime - 1.0), math.inf)
 
-        def ratio(t: float) -> float:
-            y = np.maximum(t - W, 0.0)
-            num = float(np.dot(pr * w, y))
-            clipped = np.minimum(W, t)
-            if np.any(clipped <= 0.0):
-                return -math.inf
-            den = t - beta_pow * float(np.dot(pr, clipped ** p)) ** (1.0 / p)
-            if den <= 1e-300:
-                return -math.inf
-            return num / den
+        def ratio(ts):
+            t = np.asarray(ts, dtype=float)
+            num = np.maximum(t[..., None] - W, 0.0) @ (pr * w)
+            clipped = np.minimum(W, t[..., None])
+            den = t - beta_pow * np.power((clipped ** p) @ pr, 1.0 / p)
+            valid = np.all(clipped > 0.0, axis=-1) & (den > 1e-300)
+            return np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
 
         lo = float(W.min())
         finite = W[np.isfinite(W)]
@@ -235,14 +231,7 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
         if s <= lo:
             # single distinct height: only the t -> inf limit remains
             return limit, None
-        ts = np.linspace(lo + (s - lo) * 1e-9, s, 1001)
-        vals = np.array([ratio(float(t)) for t in ts])
-        if not np.any(vals > -math.inf):
-            raise ValueError("dual-norm denominator nonpositive on the search range")
-        k = int(np.argmax(vals))
-        t_lo = float(ts[max(k - 1, 0)])
-        t_hi = float(ts[min(k + 1, ts.size - 1)])
-        t_best, r_best = _golden_max(ratio, t_lo, t_hi, tol)
+        t_best, r_best, vals = _scan_max(ratio, np.linspace(lo + (s - lo) * 1e-9, s, 1001), tol)
         # beyond the largest height the ratio is a monotone Mobius function,
         # so its supremum there is one of the two ends
         if vals[-1] >= r_best:

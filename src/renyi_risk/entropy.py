@@ -60,11 +60,6 @@ def renyi_entropy(z: Density, q: float) -> float:
     return _log_moments(np.log(p[pos]), np.log(w[pos]), q)[0] / (q - 1.0)
 
 
-def renyi_divergence(q_density: Density, q: float) -> float:
-    """Divergence of the reweighted measure from the base, order q."""
-    return renyi_entropy(q_density, q)
-
-
 def hellinger_divergence(z: Density, q: float) -> float:
     """(E Z^q - 1) / (q - 1); undefined at q = 1 (use kl_divergence)."""
     if q == 1.0:

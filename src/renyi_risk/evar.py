@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from .distribution import (
     power_mean,
 )
 from .entropy import Density
-from .solver import SolverError, bisect
+from .solver import find_root
 
 DEFAULT_TOL = 1e-11
-_MAX_ITER = 10_000
-_MAX_EXPANSIONS = 200
 
 #: Dispatch route tags carried by RiskResult.branch.
 BRANCHES = (
@@ -86,7 +84,8 @@ class RiskResult:
     ``t_star`` is the scalar optimizer of the regime's dual problem; for the
     "shannon" branch it holds the exponential tilt parameter instead.
     ``residual`` is the stationarity defect of the scalar solve (zero for
-    closed forms), ``iterations`` the solver's iteration count.
+    closed forms), ``iterations`` the number of bisection steps of the
+    scalar solve on every branch (zero for closed forms and pre-test exits).
     """
 
     value: float
@@ -138,25 +137,6 @@ def _stationarity(lk: float, lk1: float, p: float, log_beta: float) -> float:
     return 1.0 - math.exp(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
 
 
-def _solve_stationary(
-    fprime: Callable[[float], float], lo: float, hi: float, tol: float
-) -> Tuple[float, int]:
-    """Sign-change bisection of a nondecreasing derivative; fprime(lo) < 0 <= fprime(hi)."""
-    iterations = 0
-    while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
-        if iterations >= _MAX_ITER:
-            raise SolverError("stationarity bisection exceeded its iteration cap")
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fprime(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return 0.5 * (lo + hi), iterations
-
-
 def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     """Average value-at-risk: the mean of the worst (1 - alpha) tail.
 
@@ -178,7 +158,10 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     w = np.zeros(d.n_atoms)
     w[idx + 1 :] = beta
     w[idx] = beta * frac
-    value = float(np.dot(p * v, w))
+    # E[YZ] written as t + beta E(Y - t)_+ over the atoms above the quantile
+    # atom: the excess terms are nonnegative and vanish when that atom is the
+    # top one, so the value cannot round above esssup
+    value = t + beta * math.fsum((p[idx + 1 :] * (v[idx + 1 :] - t)).tolist())
     return RiskResult(value, t, Density(d, w), "avar", 0, 0.0)
 
 
@@ -211,14 +194,7 @@ def evar_inf_high(
     def fprime(t: float) -> float:
         return _stationarity(*_log_moments(*_log_gaps(y, logp, t), p), p, log_beta)
 
-    lo, hi = -2.0, 0.0
-    expansions = 0
-    while fprime(lo) >= 0.0:
-        if expansions >= _MAX_EXPANSIONS:
-            raise SolverError("left bracket expansion failed; pathological scaling")
-        lo = hi - 2.0 * (hi - lo)
-        expansions += 1
-    t, iterations = _solve_stationary(fprime, lo, hi, tol)
+    t, iterations = find_root(fprime, -2.0, 0.0, tol)
     logp_t, logx = _log_gaps(y, logp, t)
     lk, lk1 = _log_moments(logp_t, logx, p)
     value = t + math.exp(log_beta / p + lk / p)
@@ -267,14 +243,7 @@ def evar_inf_neg(
         # interior optimum closer to esssup than float resolution allows
         t, iterations = lo, 0
     else:
-        hi = lo + 1.0
-        expansions = 0
-        while fprime(hi) <= 0.0:
-            if expansions >= _MAX_EXPANSIONS:
-                raise SolverError("right bracket expansion failed; pathological scaling")
-            hi = lo + 2.0 * (hi - lo)
-            expansions += 1
-        t, iterations = _solve_stationary(fprime, lo, hi, tol)
+        t, iterations = find_root(fprime, lo, lo + 1.0, tol)
     logp_t, logx = _log_gaps(y, logp, t, gap=True)
     lk, lk1 = _log_moments(logp_t, logx, p)
     value = min(0.0, t - math.exp(log_beta / p + lk / p))
@@ -285,12 +254,7 @@ def evar_inf_neg(
     )
 
 
-def evar_shannon(
-    d: DiscreteDistribution,
-    alpha: float,
-    theta_tol: float = 1e-12,
-    max_bisect: int = 200,
-) -> RiskResult:
+def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12) -> RiskResult:
     """Shannon member (order +inf) by exponential tilting.
 
     The tilted density proportional to e^(theta Y) has relative entropy
@@ -325,25 +289,10 @@ def evar_shannon(
         w, lam = tilt_weights(theta)
         return theta * float(np.dot(py, w)) - lam
 
-    theta_hi = 1.0
-    expansions = 0
-    while kl(theta_hi) < log_beta:
-        theta_hi *= 2.0
-        expansions += 1
-        if expansions > 400:
-            raise SolverError("tilt bracket expansion failed")
-
-    calls = 0
-
-    def gap(theta: float) -> float:
-        nonlocal calls
-        calls += 1
-        return kl(theta) - log_beta
-
-    theta = bisect(gap, 0.0, theta_hi, tol=theta_tol, max_iterations=max_bisect)
+    theta, iterations = find_root(lambda th: kl(th) - log_beta, 0.0, 1.0, theta_tol)
     w, lam = tilt_weights(theta)
     value = float(np.dot(py, w))
-    return RiskResult(m + s * value, theta / s, Density(d, w), "shannon", calls,
+    return RiskResult(m + s * value, theta / s, Density(d, w), "shannon", iterations,
                       abs(theta * value - lam - log_beta))
 
 

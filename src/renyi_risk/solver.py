@@ -1,153 +1,52 @@
-"""One-dimensional minimization and root finding with explicit bracket contracts."""
+"""The one scalar root finder: bracket growth, then bisection of a monotone function."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class BracketError(RuntimeError):
-    """Bracket expansion exhausted without certifying a minimum inside."""
+_MAX_EXPANSIONS = 400
+_MAX_STEPS = 10_000
 
 
 class SolverError(RuntimeError):
-    """Iteration cap reached before convergence."""
+    """Bracket expansion or iteration cap reached before convergence."""
 
 
-@dataclass(frozen=True)
-class BracketSpec:
-    """Search interval plus the policy for growing it.
+def find_root(
+    g: Callable[[float], float], lo: float, hi: float, tol: float
+) -> Tuple[float, int]:
+    """Sign change of a nondecreasing ``g``; returns ``(root, steps)``.
 
-    ``expand_side`` names the soft side(s): the minimum may escape there, and
-    the interval is grown geometrically (width multiplied by ``growth``) until
-    a minimizer is certified inside.  The opposite side is a hard bound the
-    caller guarantees; the minimum is allowed to sit exactly on it.
-    """
-
-    lo: float
-    hi: float
-    expand_side: str = "both"
-    growth: float = 2.0
-    max_expansions: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"empty bracket [{self.lo}, {self.hi}]")
-        if not self.growth > 1.0:
-            raise ValueError("growth must exceed 1")
-        if self.expand_side not in ("left", "right", "both"):
-            raise ValueError(f"unknown expand_side {self.expand_side!r}")
-
-
-def _certified(flo: float, fmid: float, fhi: float, side: str) -> bool:
-    # For a convex f, value at the soft end >= value at an interior probe
-    # places a minimizer inside the bracket (ties included).
-    if side == "left":
-        return flo >= fmid
-    if side == "right":
-        return fhi >= fmid
-    return fmid <= flo and fmid <= fhi
-
-
-def minimize_convex_1d(
-    f: Callable[[float], float],
-    bracket: BracketSpec,
-    tol: float = 1e-11,
-    max_iterations: int = 10_000,
-) -> Tuple[float, float, int]:
-    """Golden-section minimum of a convex function.
-
-    Expands the bracket per ``bracket`` until a minimizer is certified inside,
-    then shrinks by golden section until the interval width drops below
-    ``tol * (1 + |t|)``.  Derivative-free, so kinks are handled.  Returns
-    ``(t_star, f_star, iterations)`` where ``iterations`` counts golden-section
-    steps only.
+    The wrong-signed end is moved away from the other one, doubling the
+    width each time, until g(lo) < 0 <= g(hi).  Bisection then keeps that
+    sign pattern and stops once the width is at most
+    ``tol * (1 + |lo| + |hi|)`` (or the floats between the ends run out),
+    returning the midpoint and the number of bisection steps.  Raises
+    ``SolverError`` when either the expansion or the iteration cap is hit.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lo, hi = float(bracket.lo), float(bracket.hi)
-    side = bracket.expand_side
-    flo, fhi = f(lo), f(hi)
     expansions = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if _certified(flo, fmid, fhi, side):
-            break
-        if expansions >= bracket.max_expansions:
-            raise BracketError(
-                f"no certified minimum after {expansions} expansions of "
-                f"[{bracket.lo}, {bracket.hi}]"
-            )
-        width = hi - lo
-        if side == "left":
-            lo = hi - width * bracket.growth
-            flo = f(lo)
-        elif side == "right":
-            hi = lo + width * bracket.growth
-            fhi = f(hi)
-        else:
-            half = 0.5 * width * (bracket.growth - 1.0)
-            lo -= half
-            hi += half
-            flo, fhi = f(lo), f(hi)
+    while g(lo) >= 0.0:
         expansions += 1
-
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    iterations = 0
-    while (hi - lo) > tol * (1.0 + 0.5 * abs(lo + hi)):
-        if iterations >= max_iterations:
-            raise SolverError("golden-section iteration cap reached")
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-        iterations += 1
-
-    t_mid = 0.5 * (lo + hi)
-    candidates = [(f1, x1), (f2, x2), (f(t_mid), t_mid)]
-    f_star, t_star = min(candidates, key=lambda c: c[0])
-    return float(t_star), float(f_star), iterations
-
-
-def bisect(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-) -> float:
-    """Root of a continuous monotone function with a sign change on [lo, hi].
-
-    Converges when the interval width drops below ``tol * (1 + |root|)``.
-    Raises ``ValueError`` when the endpoints do not straddle a root and
-    ``SolverError`` when the iteration cap is hit first.
-    """
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return float(lo)
-    if ghi == 0.0:
-        return float(hi)
-    if glo * ghi > 0.0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iterations):
+        if expansions > _MAX_EXPANSIONS:
+            raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
+        lo = hi - 2.0 * (hi - lo)
+    while g(hi) < 0.0:
+        expansions += 1
+        if expansions > _MAX_EXPANSIONS:
+            raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
+        hi = lo + 2.0 * (hi - lo)
+    steps = 0
+    while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
+        if steps >= _MAX_STEPS:
+            raise SolverError(f"bisection did not converge in {_MAX_STEPS} steps")
         mid = 0.5 * (lo + hi)
-        if (hi - lo) <= tol * (1.0 + abs(mid)) or mid <= lo or mid >= hi:
-            return float(mid)
-        gm = g(mid)
-        if gm == 0.0:
-            return float(mid)
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) < 0.0:
+            lo = mid
         else:
             hi = mid
-    raise SolverError(f"bisection did not converge in {max_iterations} iterations")
+        steps += 1
+    return 0.5 * (lo + hi), steps

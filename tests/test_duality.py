@@ -100,6 +100,18 @@ class TestSupOracle:
         with pytest.raises(ValueError):
             sup_oracle(d2, RiskSpec(0.5, 2.0), 9)
 
+    def test_grid_cache_is_bounded_and_reused(self):
+        from renyi_risk.duality import _simplex_grid
+        d = from_samples([0.0, 1.0, 3.0])
+        spec = RiskSpec(0.5, 2.0)
+        maxsize = _simplex_grid.cache_info().maxsize
+        for resolution in range(10, 10 + maxsize + 4):
+            sup_oracle(d, spec, resolution)
+            assert _simplex_grid.cache_info().currsize <= maxsize
+        hits = _simplex_grid.cache_info().hits
+        sup_oracle(d, spec, 10 + maxsize + 3)
+        assert _simplex_grid.cache_info().hits == hits + 1
+
     def test_rejects_regimes_without_entropy_budget(self):
         d = from_samples([0, 1])
         for p in (1.0, 0.5):

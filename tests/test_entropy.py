@@ -11,7 +11,6 @@ from renyi_risk import (
     from_samples,
     hellinger_divergence,
     kl_divergence,
-    renyi_divergence,
     renyi_entropy,
 )
 
@@ -88,7 +87,7 @@ class TestDivergences:
     def test_constant_density_divergences_vanish(self):
         d = from_samples([0, 1])
         z = Density(d, np.ones(2))
-        assert renyi_divergence(z, 2.0) == pytest.approx(0.0, abs=1e-14)
+        assert renyi_entropy(z, 2.0) == pytest.approx(0.0, abs=1e-14)
         assert hellinger_divergence(z, 2.0) == pytest.approx(0.0, abs=1e-14)
         assert kl_divergence(z) == pytest.approx(0.0, abs=1e-14)
 

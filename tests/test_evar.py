@@ -147,6 +147,20 @@ class TestAvar:
         split = (1.0 - 0.95 - math.fsum(d.probs[d.values > r.t_star].tolist())) * r.t_star
         assert r.value == pytest.approx((upper + split) / 0.05, rel=1e-12)
 
+    def test_never_rounds_above_esssup(self):
+        # when the quantile atom is the top atom the value is esssup exactly
+        d = from_samples(
+            [2.8573532231823133, -2.064615707840071, -4.43650560939556,
+             -2.629479231257925, 0.4594697713834348, 3.776772577642765],
+            [0.22517393403127173, 0.13344033169230696, 0.05086574160632049,
+             0.04110246275970173, 0.30098694201885506, 0.24843058789154404])
+        assert avar(d, 0.9).value == 3.776772577642765 == esssup(d)
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            d = from_samples(rng.uniform(-5, 5, 6), rng.dirichlet(np.ones(6) * 2.0))
+            for a in (0.5, 0.7, 0.9):
+                assert avar(d, a).value <= esssup(d)
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_nondecreasing_in_level_and_bounded(self, seed):

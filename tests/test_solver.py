@@ -1,88 +1,75 @@
-"""Bracket expansion, golden-section minimization and bisection."""
+"""The root finder: bracket growth, bisection, and convex minimization through it."""
 
 import math
 
 import numpy as np
 import pytest
 
-from renyi_risk import (
-    BracketError,
-    BracketSpec,
-    bisect,
-    from_samples,
-    minimize_convex_1d,
-)
+from renyi_risk import SolverError, find_root, from_samples
 from oracles import grid_min, objective_high
 
 
-class TestBracketSpec:
-    def test_empty_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            BracketSpec(1.0, 1.0)
-
-    def test_bad_growth_rejected(self):
-        with pytest.raises(ValueError):
-            BracketSpec(0.0, 1.0, growth=1.0)
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            BracketSpec(0.0, 1.0, expand_side="up")
+def minimize(fprime, lo, hi, tol=1e-11):
+    """Minimizer of a convex function from the root of its nondecreasing derivative."""
+    return find_root(fprime, lo, hi, tol)
 
 
 class TestMinimizeConvex:
     def test_expands_right_to_reach_the_minimum(self):
-        t, f, _ = minimize_convex_1d(lambda t: (t - 3.0) ** 2,
-                                     BracketSpec(0.0, 1.0, expand_side="right"), tol=1e-12)
+        t, _ = minimize(lambda t: 2.0 * (t - 3.0), 0.0, 1.0, tol=1e-12)
         assert t == pytest.approx(3.0, abs=1e-9)
-        assert f == pytest.approx(0.0, abs=1e-15)
 
-    def test_kink_handled_without_derivatives(self):
-        t, f, _ = minimize_convex_1d(abs, BracketSpec(-1.0, 0.5), tol=1e-12)
+    def test_kink_handled_by_a_one_sided_derivative(self):
+        # |t| has a jump in its derivative at the minimum; bisection needs only the sign
+        t, _ = minimize(lambda t: 1.0 if t >= 0.0 else -1.0, -1.0, 0.5, tol=1e-12)
         assert t == pytest.approx(0.0, abs=1e-9)
-        assert f == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_dense_grid_on_a_risk_objective(self):
+        # order 2: the derivative of t + sqrt(beta) ||(Y - t)_+||_2 in closed form
         d = from_samples([0, 1])
+        beta = 1.0 / (1.0 - 0.5)
+
+        def fprime(t):
+            plus = np.maximum(d.values - t, 0.0)
+            norm = math.sqrt(float(np.dot(d.probs, plus ** 2)))
+            return 1.0 if norm == 0.0 else 1.0 - math.sqrt(beta) * float(np.dot(d.probs, plus)) / norm
+
+        t, _ = minimize(fprime, -2.0, 1.0)
         f = lambda t: objective_high(d, 0.5, 2.0, t)
-        t, fval, _ = minimize_convex_1d(f, BracketSpec(-2.0, 1.0, expand_side="left"))
         oracle = grid_min(f, -2.0, 1.0, 300001)
-        assert fval == pytest.approx(oracle, abs=1e-6)
+        assert f(t) == pytest.approx(oracle, abs=1e-6)
 
     def test_expands_left(self):
-        t, _, _ = minimize_convex_1d(lambda t: (t + 9.0) ** 2,
-                                     BracketSpec(-1.0, 0.0, expand_side="left"))
+        t, _ = minimize(lambda t: 2.0 * (t + 9.0), -1.0, 0.0)
         assert t == pytest.approx(-9.0, abs=1e-8)
 
     def test_expansion_exhaustion_raises(self):
-        # minimum escapes to +inf; the soft side can never certify it
-        with pytest.raises(BracketError):
-            minimize_convex_1d(lambda t: -t,
-                               BracketSpec(0.0, 1.0, expand_side="right", max_expansions=5))
+        # the minimum of -t escapes to +inf; no sign change is ever found
+        with pytest.raises(SolverError):
+            minimize(lambda t: -1.0, 0.0, 1.0)
 
     def test_iteration_bound(self):
         tol = 1e-9
-        t, _, iters = minimize_convex_1d(lambda t: (t - 0.3) ** 2,
-                                         BracketSpec(-1.0, 1.0), tol=tol)
-        bound = math.ceil(math.log(2.0 / tol) / math.log(1.618)) + 2
-        assert iters <= bound
+        t, steps = minimize(lambda t: 2.0 * (t - 0.3), -1.0, 1.0, tol=tol)
+        assert steps <= math.ceil(math.log2(2.0 / tol)) + 1
 
     def test_deterministic(self):
-        f = lambda t: (t - 1.7) ** 4 + abs(t)
-        spec = BracketSpec(-2.0, 0.5, expand_side="right")
-        assert minimize_convex_1d(f, spec) == minimize_convex_1d(f, spec)
+        fprime = lambda t: 4.0 * (t - 1.7) ** 3 + (1.0 if t >= 0.0 else -1.0)
+        assert minimize(fprime, -2.0, 0.5) == minimize(fprime, -2.0, 0.5)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
-            minimize_convex_1d(abs, BracketSpec(-1.0, 1.0), tol=0.0)
+            find_root(lambda t: t, -1.0, 1.0, tol=0.0)
 
 
 class TestBisect:
     def test_linear_root(self):
-        assert bisect(lambda t: t - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-11)
+        root, _ = find_root(lambda t: t - 1.0, 0.0, 2.0, 1e-12)
+        assert root == pytest.approx(1.0, abs=1e-11)
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(ValueError):
-            bisect(lambda t: t + 1.0, 0.0, 2.0)
+        with pytest.raises(SolverError):
+            find_root(lambda t: 1.0, 0.0, 2.0, 1e-12)
 
     def test_tilt_entropy_budget_root(self):
         # two-atom exponential tilt: solve KL(theta) = log(1/(1-alpha))
@@ -97,9 +84,49 @@ class TestBisect:
             q = np.exp(s - lam)
             return theta * float(np.dot(q, d.values)) - lam
 
-        theta = bisect(lambda t: kl(t) - log_beta, 0.0, 64.0, tol=1e-13)
+        theta, _ = find_root(lambda t: kl(t) - log_beta, 0.0, 64.0, 1e-13)
         assert kl(theta) == pytest.approx(log_beta, abs=1e-10)
 
-    def test_endpoint_roots_returned_exactly(self):
-        assert bisect(lambda t: t, 0.0, 2.0) == 0.0
-        assert bisect(lambda t: t - 2.0, 0.0, 2.0) == 2.0
+    def test_endpoint_roots(self):
+        # a zero at hi already satisfies g(lo) < 0 <= g(hi); a zero at lo is
+        # wrong-signed there, so lo moves left and the root ends up inside
+        tol = 1e-12
+        lo_root, _ = find_root(lambda t: t, 0.0, 2.0, tol)
+        hi_root, _ = find_root(lambda t: t - 2.0, 0.0, 2.0, tol)
+        assert abs(lo_root) <= tol * 5.0
+        assert abs(hi_root - 2.0) <= tol * 5.0
+
+    @pytest.mark.parametrize("lo, hi, root", [(0.0, 1.0, 37.25), (-1.0, 0.0, -1e4)])
+    def test_grows_the_wrong_signed_end(self, lo, hi, root):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t - root
+
+        r, _ = find_root(g, lo, hi, 1e-12)
+        assert r == pytest.approx(root, rel=1e-11)
+        # only the end on the root's side moved; the other bounds every evaluation
+        assert min(calls) == lo if root > hi else max(calls) == hi
+
+    def test_expansion_cap(self):
+        # 2^400 reaches 1e120, so a root at 1e150 is out of reach but one at 1e100 is not
+        with pytest.raises(SolverError):
+            find_root(lambda t: t - 1e150, 0.0, 1.0, 1e-12)
+        r, _ = find_root(lambda t: t - 1e100, 0.0, 1.0, 1e-12)
+        assert r == pytest.approx(1e100, rel=1e-11)
+
+    @pytest.mark.parametrize("root", [0.0, 0.3, -7.5, 1e6])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-11])
+    def test_width_and_step_bounds(self, root, tol):
+        lo, hi = -2.0, 2.0
+        r, steps = find_root(lambda t: t - root, lo, hi, tol)
+        # the final bracket holds the root and is at most tol (1 + |lo| + |hi|)
+        # wide, so the midpoint is within half of that
+        assert abs(r - root) <= 0.5 * tol * (1.0 + 2.0 * abs(r) + 2.0 * tol)
+        # the bracket bisected is the grown one: the far end doubles past the root
+        while hi < root:
+            hi = lo + 2.0 * (hi - lo)
+        while lo >= root:
+            lo = hi - 2.0 * (hi - lo)
+        assert steps <= math.ceil(math.log2((hi - lo) / tol)) + 1
