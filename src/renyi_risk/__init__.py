@@ -27,8 +27,7 @@ from .evar import (
     conjugate,
     evar,
     evar_derivative_pprime,
-    evar_inf_high,
-    evar_inf_neg,
+    evar_power,
     evar_shannon,
     norm_equivalence_bounds,
     risk_level_bound,

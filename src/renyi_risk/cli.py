@@ -247,7 +247,7 @@ def cmd_risk(args: argparse.Namespace, tol: Optional[float]) -> int:
             }
             if args.emit_density:
                 entry["density"] = (
-                    None if res.density is None else [float(x) for x in res.density.weights]
+                    None if res.density is None else res.density.weights.tolist()
                 )
             entries.append(entry)
     report = {

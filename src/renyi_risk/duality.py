@@ -18,7 +18,7 @@ import numpy as np
 
 from .distribution import DiscreteDistribution, essinf, esssup, expectation, from_samples
 from .entropy import Density
-from .evar import RiskSpec, avar, conjugate, evar, evar_inf_high, evar_inf_neg
+from .evar import RiskSpec, _top_atom_test, avar, conjugate, evar, evar_power
 
 _GRID_ROW_CAP = 50_000_000
 _CHUNK = 2_000_000
@@ -270,24 +270,20 @@ def _sign(x: np.ndarray) -> np.ndarray:
 def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
     """Per-atom functional Z' attaining E YZ' = risk(|Y|) * dual_norm(Z').
 
-    Returned unnormalized (both sides of the equality are 1-homogeneous in
-    Z', so any positive multiple attains it too).  Requires the risk solve
-    of |Y| to reach an interior optimizer; boundary branches raise
-    ``DegenerateBranchError``.
+    It is sign(Y) times the attaining density of the risk of |Y|, read off at
+    each atom's |Y|.  Both sides of the equality are 1-homogeneous in Z', so
+    any positive multiple attains it too.  Requires the risk solve of |Y| to
+    reach an interior optimizer; boundary branches (the shared top-atom
+    pre-test, or alpha = 1) raise ``DegenerateBranchError``.
     """
     a, p = spec.alpha, spec.order
+    if math.isinf(p) or not (p > 1.0 or p < 0.0):
+        raise ValueError("witness defined for finite p > 1 or p < 0")
     dabs = from_samples(np.abs(d.values), d.probs)
-    if float(dabs.probs[-1]) >= 1.0 - a:
+    if a == 1.0 or _top_atom_test(dabs, a)[0] >= 0.0:
         raise DegenerateBranchError("risk of |Y| is attained on the top atom; no interior witness")
-    if p > 1.0 and not math.isinf(p):
-        res = evar_inf_high(dabs, a, p)
-        t = res.t_star
-        return _sign(d.values) * np.maximum(np.abs(d.values) - t, 0.0) ** (p - 1.0)
-    if p < 0.0 and not math.isinf(p):
-        res = evar_inf_neg(dabs, a, p)
-        t = res.t_star
-        return _sign(d.values) * (t - np.abs(d.values)) ** (p - 1.0)
-    raise ValueError("witness defined for finite p > 1 or p < 0")
+    weights = evar_power(dabs, a, p).density.weights
+    return _sign(d.values) * weights[np.searchsorted(dabs.values, np.abs(d.values))]
 
 
 def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:

@@ -22,7 +22,6 @@ from .distribution import (
     essinf,
     esssup,
     expectation,
-    power_mean,
 )
 from .entropy import Density
 from .solver import find_root
@@ -111,8 +110,22 @@ def _argmax_density(d: DiscreteDistribution) -> Density:
     return Density(d, w)
 
 
-def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray, np.ndarray]:
-    """Standardize once: ``(m, s, (Y - m)/s, log probs)`` with m = esssup, s = spread.
+def _top_atom_test(d: DiscreteDistribution, alpha: float) -> Tuple[float, float, np.ndarray]:
+    """The one top-atom pre-test: ``(top, log_beta, log probs)``.
+
+    top = log(beta P(Y = esssup)) with beta = 1/(1 - alpha).  At top >= 0
+    every entropy-budget regime takes its boundary branch: the supremum is
+    esssup, attained by the normalized indicator of the top atom.  ``top``
+    is read off the log-probabilities the solvers use, so no order, and no
+    witness, decides a tie differently.
+    """
+    log_beta = _log_beta(alpha)
+    logp = np.log(d.probs)
+    return log_beta + float(logp[-1]), log_beta, logp
+
+
+def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray]:
+    """Standardize once: ``(m, s, (Y - m)/s)`` with m = esssup, s = spread.
 
     The family is translation-equivariant and positively homogeneous, so the
     iterative solvers work on the standardized atoms, which lie in [-1, 0]
@@ -121,7 +134,7 @@ def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray, np.n
     """
     m = esssup(d)
     s = m - essinf(d)
-    return m, s, (d.values - m) / s, np.log(d.probs)
+    return m, s, (d.values - m) / s
 
 
 def _stationarity(lk: float, lk1: float, p: float, log_beta: float) -> float:
@@ -165,92 +178,52 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     return RiskResult(value, t, Density(d, w), "avar", 0, 0.0)
 
 
-def evar_inf_high(
+def evar_power(
     d: DiscreteDistribution, alpha: float, p: float, tol: float = DEFAULT_TOL
 ) -> RiskResult:
-    """Order regime p in (1, inf): minimize t + beta^(1/p) ||(Y - t)_+||_p.
+    """Finite orders p > 1 and p < 0: minimize t + beta^(1/p) ||(Y - t)_+||_p
+    for p > 1, and t - beta^(1/p) ||t - Y||_p over t > esssup Y for p < 0.
 
-    When the top atom carries probability at least 1 - alpha the minimum sits
-    at the essential supremum and the attaining density is the normalized
-    indicator of that atom (exact pre-test, no solve).  Otherwise the
-    stationary point is interior.  On the standardized atoms (esssup 0,
-    spread 1) it is bracketed by expanding the left end of [-2, 0] until
-    the derivative turns negative, then located by bisection on the
-    derivative.  The attaining density is the normalized tail power
-    (Y - t*)_+^(p-1).
+    Both derivatives tend to 1 - (beta P(Y = esssup))^(1/p) at esssup, so the
+    shared top-atom pre-test, beta P(Y = esssup) >= 1, selects the boundary
+    branch exactly: value esssup, attained by the normalized indicator of the
+    top atom, with no solve ("degenerate_negative_order" for p < 0).
+    Otherwise the stationary point is interior.  On the standardized atoms
+    (esssup 0, spread 1) ``find_root`` brackets it on [-2, 0] for p > 1 and
+    on [0, 1] for p < 0, where the derivative at the left end is its
+    closed-form limit at esssup, then bisects.  The attaining density is the
+    normalized gap power, (Y - t*)_+^(p-1) or (t* - Y)^(p-1).
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    if math.isnan(p) or not (1.0 < p < math.inf):
-        raise ValueError("order must lie in (1, inf)")
-    M = esssup(d)
-    log_beta = _log_beta(alpha)
-    pmax = float(d.probs[-1])
-    if pmax >= 1.0 - alpha:
-        return RiskResult(M, M, _argmax_density(d), "higher_order", 0, 0.0)
+    if math.isinf(p) or not (p > 1.0 or p < 0.0):
+        raise ValueError("order must be a finite real above 1 or below 0")
+    gap = p < 0.0
+    top, log_beta, logp = _top_atom_test(d, alpha)
+    if top >= 0.0:
+        M = esssup(d)
+        branch = "degenerate_negative_order" if gap else "higher_order"
+        return RiskResult(M, M, _argmax_density(d), branch, 0, 0.0)
 
-    m, s, y, logp = _unit_space(d)
+    m, s, y = _unit_space(d)
 
     def fprime(t: float) -> float:
-        return _stationarity(*_log_moments(*_log_gaps(y, logp, t), p), p, log_beta)
+        if gap and t <= 0.0:
+            # the limit at esssup, strictly negative here; capped against overflow
+            return -math.expm1(min(top / p, 700.0))
+        return _stationarity(*_log_moments(*_log_gaps(y, logp, t, gap=gap), p), p, log_beta)
 
-    t, iterations = find_root(fprime, -2.0, 0.0, tol)
-    logp_t, logx = _log_gaps(y, logp, t)
+    lo, hi = (0.0, 1.0) if gap else (-2.0, 0.0)
+    t, iterations = find_root(fprime, lo, hi, tol)
+    logp_t, logx = _log_gaps(y, logp, t, gap=gap)
     lk, lk1 = _log_moments(logp_t, logx, p)
-    value = t + math.exp(log_beta / p + lk / p)
+    norm = math.exp(log_beta / p + lk / p)
+    value = min(0.0, t - norm if gap else t + norm)
     w = np.zeros(d.n_atoms)
     w[d.n_atoms - logx.size :] = np.exp((p - 1.0) * logx - lk1)
     return RiskResult(
-        m + s * value, m + s * t, Density(d, w), "higher_order", iterations,
-        abs(_stationarity(lk, lk1, p, log_beta)),
-    )
-
-
-def evar_inf_neg(
-    d: DiscreteDistribution, alpha: float, p: float, tol: float = DEFAULT_TOL
-) -> RiskResult:
-    """Order regime p < 0: minimize t - beta^(1/p) ||t - Y||_p over t > esssup Y.
-
-    The exact pre-test P(Y = esssup) >= 1 - alpha selects the degenerate
-    branch where the infimum is the boundary limit at the essential supremum
-    (value esssup, indicator density).  Otherwise the stationary point is
-    interior.  On the standardized atoms (esssup 0, spread 1): start just
-    above 0, shrink toward it if the derivative is already nonnegative,
-    expand the right end until the derivative turns positive, then bisect.
-    The attaining density is the normalized gap power (t* - Y)^(p-1).
-    """
-    if math.isnan(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if math.isnan(p) or math.isinf(p) or not p < 0.0:
-        raise ValueError("order must be a finite negative real")
-    M = esssup(d)
-    pmax = float(d.probs[-1])
-    log_beta = _log_beta(alpha)
-    if pmax >= 1.0 - alpha:
-        return RiskResult(M, M, _argmax_density(d), "degenerate_negative_order", 0, 0.0)
-
-    m, s, y, logp = _unit_space(d)
-
-    def fprime(t: float) -> float:
-        return _stationarity(*_log_moments(*_log_gaps(y, logp, t, gap=True), p), p, log_beta)
-
-    lo = 1e-8
-    f_lo = fprime(lo)
-    while f_lo >= 0.0 and lo * 1e-2 > 0.0:
-        lo *= 1e-2
-        f_lo = fprime(lo)
-    if f_lo >= 0.0:
-        # interior optimum closer to esssup than float resolution allows
-        t, iterations = lo, 0
-    else:
-        t, iterations = find_root(fprime, lo, lo + 1.0, tol)
-    logp_t, logx = _log_gaps(y, logp, t, gap=True)
-    lk, lk1 = _log_moments(logp_t, logx, p)
-    value = min(0.0, t - math.exp(log_beta / p + lk / p))
-    w = np.exp((p - 1.0) * logx - lk1)
-    return RiskResult(
-        m + s * value, m + s * t, Density(d, w), "negative_order", iterations,
-        abs(_stationarity(lk, lk1, p, log_beta)),
+        m + s * value, m + s * t, Density(d, w), "negative_order" if gap else "higher_order",
+        iterations, abs(_stationarity(lk, lk1, p, log_beta)),
     )
 
 
@@ -270,13 +243,11 @@ def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12
         raise ValueError("alpha must lie in [0,1)")
     if alpha == 0.0:
         return RiskResult(expectation(d), 0.0, _ones_density(d), "shannon", 0, 0.0)
-    log_beta = _log_beta(alpha)
-    pmax = float(d.probs[-1])
-    M = esssup(d)
-    if -math.log(pmax) <= log_beta:
-        return RiskResult(M, None, _argmax_density(d), "shannon", 0, 0.0)
+    top, log_beta, logp = _top_atom_test(d, alpha)
+    if top >= 0.0:
+        return RiskResult(esssup(d), None, _argmax_density(d), "shannon", 0, 0.0)
 
-    m, s, y, logp = _unit_space(d)
+    m, s, y = _unit_space(d)
     py = d.probs * y
 
     def tilt_weights(theta: float) -> Tuple[np.ndarray, float]:
@@ -302,9 +273,9 @@ def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -
     Dispatch: alpha = 1 gives the essential supremum; orders in (0, 1)
     collapse to the essential supremum at every level (including alpha = 0);
     alpha = 0 otherwise gives the expectation; order 1 is the average
-    value-at-risk; orders in (1, inf), +inf and below 0 go to their regime
-    solvers.  The attaining density is returned whenever one exists in
-    closed form.
+    value-at-risk; +inf goes to ``evar_shannon`` and every finite order above
+    1 or below 0 to ``evar_power``.  The attaining density is returned
+    whenever one exists in closed form.
     """
     a, p = spec.alpha, spec.order
     if a == 1.0:
@@ -318,10 +289,7 @@ def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -
         return avar(d, a)
     if math.isinf(p):
         return evar_shannon(d, a, theta_tol=(1e-12 if tol is None else tol))
-    t = DEFAULT_TOL if tol is None else tol
-    if p > 1.0:
-        return evar_inf_high(d, a, p, tol=t)
-    return evar_inf_neg(d, a, p, tol=t)
+    return evar_power(d, a, p, tol=DEFAULT_TOL if tol is None else tol)
 
 
 def norm_equivalence_bounds(alpha: float, p: float) -> Tuple[float, float]:
@@ -373,12 +341,11 @@ def evar_derivative_pprime(
     if d.n_atoms == 1:
         raise ValueError("constant variable: the value does not depend on the order")
     p = pprime / (pprime - 1.0)
-    res = evar_inf_high(d, alpha, p, tol=tol)
-    x = res.t_star
+    res = evar_power(d, alpha, p, tol=tol)
     w = res.density.weights
     log_beta = _log_beta(alpha)
-    pm = power_mean(d, p, x, "plus_part") if x < esssup(d) else 0.0
-    scale = math.exp(log_beta / p) * pm
+    # value - t* is beta^(1/p) ||(Y - t*)_+||_p, and 0 on the boundary branch
+    scale = res.value - res.t_star
     if scale == 0.0:
         return 0.0
     pos = w > 0.0

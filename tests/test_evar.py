@@ -1,5 +1,6 @@
 """Risk family dispatch, regime solvers, bounds and the order derivative."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renyi_risk import (
+    DegenerateBranchError,
     Density,
     RiskSpec,
     avar,
@@ -15,11 +17,11 @@ from renyi_risk import (
     essinf,
     evar,
     evar_derivative_pprime,
-    evar_inf_high,
-    evar_inf_neg,
+    evar_power,
     evar_shannon,
     expectation,
     from_samples,
+    hb_density_for,
     lp_norm,
     norm_equivalence_bounds,
     renyi_entropy,
@@ -184,7 +186,7 @@ class TestHigherOrder:
 
     def test_indicator_density_meets_budget_with_equality(self):
         d = from_samples([0.0, 1.0], weights=[0.8, 0.2])
-        r = evar_inf_high(d, 0.8, 2.0)
+        r = evar_power(d, 0.8, 2.0)
         assert abs(renyi_entropy(r.density, 2.0) - LOG(1 / 0.2)) <= 1e-8
 
     def test_interior_strong_duality_and_feasibility(self):
@@ -192,7 +194,7 @@ class TestHigherOrder:
         for _ in range(8):
             d = rand_dist(rng, 4, max_top=0.45)
             for p in (1.5, 2.0, 3.0):
-                r = evar_inf_high(d, 0.5, p)
+                r = evar_power(d, 0.5, p)
                 pp = conjugate(p)
                 assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-8)
                 assert renyi_entropy(r.density, pp) <= LOG(2.0) + 1e-8
@@ -201,7 +203,7 @@ class TestHigherOrder:
     def test_kink_orders_match_value_from_both_sides(self):
         # p in (1,2) puts kinks at atom values; value must still match a scan
         d = from_samples([0.0, 1.0, 2.0], weights=[0.4, 0.4, 0.2])
-        r = evar_inf_high(d, 0.5, 1.3)
+        r = evar_power(d, 0.5, 1.3)
         from oracles import grid_min, objective_high
         oracle = grid_min(lambda t: objective_high(d, 0.5, 1.3, t), -3.0, 2.0, 500001)
         assert r.value == pytest.approx(oracle, abs=1e-8)
@@ -217,7 +219,7 @@ class TestNegativeOrder:
 
     def test_interior_stationarity(self):
         d = from_samples([0.0, 1.0], weights=[0.9, 0.1])
-        r = evar_inf_neg(d, 0.5, -1.0)
+        r = evar_power(d, 0.5, -1.0)
         assert r.t_star > 1.0
         assert r.residual <= 1e-9
         ts = np.linspace(1.0 + 1e-6, 8.0, 400001)
@@ -229,11 +231,63 @@ class TestNegativeOrder:
         for _ in range(8):
             d = rand_dist(rng, 4, max_top=0.45)
             for p in (-1.0, -3.0):
-                r = evar_inf_neg(d, 0.5, p)
+                r = evar_power(d, 0.5, p)
                 pp = conjugate(p)
                 assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-8)
                 ez = float(np.dot(d.probs, r.density.weights ** pp))
                 assert ez >= 0.5 ** (1.0 - pp) - 1e-8
+
+    def test_one_kernel_pass_per_derivative(self, monkeypatch):
+        # one log-moment pass per bisection step, one at the right end of the
+        # bracket and one for the result; the left end, esssup, is closed form
+        module = importlib.import_module("renyi_risk.evar")
+        kernel = module._log_moments
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, "_log_moments", counted)
+        d = from_samples([0.0, 1.0], weights=[0.9, 0.1])
+        r = evar(d, RiskSpec(0.5, -1.0))
+        assert r.branch == "negative_order"
+        assert (r.t_star - esssup(d)) / (esssup(d) - essinf(d)) > 1e-8
+        assert r.iterations > 0
+        assert len(calls) <= r.iterations + 2
+
+    def test_power_solver_rejects_orders_outside_its_regimes(self):
+        d = from_samples([0.0, 1.0, 2.0])
+        for p in (0.5, 1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="order must be"):
+                evar_power(d, 0.5, p)
+
+
+class TestTopAtomPretest:
+    def test_orders_agree_on_the_boundary_branch_at_ties(self):
+        # two atoms whose top probability lies within 3 ulp of 1 - alpha: every
+        # order takes the top-atom exit, or every order solves
+        cases = [(0.6048818756895006, 0.3951181243104994),
+                 (0.7840857981115471, 0.2159142018884529),
+                 (0.1866594306515681, 0.8133405693484319)]
+        rng = np.random.default_rng(11)
+        for alpha in rng.uniform(0.05, 0.95, 60).tolist():
+            ulp = math.ulp(1.0 - alpha)
+            cases += [(alpha, 1.0 - alpha + k * ulp) for k in range(-3, 4)]
+        for alpha, top in cases:
+            d = from_samples([0.0, 1.0], weights=[1.0 - top, top])
+            results = [evar(d, RiskSpec(alpha, o)) for o in (2.0, -2.0, math.inf)]
+            exits = [r.iterations == 0 for r in results]
+            assert all(exits) or not any(exits), (alpha, top, exits)
+            for r in results:
+                assert expectation(d) <= r.value <= esssup(d)
+                if exits[0]:
+                    assert r.density.weights[0] == 0.0
+            if exits[0]:
+                with pytest.raises(DegenerateBranchError):
+                    hb_density_for(d, RiskSpec(alpha, 2.0))
+            else:
+                assert hb_density_for(d, RiskSpec(alpha, 2.0))[-1] > 0.0
 
 
 class TestShannon:
@@ -409,7 +463,7 @@ class TestOrderStructure:
         rng = np.random.default_rng(9)
         for _ in range(5):
             d = rand_dist(rng, 5, lo=0.5, max_top=0.45)
-            tstars = [evar_inf_high(d, 0.5, conjugate(pp)).t_star
+            tstars = [evar_power(d, 0.5, conjugate(pp)).t_star
                       for pp in (1.5, 2.0, 3.0, 6.0, 12.0)]
             for lo, hi in zip(tstars, tstars[1:]):
                 assert hi >= lo - 1e-7
