@@ -112,6 +112,15 @@ def _log_gaps(
     return logp[i:], np.log(values[i:] - t)
 
 
+def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
+    """``(m, e^(terms - m))`` with m the largest term, the one exp pass of the
+    kernel: no term overflows and log sum e^terms is m + log of the sum.
+    No term, or every term -inf, gives m = -inf and no exponentials.
+    """
+    m = float(terms.max()) if terms.size else -math.inf
+    return m, (terms[:0] if m == -math.inf else np.exp(terms - m))
+
+
 def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> Tuple[float, float]:
     """The log-moment kernel: log sum e^logp x^k and log sum e^logp x^(k-1).
 
@@ -124,8 +133,8 @@ def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> Tuple[float, f
     a = logp + k * logx
     out = []
     for terms in (a, a - logx):
-        m = float(terms.max()) if terms.size else -math.inf
-        out.append(m if m == -math.inf else m + math.log(float(np.exp(terms - m).sum())))
+        m, e = _exp_shifted(terms)
+        out.append(m + math.log(float(e.sum())) if e.size else m)
     return out[0], out[1]
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .distribution import (
     DiscreteDistribution,
+    _exp_shifted,
     _log_gaps,
     _log_moments,
     essinf,
@@ -83,8 +84,9 @@ class RiskResult:
     ``t_star`` is the scalar optimizer of the regime's dual problem; for the
     "shannon" branch it holds the exponential tilt parameter instead.
     ``residual`` is the stationarity defect of the scalar solve (zero for
-    closed forms), ``iterations`` the number of bisection steps of the
-    scalar solve on every branch (zero for closed forms and pre-test exits).
+    closed forms), ``iterations`` the number of evaluations of the scalar
+    solve's monotone function after bracketing, on every branch (zero for
+    closed forms and pre-test exits).
     """
 
     value: float
@@ -190,9 +192,11 @@ def evar_power(
     top atom, with no solve ("degenerate_negative_order" for p < 0).
     Otherwise the stationary point is interior.  On the standardized atoms
     (esssup 0, spread 1) ``find_root`` brackets it on [-2, 0] for p > 1 and
-    on [0, 1] for p < 0, where the derivative at the left end is its
-    closed-form limit at esssup, then bisects.  The attaining density is the
-    normalized gap power, (Y - t*)_+^(p-1) or (t* - Y)^(p-1).
+    on [0, 1] for p < 0 and narrows the bracket by safeguarded interpolation.
+    It is handed -log(1 - derivative), which has the derivative's sign and
+    does not saturate near 1: +inf where no atom lies above t, and the
+    closed-form limit -top/p at the p < 0 end esssup.  The attaining density
+    is the normalized gap power, (Y - t*)_+^(p-1) or (t* - Y)^(p-1).
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
@@ -208,10 +212,13 @@ def evar_power(
     m, s, y = _unit_space(d)
 
     def fprime(t: float) -> float:
+        # -log(1 - stationarity): the same sign, but no saturation near 1
         if gap and t <= 0.0:
-            # the limit at esssup, strictly negative here; capped against overflow
-            return -math.expm1(min(top / p, 700.0))
-        return _stationarity(*_log_moments(*_log_gaps(y, logp, t, gap=gap), p), p, log_beta)
+            return -top / p  # the limit at esssup, strictly negative here
+        lk, lk1 = _log_moments(*_log_gaps(y, logp, t, gap=gap), p)
+        if lk == -math.inf:
+            return math.inf  # no atom above t
+        return -(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
 
     lo, hi = (0.0, 1.0) if gap else (-2.0, 0.0)
     t, iterations = find_root(fprime, lo, hi, tol)
@@ -232,7 +239,8 @@ def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12
 
     The tilted density proportional to e^(theta Y) has relative entropy
     nondecreasing in theta >= 0, so the entropy budget log(1/(1-alpha)) is
-    met by bisection on theta.  If even the largest reachable entropy
+    met by ``find_root`` on theta, with one exp pass over the atoms per
+    evaluation.  If even the largest reachable entropy
     log(1/P(Y = esssup)) fits the budget, the value is the essential
     supremum with the uniform density on the top atom.  The tilt is found on
     the standardized atoms (esssup 0, spread 1) and rescaled.  ``t_star``
@@ -248,21 +256,22 @@ def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12
         return RiskResult(esssup(d), None, _argmax_density(d), "shannon", 0, 0.0)
 
     m, s, y = _unit_space(d)
-    py = d.probs * y
 
-    def tilt_weights(theta: float) -> Tuple[np.ndarray, float]:
-        # density e^(theta y) / E e^(theta y) and its log-normalizer, which is
-        # the kernel's log-moment of order theta of x = e^y
-        lam = _log_moments(logp, y, theta)[0]
-        return np.exp(theta * y - lam), lam
+    def tilt(theta: float) -> Tuple[float, float]:
+        # the log-normalizer lambda = log E e^(theta y) and the tilted mean,
+        # both from the one exp pass over a = log p + theta y
+        top_a, e = _exp_shifted(logp + theta * y)
+        total = float(e.sum())
+        return top_a + math.log(total), float(np.dot(e, y)) / total
 
-    def kl(theta: float) -> float:
-        w, lam = tilt_weights(theta)
-        return theta * float(np.dot(py, w)) - lam
+    def budget_gap(theta: float) -> float:
+        # relative entropy of the tilt, theta E_tilt[y] - lambda, minus the budget
+        lam, mean = tilt(theta)
+        return theta * mean - lam - log_beta
 
-    theta, iterations = find_root(lambda th: kl(th) - log_beta, 0.0, 1.0, theta_tol)
-    w, lam = tilt_weights(theta)
-    value = float(np.dot(py, w))
+    theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
+    lam, value = tilt(theta)
+    w = np.exp(theta * y - lam)
     return RiskResult(m + s * value, theta / s, Density(d, w), "shannon", iterations,
                       abs(theta * value - lam - log_beta))
 

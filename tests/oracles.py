@@ -83,6 +83,26 @@ def chernoff_shannon_oracle(d: DiscreteDistribution, alpha: float) -> float:
     return min(f1, f2, float(vals[k]))
 
 
+def bisect_root(g, lo: float, hi: float, tol: float):
+    """Reference for ``solver.find_root``: the same bracket growth and stop
+    rule, then plain bisection.  Returns ``(root, steps)``."""
+    while g(lo) >= 0.0:
+        lo = hi - 2.0 * (hi - lo)
+    while g(hi) < 0.0:
+        hi = lo + 2.0 * (hi - lo)
+    steps = 0
+    while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return 0.5 * (lo + hi), steps
+
+
 def central_diff(fun, x: float, h: float) -> float:
     return (fun(x + h) - fun(x - h)) / (2.0 * h)
 

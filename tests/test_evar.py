@@ -28,7 +28,13 @@ from renyi_risk import (
     risk_level_bound,
     var_level,
 )
-from oracles import avar_grid_oracle, chernoff_shannon_oracle, objective_neg, rand_dist
+from oracles import (
+    avar_grid_oracle,
+    bisect_root,
+    chernoff_shannon_oracle,
+    objective_neg,
+    rand_dist,
+)
 
 LOG = math.log
 
@@ -238,8 +244,9 @@ class TestNegativeOrder:
                 assert ez >= 0.5 ** (1.0 - pp) - 1e-8
 
     def test_one_kernel_pass_per_derivative(self, monkeypatch):
-        # one log-moment pass per bisection step, one at the right end of the
-        # bracket and one for the result; the left end, esssup, is closed form
+        # one log-moment pass per root-finder evaluation, one at the right end
+        # of the bracket and one for the result; the left end, esssup, is
+        # closed form
         module = importlib.import_module("renyi_risk.evar")
         kernel = module._log_moments
         calls = []
@@ -316,6 +323,79 @@ class TestShannon:
         r = evar_shannon(d, 0.0)
         assert r.t_star == 0.0
         assert r.value == pytest.approx(0.5, abs=1e-14)
+
+    def test_one_pass_tilt_matches_the_density_form(self):
+        # the value and residual come from one exp pass per step; recompute
+        # them at the returned tilt from the density exp(theta y - lambda)
+        rng = np.random.default_rng(8)
+        for n in (200, 2000, 20000):
+            # no atom weighs 1 - alpha or more, so every level solves
+            d = from_samples(rng.lognormal(0.0, 1.0, n), rng.uniform(0.5, 1.5, n))
+            m, s = esssup(d), esssup(d) - essinf(d)
+            y = (d.values - m) / s
+            for alpha in (0.5, 0.95, 0.99):
+                r = evar_shannon(d, alpha)
+                theta = r.t_star * s
+                a = np.log(d.probs) + theta * y
+                lam = float(a.max() + np.log(np.exp(a - a.max()).sum()))
+                z = np.exp(theta * y - lam)
+                mean = float(np.dot(d.probs * y, z))
+                assert r.value == pytest.approx(m + s * mean, rel=1e-12)
+                assert np.allclose(r.density.weights, z, rtol=1e-12, atol=0.0)
+                assert r.residual == pytest.approx(
+                    abs(theta * mean - lam + math.log1p(-alpha)), abs=1e-12)
+
+    def test_one_exp_pass_per_evaluation(self, monkeypatch):
+        # each evaluation of the entropy-budget gap, and the final tilt, takes
+        # one exp pass; the two-sum log-moment kernel is not used
+        module = importlib.import_module("renyi_risk.evar")
+        shifted, root_finder = module._exp_shifted, module.find_root
+        passes, evaluations = [], []
+
+        def counted_pass(terms):
+            passes.append(terms.size)
+            return shifted(terms)
+
+        def counted_root(g, lo, hi, tol):
+            def counted_g(theta):
+                evaluations.append(theta)
+                return g(theta)
+            return root_finder(counted_g, lo, hi, tol)
+
+        monkeypatch.setattr(module, "_exp_shifted", counted_pass)
+        monkeypatch.setattr(module, "find_root", counted_root)
+        monkeypatch.setattr(module, "_log_moments", None)
+        r = evar_shannon(from_samples(np.linspace(0.0, 1.0, 50)), 0.9)
+        assert r.branch == "shannon" and r.iterations > 0
+        assert len(passes) == len(evaluations) + 1
+        assert set(passes) == {50}
+
+
+class TestBisectionParity:
+    def test_matches_bisection_in_few_evaluations(self, monkeypatch):
+        # the same requests solved through the plain-bisection reference: the
+        # same branches and values, in at most 15 evaluations per solve on average
+        rng = np.random.default_rng(11)
+        samples = []
+        for n in (50, 200, 1000):
+            samples += [(rng.lognormal(0.0, 1.0, n), None),
+                        (np.round(2.0 * rng.normal(0.0, 1.0, n)) / 2.0, None),
+                        (rng.standard_t(3.0, n), rng.uniform(0.5, 1.5, n))]
+        requests = [(from_samples(y, w), RiskSpec(alpha, order))
+                    for y, w in samples for alpha in (0.5, 0.95, 0.99)
+                    for order in (2.0, 10.0, math.inf, -2.0)]
+        results = [evar(d, spec) for d, spec in requests]
+        monkeypatch.setattr(importlib.import_module("renyi_risk.evar"), "find_root", bisect_root)
+        reference = [evar(d, spec) for d, spec in requests]
+        evaluations = {}
+        for (d, spec), r, ref in zip(requests, results, reference):
+            assert r.branch == ref.branch
+            assert abs(r.value - ref.value) <= 1e-11 * (esssup(d) - essinf(d))
+            if ref.iterations:
+                evaluations.setdefault(spec.order, []).append(r.iterations)
+        assert sorted(evaluations) == [-2.0, 2.0, 10.0, math.inf]
+        for order, counts in evaluations.items():
+            assert np.mean(counts) <= 15.0, order
 
 
 class TestCoherence:

@@ -1,4 +1,4 @@
-"""The root finder: bracket growth, bisection, and convex minimization through it."""
+"""The root finder: bracket growth, safeguarded interpolation, and convex minimization through it."""
 
 import math
 
@@ -20,7 +20,7 @@ class TestMinimizeConvex:
         assert t == pytest.approx(3.0, abs=1e-9)
 
     def test_kink_handled_by_a_one_sided_derivative(self):
-        # |t| has a jump in its derivative at the minimum; bisection needs only the sign
+        # |t| has a jump in its derivative at the minimum; the bracket follows the sign
         t, _ = minimize(lambda t: 1.0 if t >= 0.0 else -1.0, -1.0, 0.5, tol=1e-12)
         assert t == pytest.approx(0.0, abs=1e-9)
 
@@ -130,3 +130,73 @@ class TestBisect:
         while lo >= root:
             lo = hi - 2.0 * (hi - lo)
         assert steps <= math.ceil(math.log2((hi - lo) / tol)) + 1
+
+
+def _adversarial(r):
+    """Monotone functions with a sign change at r that defeat plain interpolation."""
+    return {
+        "step": lambda t: 1.0 if t >= r else -1.0,
+        "cube": lambda t: (t - r) ** 3,
+        "ninth_power": lambda t: (t - r) ** 9,
+        "root_21": lambda t: math.copysign(abs(t - r) ** (1.0 / 21.0), t - r),
+        "expm1": lambda t: math.expm1(50.0 * (t - r)),
+        "tanh": lambda t: math.tanh(1e6 * (t - r)),
+        "inf_at_hi": lambda t: math.inf if t >= 0.999 else (t - r) ** 3,
+        "minus_inf_at_lo": lambda t: -math.inf if t <= -0.999 else math.expm1(50.0 * (t - r)),
+    }
+
+
+class TestWorstCase:
+    @pytest.mark.parametrize("name", sorted(_adversarial(0.0)))
+    @pytest.mark.parametrize("tol", [1e-6, 1e-11])
+    def test_bracket_and_step_guarantee(self, name, tol):
+        lo, hi = -0.999, 0.999
+        for r in (0.3, -0.6, 1e-7, 0.9989, -0.9989):
+            g = _adversarial(r)[name]
+            calls = []
+
+            def counted(t):
+                calls.append(t)
+                return g(t)
+
+            root, steps = find_root(counted, lo, hi, tol)
+            # both ends already have the right sign: two calls, then one per step
+            assert len(calls) == steps + 2
+            below = [t for t in calls if g(t) < 0.0]
+            above = [t for t in calls if g(t) >= 0.0]
+            a, b = max(below), min(above)
+            # the final bracket holds the sign change, is narrow enough, and
+            # its midpoint is returned
+            assert a < r <= b
+            assert b - a <= tol * (1.0 + abs(a) + abs(b))
+            assert root == 0.5 * (a + b)
+            # the stated guarantee, well inside 2 ceil(log2(w0 / tol)) + 2
+            assert steps <= math.ceil(math.log2((hi - lo) / tol)) + 8
+
+    def test_smooth_functions_take_few_steps(self):
+        # superlinear on smooth monotone functions: bisection takes 41 steps here
+        for g in (lambda t: t - 0.3, lambda t: math.exp(t) - 2.0,
+                  lambda t: t ** 3 + t - 0.5, lambda t: math.atan(t - 0.7)):
+            _, steps = find_root(g, -1.0, 1.0, 1e-11)
+            assert steps <= 10
+        # badly scaled ones need the interpolation and the two-step midpoint
+        # rule together: without either, some mean exceeds 18
+        roots = [-0.9 + 0.1 * k for k in range(19)]
+        families = {
+            "log": lambda t, r: math.log((t + 2.0) / (r + 2.0)),
+            "reciprocal": lambda t, r: 1.0 / (r + 2.0) - 1.0 / (t + 2.0),
+            "exp": lambda t, r: math.expm1(5.0 * (t - r)),
+            "saturating": lambda t, r: math.exp(-10.0 * (r + 1.0)) - math.exp(-10.0 * (t + 1.0)),
+            "steep_power": lambda t, r: (r + 1.01) ** -4 - (t + 1.01) ** -4,
+        }
+        for name, f in families.items():
+            steps = [find_root(lambda t: f(t, r), -1.0, 1.0, 1e-11)[1] for r in roots]
+            assert np.mean(steps) <= 15.0, name
+
+    @pytest.mark.parametrize("root", [-0.95, -0.99])
+    def test_the_far_end_does_not_stick(self, root):
+        # g rises by 1e8 across the bracket, so the secant keeps landing next
+        # to the root's side; halving the kept end's value (Illinois) frees it
+        g = lambda t: (root + 1.01) ** -4 - (t + 1.01) ** -4
+        _, steps = find_root(g, -1.0, 1.0, 1e-11)
+        assert steps <= 25
