@@ -1,10 +1,12 @@
 """Supremum-side machinery: brute-force oracle, dual norms, witnesses, Kusuoka form.
 
 Everything here works against the defining supremum of the risk family: a
-simplex-grid oracle enumerates feasible reweightings directly, the dual
-norms are evaluated from their scalar-search representations together with
-the extremal pairings attaining them, and the Kusuoka (mixture of tail
-means) representation is rebuilt from the attaining density.
+simplex-grid oracle enumerates feasible reweightings directly, each dual
+norm is the maximum over one scalar of a ratio of closed-form moments,
+found by one ``find_root`` solve per regime on a bracket the formulas give
+(with the limit E|Z| as the other candidate), together with the extremal
+pairing attaining it, and the Kusuoka (mixture of tail means)
+representation is rebuilt from the attaining density.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 from .distribution import DiscreteDistribution, essinf, esssup, expectation, from_samples
 from .entropy import Density
 from .evar import RiskSpec, _top_atom_test, avar, conjugate, evar, evar_power
+from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
 _CHUNK = 2_000_000
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NoFiniteWitnessError(RuntimeError):
@@ -145,112 +147,100 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
     return best_val, Density(d, best_q / pr)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-11) -> Tuple[float, float]:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while (hi - lo) > tol * (1.0 + 0.5 * abs(lo + hi)):
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    t = 0.5 * (lo + hi)
-    cands = [(f1, x1), (f2, x2), (f(t), t)]
-    fv, tv = max(cands, key=lambda c: c[0])
-    return tv, fv
-
-
-def _scan_max(ratio, ts: np.ndarray, tol: float) -> Tuple[float, float, np.ndarray]:
-    """Maximize a vectorized ratio: grid scan, then golden section on the best cell.
-
-    Returns ``(t_best, r_best, scan values)``.
-    """
-    vals = ratio(ts)
-    if not np.any(vals > -np.inf):
-        raise ValueError("dual-norm denominator nonpositive on the search range")
-    k = int(np.argmax(vals))
-    t_best, r_best = _golden_max(lambda t: float(ratio(t)), float(ts[max(k - 1, 0)]),
-                                 float(ts[min(k + 1, ts.size - 1)]), tol)
-    return t_best, r_best, vals
-
-
 def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
-                     p: float, tol: float = 1e-11) -> Tuple[float, Optional[float]]:
-    """Scalar-search dual norm; returns (value, finite optimizer t or None).
+                     p: float, tol: float = 1e-11) -> Tuple[float, Optional[np.ndarray]]:
+    """Dual norm by one root solve; returns (value, |Y'| attaining it, or None).
 
-    ``None`` marks the supremum approached only as t -> inf, where the
-    ratio tends to E|Z|.  Each regime's ratio takes a scalar or an array of
-    t, so the scan and the refinement evaluate the same formula.
+    With W = |Z|^(p'-1) (0 for p > 1 and inf for p < 0 where Z = 0) the
+    extremal pairings are Y(t) = (t + W)_+ for p > 1 and (t - W)_+ for
+    p < 0.  The dual norm is the supremum over t of N/D, with N = E|Z| Y(t)
+    and D the risk objective of Y(t) at s = t, so every ratio is a lower
+    bound.  In both regimes Y(t) is positive exactly where |Z| exceeds a
+    level u, with t = -u^(p'-1) for p > 1 and u^(p'-1) for p < 0, so the
+    search runs over u in [0, max |Z|]: t over [-max W, 0] and over
+    [min W, inf).  At u = max |Z| the pairing vanishes.  At u = 0 the sign
+    of the slope N'D - ND' has the closed form
+    sign * (beta^(1/p) E|Z| - ||Z||_p'), sign = +1 for p > 1 and -1 for
+    p < 0.  Where it is not negative the ratio rises to its limit E|Z| (for
+    p > 1 it is a ratio of linear functions once t >= 0), and E|Z| is the
+    value.  Otherwise ``find_root`` brackets the stationary point on
+    [0, max |Z|], with the closed form as its value at 0.  ``None`` marks a
+    p < 0 supremum approached only as t -> inf; for p > 1 that case has the
+    constant witness.
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
+    if math.isinf(p) or not (p > 1.0 or p < 0.0):
+        raise ValueError("dual norm defined for finite p > 1 or p < 0")
     w = np.abs(np.asarray(weights, dtype=float).ravel())
     if w.shape != d.values.shape:
         raise ValueError("weights must match the distribution's atoms")
+    high = p > 1.0
+    sign = 1.0 if high else -1.0
     pr = d.probs
+    pw = pr * w
+    limit = float(pw.sum())
+    at_limit = np.ones(w.size) if high else None
+    w_max = float(w.max())
+    if w_max == 0.0:  # the zero functional
+        return limit, at_limit
+    # levels in units of max |Z|, so W = 1 at the largest weight: max W for
+    # p > 1, min W for p < 0, where p' - 1 is negative
+    pos = w > 0.0
     pprime = conjugate(p)
-    limit = float(np.dot(pr, w))
+    W = np.power(w / w_max, pprime - 1.0,
+                 out=np.full(w.size, 0.0 if high else math.inf), where=pos)
+    pwW = np.multiply(pw, W, out=np.zeros(w.size), where=pos)
+    beta_pow = math.exp(-math.log1p(-alpha) / p)
 
-    if p > 1.0 and not math.isinf(p):
-        beta_pow = (1.0 / (1.0 - alpha)) ** (1.0 / p)
-        W = np.where(w > 0.0, w ** (pprime - 1.0), 0.0)
+    def parts(t: float) -> Tuple[float, float, np.ndarray]:
+        """N/D, N'D - ND' (right derivatives in t) and Y(t) at a finite t.
 
-        def ratio(ts):
-            t = np.asarray(ts, dtype=float)
-            A = np.maximum(t[..., None] + W, 0.0)
-            num = (A * w) @ pr
-            den = t + beta_pow * np.power(((A - t[..., None]) ** p) @ pr, 1.0 / p)
-            valid = den > 1e-300
-            return np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
+        With A = N' and B the E|Z|W terms where Y > 0, N'D - ND' is
+        sign (A K - B) + N (1 - D'), K = beta^(1/p) ||x||_p, which keeps
+        the terms of size t in N and D from cancelling.
+        """
+        s = t + sign * W
+        y = np.maximum(s, 0.0)
+        on = s >= 0.0
+        x = np.where(on, W, -sign * t)  # the gap sign (Y - t) of the objective at t
+        m = float(pr @ x ** p)
+        k = beta_pow * m ** (1.0 / p)
+        num = float(pw @ y)
+        # 1 - D' = beta^(1/p) M^(1/p - 1) E[x^(p-1); Y = 0], where x = |t|
+        drop = beta_pow * m ** (1.0 / p - 1.0) * abs(t) ** (p - 1.0) * float(pr @ ~on)
+        slope = sign * (float(pw @ on) * k - float(pwW @ on)) + num * drop
+        return num / (t + sign * k), slope, y
 
-        s = 10.0 * (1.0 + float(W.max()))
-        t_best, r_best, _ = _scan_max(ratio, np.linspace(-s, s, 1001), tol)
-        if r_best >= limit:
-            return float(r_best), float(t_best)
-        return limit, None
+    def to_t(u: float) -> float:
+        return -sign * u ** (pprime - 1.0)
 
-    if p < 0.0 and not math.isinf(p):
-        beta_pow = math.exp(-math.log1p(-alpha) / p)
-        W = np.where(w > 0.0, w ** (pprime - 1.0), math.inf)
-
-        def ratio(ts):
-            t = np.asarray(ts, dtype=float)
-            num = np.maximum(t[..., None] - W, 0.0) @ (pr * w)
-            clipped = np.minimum(W, t[..., None])
-            den = t - beta_pow * np.power((clipped ** p) @ pr, 1.0 / p)
-            valid = np.all(clipped > 0.0, axis=-1) & (den > 1e-300)
-            return np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
-
-        lo = float(W.min())
-        finite = W[np.isfinite(W)]
-        s = float(finite.max())
-        if s <= lo:
-            # single distinct height: only the t -> inf limit remains
-            return limit, None
-        t_best, r_best, vals = _scan_max(ratio, np.linspace(lo + (s - lo) * 1e-9, s, 1001), tol)
-        # beyond the largest height the ratio is a monotone Mobius function,
-        # so its supremum there is one of the two ends
-        if vals[-1] >= r_best:
-            t_best, r_best = s, float(vals[-1])
-        if r_best >= limit:
-            return float(r_best), float(t_best)
-        return limit, None
-
-    raise ValueError("dual norm defined for finite p > 1 or p < 0")
+    # N'D - ND' where Y > 0 wherever Z is and N (1 - D') has died out: at
+    # t = 0 for p > 1, as t -> inf for p < 0
+    tail = sign * (limit * beta_pow * float(pr @ W ** p) ** (1.0 / p) - float(pwW.sum()))
+    if tail >= 0.0:
+        return limit, at_limit
+    u, _ = find_root(lambda u: tail if u == 0.0 else parts(to_t(u))[1], 0.0, 1.0, tol)
+    r, _, y = parts(to_t(u))
+    if r >= limit:
+        return r, w_max ** (pprime - 1.0) * y
+    return limit, at_limit
 
 
 def dual_norm(z: Density, alpha: float, p: float) -> float:
-    """Dual norm of a density against the risk-induced norm, by scalar search.
+    """Dual norm of a density against the risk-induced norm, by one root solve.
 
-    Both regimes scan a one-parameter family of extremal pairings (clipped
-    at zero, so maximizers vanishing on some atoms are covered), refine the
-    best grid cell by golden section, and always include the t -> inf limit
-    E|Z| as a candidate.  Above the largest transformed weight the p < 0
-    ratio is a monotone Mobius function, so only its two ends matter there.
+    The dual norm is the supremum over t of E[Z Y(t)] / D(t) for the
+    one-parameter family of extremal pairings Y(t), clipped at zero so that
+    maximizers vanishing on some atoms are covered, with D(t) the risk
+    objective of Y(t) at t.  Its limit E|Z| is always a candidate, and a
+    closed form says whether the ratio still rises toward it.  Otherwise
+    ``find_root`` solves N'D = ND' once, on the bracket the formulas give:
+    t in [-max W, 0] for p > 1, where the ratio is monotone for t >= 0, and
+    t in [min W, inf) for p < 0.  Where Z vanishes on some atoms the p < 0
+    ratio can peak beyond the largest finite W, so that tail is searched
+    too.  That the ratio is unimodal is tested against a dense grid, not
+    proved.  Memory and time per evaluation are linear in the atoms.
     """
     return _dual_norm_parts(z.dist, z.weights, alpha, p)[0]
 
@@ -289,26 +279,19 @@ def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
 def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
     """Per-atom variable Y' attaining E Y'Z = risk(|Y'|) * dual_norm(Z).
 
-    For p > 1 with the supremum only in the t -> inf limit the constant
-    witness is returned (exact for unit-mean densities).  For p < 0 that
-    case has no finite witness and raises ``NoFiniteWitnessError``.
+    It is the extremal pairing Y(t) at the optimizer of the dual-norm
+    solve, signed like Z, so both come from one computation: (t + W)_+ for
+    p > 1 and (t - W)_+ for p < 0, zero wherever Z is.  For p > 1 with the
+    supremum only in the t -> inf limit the constant witness is returned
+    (exact for unit-mean densities).  For p < 0 that case has no finite
+    witness and raises ``NoFiniteWitnessError``.
     """
-    value, t = _dual_norm_parts(z.dist, z.weights, alpha, p)
-    w = z.weights
-    pprime = conjugate(p)
-    if p > 1.0 and not math.isinf(p):
-        if t is None:
-            return np.ones(z.dist.n_atoms)
-        W = np.where(w > 0.0, np.abs(w) ** (pprime - 1.0), 0.0)
-        return _sign(w) * np.maximum(t + W, 0.0)
-    if p < 0.0 and not math.isinf(p):
-        if t is None:
-            raise NoFiniteWitnessError(
-                "supremum approached only as t -> inf; the dual norm equals E|Z|"
-            )
-        W = np.where(w > 0.0, np.abs(w) ** (pprime - 1.0), math.inf)
-        return _sign(w) * np.maximum(t - W, 0.0)
-    raise ValueError("witness defined for finite p > 1 or p < 0")
+    y = _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
+    if y is None:
+        raise NoFiniteWitnessError(
+            "supremum approached only as t -> inf; the dual norm equals E|Z|"
+        )
+    return _sign(z.weights) * y
 
 
 def alt_dual_check(d: DiscreteDistribution, spec: RiskSpec, trials: int,

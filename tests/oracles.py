@@ -83,6 +83,67 @@ def chernoff_shannon_oracle(d: DiscreteDistribution, alpha: float) -> float:
     return min(f1, f2, float(vals[k]))
 
 
+def dual_norm_grid(d: DiscreteDistribution, weights, alpha: float, p: float,
+                   num: int = 4001, tail: int = 2001, span: float = 1e12) -> float:
+    """Dual norm as the best ratio N(t)/D(t) on a dense t-grid, golden-polished.
+
+    With W = |Z|^(p'-1) where Z != 0 (0 elsewhere for p > 1, inf for
+    p < 0), Y(t) = (t + W)_+ or (t - W)_+, N = E|Z| Y(t) and D the risk
+    objective of Y(t) at t, all in plain powers.  Each ratio is a lower bound
+    on the dual norm.  The grid is linear over [-max W, 0] for p > 1 (for
+    t >= 0 the ratio is monotone) and over [min W, max finite W] for p < 0,
+    plus a log-spaced grid from the same start to ``span`` times the
+    smallest W above zero (p > 1) or the largest finite W (p < 0).
+    The best cell is polished by golden section, and the t -> inf limit
+    E|Z| is a candidate.
+    """
+    w = np.abs(np.asarray(weights, dtype=float))
+    pr = d.probs
+    pos = w > 0.0
+    pp = p / (p - 1.0)
+    W = np.full(w.size, 0.0 if p > 1.0 else math.inf)
+    W[pos] = w[pos] ** (pp - 1.0)
+    beta_pow = (1.0 / (1.0 - alpha)) ** (1.0 / p)
+
+    def ratio(ts):
+        t = np.asarray(ts, dtype=float)[:, None]
+        if p > 1.0:
+            y = np.maximum(t + W, 0.0)
+            den = t[:, 0] + beta_pow * ((np.maximum(W, -t) ** p) @ pr) ** (1.0 / p)
+        else:
+            y = np.maximum(t - W, 0.0)
+            den = t[:, 0] - beta_pow * ((np.minimum(W, t) ** p) @ pr) ** (1.0 / p)
+        return (y @ (pr * w)) / den
+
+    # a linear grid and a log-spaced one, so that no spread of W leaves a
+    # peak between two points
+    if p > 1.0:
+        top = W.max()
+        ts = np.concatenate([np.linspace(-top, 0.0, num),
+                             -np.geomspace(top, W[pos].min() / span, tail)])
+    else:
+        low, top = W.min(), W[pos].max()
+        ts = np.concatenate([np.linspace(low, top, num)[1:],
+                             np.geomspace(low, top * span, tail)[1:]])
+    ts = np.sort(ts)
+    vals = ratio(ts)
+    k = int(np.argmax(vals))
+    lo, hi = float(ts[max(k - 1, 0)]), float(ts[min(k + 1, ts.size - 1)])
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    f1, f2 = ratio([x1])[0], ratio([x2])[0]
+    while hi - lo > 1e-14 * (abs(lo) + abs(hi)):
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - phi * (hi - lo)
+            f1 = ratio([x1])[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + phi * (hi - lo)
+            f2 = ratio([x2])[0]
+    return float(max(vals[k], f1, f2, np.dot(pr, w)))
+
+
 def bisect_root(g, lo: float, hi: float, tol: float):
     """Reference for ``solver.find_root``: the same bracket growth and stop
     rule, then plain bisection.  Returns ``(root, steps)``."""

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,19 @@ class TestDualnormCommand:
         code, _, _ = run(capsys, ["dualnorm", "--input", density_csv,
                                   "--alpha", "0.5", "--order", "1"])
         assert code == 3
+
+    def test_zero_density_at_negative_order_warns_nothing(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("value,weight,density\n0,1,0.0\n1,1,2.0\n2,2,1.0\n", encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "renyi_risk.cli", "dualnorm",
+             "--input", str(path), "--alpha", "0.5", "--order", "-1"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["dual_norm"] >= 1.0
 
     def test_invalid_density_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "z.csv"

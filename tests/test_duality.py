@@ -1,6 +1,7 @@
 """Supremum oracle, dual norms, extremal witnesses and the Kusuoka form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from renyi_risk import (
     norm_equivalence_bounds,
     sup_oracle,
 )
-from oracles import rand_dist
+from oracles import dual_norm_grid, rand_dist
 
 
 def pair(d, weights):
@@ -178,6 +179,121 @@ class TestDualNorm:
         for p in (1.0, 0.5, math.inf):
             with pytest.raises(ValueError):
                 dual_norm(z, 0.5, p)
+
+
+#: Values of ``dual_norm_raw`` at alpha 0.3 on the atoms [0, 1, 2.5, 4, 7]
+#: with probabilities [0.3, 0.25, 0.2, 0.15, 0.1], as computed by the former
+#: implementation (a 1001-point scan refined by golden section).
+SCAN_VALUES = [
+    ([0.1, 0.3, 0.2, 4.0, 1.5], {1.5: 1.8066790196071658, 2.0: 1.5701077045733114,
+                                 4.0: 1.3517542818454897, 10.0: 1.2632982365384597,
+                                 -0.5: 0.895, -1.0: 0.9610182044372252,
+                                 -2.0: 1.0533748211910452, -5.0: 1.1379902665554544}),
+    ([3.0, 0.05, 0.4, 0.1, 1.0], {1.5: 1.6342719282327014, 2.0: 1.5009091660529927,
+                                  4.0: 1.36865824894927, 10.0: 1.3128143218288821,
+                                  -0.5: 1.1075, -1.0: 1.131839259837923,
+                                  -2.0: 1.1802929800736557, -5.0: 1.2320419504284739}),
+    ([0.02, 0.5, 2.5, 0.3, 0.7], {1.5: 1.220357228269253, 2.0: 1.0825756949558403,
+                                  4.0: 0.9472980159240616, 10.0: 0.8918065337069419,
+                                  -0.5: 0.746, -1.0: 0.7556172379602479,
+                                  -2.0: 0.78328116563041, -5.0: 0.8207139256498714}),
+    ([1.2, 0.9, 0.1, 0.05, 4.5], {1.5: 1.8187846296391654, 2.0: 1.518277465918514,
+                                  4.0: 1.269018737147658, 10.0: 1.1956808626663407,
+                                  -0.5: 1.0625, -1.0: 1.0625,
+                                  -2.0: 1.0815018733595563, -5.0: 1.1184924458963372}),
+]
+
+MIX_ORDERS = (1.5, 2.0, 4.0, 10.0, -0.5, -1.0, -2.0, -5.0)
+
+
+class TestDualNormSolve:
+    """One root solve per regime, checked against a dense-grid reference."""
+
+    @pytest.mark.parametrize("weights, expected", [
+        ([0.0, 0.0, 1.0 / 0.3], 1.0435607626104002),
+        ([2.5, 0.0, 0.0], 1.0102051443364382),
+    ])
+    def test_zero_weight_reproducers(self, weights, expected):
+        # the pairing can peak beyond the largest finite W once Z vanishes on
+        # some atoms, where a search stopping there returned E|Z| = 1
+        d = from_samples([1.0, 2.0, 3.0], [0.4, 0.3, 0.3])
+        z = Density(d, np.array(weights))
+        value = dual_norm(z, 0.5, -1.0)
+        assert value == pytest.approx(expected, rel=1e-12)
+        y = hb_witness_for(z, 0.5, -1.0)
+        risk = evar(from_samples(np.abs(y), d.probs), RiskSpec(0.5, -1.0)).value
+        assert value == pytest.approx(pair_with(y, d, z) / risk, rel=1e-12)
+
+    def test_zero_weights_never_below_a_grid_ratio(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            d = rand_dist(rng, n)
+            w = rng.dirichlet(np.ones(n)) / d.probs
+            w[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
+            z = Density(d, w / np.dot(d.probs, w))
+            alpha = float(rng.choice([0.1, 0.5, 0.9]))
+            for p in (-0.5, -1.0, -2.0, -5.0):
+                best = dual_norm_grid(d, z.weights, alpha, p)
+                assert dual_norm(z, alpha, p) >= best * (1.0 - 1e-12)
+
+    def test_matches_the_grid_on_positive_weights(self):
+        # flat and skewed Dirichlet densities and attaining densities on 3-40
+        # atoms; a second local maximum of the ratio would show up here
+        rng = np.random.default_rng(42)
+        checked = 0
+        for case in range(18):
+            n = int(rng.integers(3, 41))
+            d = rand_dist(rng, n)
+            alpha = float(rng.choice([0.1, 0.5, 0.9]))
+            for p in MIX_ORDERS:
+                if case % 3 == 2:
+                    w = evar(d, RiskSpec(alpha, p)).density.weights
+                    if not np.all(w > 0.0):
+                        continue
+                else:
+                    w = rng.dirichlet(np.full(n, 1.0 if case % 3 else 0.3)) / d.probs
+                checked += 1
+                ref = dual_norm_grid(d, w, alpha, p)
+                signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+                assert dual_norm_raw(d, 3.0 * signs * w, alpha, p) == pytest.approx(3.0 * ref,
+                                                                                   rel=1e-10)
+                z = Density(d, w / np.dot(d.probs, w))
+                value = dual_norm(z, alpha, p)
+                assert value == pytest.approx(ref / np.dot(d.probs, w), rel=1e-10)
+                # no grid ratio is above the value, even where the ratio is
+                # flat to 1e-11 (attaining densities)
+                assert value >= ref / np.dot(d.probs, w) * (1.0 - 1e-12)
+        assert checked >= 100
+
+    @pytest.mark.parametrize("weights, values", SCAN_VALUES)
+    def test_matches_the_scan_it_replaced(self, weights, values):
+        d = from_samples([0.0, 1.0, 2.5, 4.0, 7.0], [0.3, 0.25, 0.2, 0.15, 0.1])
+        for p, expected in values.items():
+            assert dual_norm_raw(d, np.array(weights), 0.3, p) == pytest.approx(expected,
+                                                                                 rel=1e-10)
+
+    @pytest.mark.parametrize("p", [2.0, 10.0, -2.0])
+    def test_attaining_density_at_2e5_atoms(self, p):
+        rng = np.random.default_rng(43)
+        d = from_samples(rng.lognormal(size=200_000))
+        z = evar(d, RiskSpec(0.95, p)).density
+        assert dual_norm(z, 0.95, p) == pytest.approx(1.0, abs=1e-9)
+
+    def test_memory_is_linear_in_the_atoms(self):
+        # skewed enough that both orders solve rather than return E|Z|
+        rng = np.random.default_rng(44)
+        d = from_samples(rng.lognormal(size=30_000))
+        w = rng.lognormal(sigma=1.5, size=30_000) / d.probs
+        z = Density(d, w / np.dot(d.probs, w))
+        for p in (2.0, -2.0):
+            tracemalloc.start()
+            try:
+                dual_norm(z, 0.5, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20e6
 
 
 def pair_with(values, d, z):
