@@ -60,7 +60,57 @@ def _parse_float(token: str, line: int, what: str) -> float:
     return x
 
 
-def _parse_csv(text: str, want_density: bool) -> Tuple[List[float], Optional[List[float]], Optional[List[float]]]:
+_Columns = Tuple[Sequence[float], Optional[Sequence[float]], Optional[Sequence[float]]]
+
+
+def _parse_csv(text: str, want_density: bool) -> _Columns:
+    """The value column, and the weight and density columns when the header
+    names them (None otherwise).
+
+    ``_load_columns`` reads a well-formed file in one vectorized pass; any
+    file it declines goes to the row parser, which reports the first bad
+    line.  Both parse numbers with CPython's string-to-double routine, so
+    they agree bit for bit wherever the fast path succeeds.
+    """
+    columns = _load_columns(text, want_density)
+    return _parse_csv_rows(text, want_density) if columns is None else columns
+
+
+def _load_columns(text: str, want_density: bool) -> Optional[_Columns]:
+    """The fast path of ``_parse_csv``: one ``np.loadtxt`` over the used columns.
+
+    Returns None, leaving messages and line numbers to the row parser, unless
+    the file has no quote character, a header of distinct names with a
+    'value' column (and 'density' when wanted), a data line that is not
+    empty, and only finite entries and nonnegative weights.  Without quotes
+    the csv module splits each line on commas exactly as ``loadtxt`` does,
+    and both skip empty lines.
+    """
+    nl = text.find("\n")
+    # quoting is the csv module's; a body of empty lines only makes loadtxt warn
+    if '"' in text or nl < 0 or text.count("\n", nl) == len(text) - nl:
+        return None
+    names = text[:nl].split(",")
+    if (len(set(names)) != len(names) or "value" not in names
+            or (want_density and "density" not in names)):
+        return None
+    used = [c for c in ("value", "weight", "density") if c in names]
+    try:
+        data = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, skiprows=1,
+                          usecols=[names.index(c) for c in used], ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    cols = dict(zip(used, data.T))
+    if "weight" in cols and (cols["weight"] < 0.0).any():
+        return None
+    return cols["value"], cols.get("weight"), cols.get("density")
+
+
+def _parse_csv_rows(text: str, want_density: bool) -> _Columns:
+    """Row by row through ``csv.DictReader``: the reference parser, and the
+    one that reports the first bad line."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or "value" not in reader.fieldnames:
         raise InputError("line 1: header with a 'value' column is required")
@@ -95,7 +145,14 @@ def _parse_csv(text: str, want_density: bool) -> Tuple[List[float], Optional[Lis
     return values, (weights if has_weight else None), (densities if has_density else None)
 
 
-def _parse_json(text: str, want_density: bool) -> Tuple[List[float], Optional[List[float]], Optional[List[float]]]:
+def _json_number(x, where: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"line 1: {where} is not a number") from exc
+
+
+def _parse_json(text: str, want_density: bool) -> _Columns:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -107,7 +164,7 @@ def _parse_json(text: str, want_density: bool) -> Tuple[List[float], Optional[Li
     for i, pair in enumerate(atoms):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"line 1: atoms[{i}] is not a [value, prob] pair")
-        v, p = float(pair[0]), float(pair[1])
+        v, p = (_json_number(x, f"atoms[{i}][{j}]") for j, x in enumerate(pair))
         if not (math.isfinite(v) and math.isfinite(p)):
             raise InputError(f"line 1: atoms[{i}] has a non-finite entry")
         if p < 0.0:
@@ -119,7 +176,7 @@ def _parse_json(text: str, want_density: bool) -> Tuple[List[float], Optional[Li
         densities = payload.get("density")
         if not isinstance(densities, list) or len(densities) != len(values):
             raise InputError("line 1: density files need a 'density' list matching atoms")
-        densities = [float(x) for x in densities]
+        densities = [_json_number(x, f"density[{i}]") for i, x in enumerate(densities)]
     return values, weights, densities
 
 

@@ -98,44 +98,62 @@ def var_level(d: DiscreteDistribution, alpha: float) -> float:
 
 
 def _log_gaps(
-    values: np.ndarray, logp: np.ndarray, t: float, gap: bool = False
+    values: np.ndarray, logp: np.ndarray, t: float, gap: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Atoms of sorted ``values`` where (Y - t)_+ is positive, or (t - Y)_+ when ``gap``.
 
     Returns their log-probabilities and the log of that positive part, found
-    with one ``searchsorted`` and one ``log``.
+    with one ``searchsorted`` and one ``log``.  The logs are written to the
+    front of ``out`` (at least as long as ``values``) when it is given, so a
+    solve that evaluates many t allocates nothing per evaluation.
     """
     if gap:
         i = int(np.searchsorted(values, t, side="left"))
-        return logp[:i], np.log(t - values[:i])
+        x = np.subtract(t, values[:i], out=None if out is None else out[:i])
+        return logp[:i], np.log(x, out=x)
     i = int(np.searchsorted(values, t, side="right"))
-    return logp[i:], np.log(values[i:] - t)
+    x = np.subtract(values[i:], t, out=None if out is None else out[: values.size - i])
+    return logp[i:], np.log(x, out=x)
 
 
 def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
     """``(m, e^(terms - m))`` with m the largest term, the one exp pass of the
     kernel: no term overflows and log sum e^terms is m + log of the sum.
-    No term, or every term -inf, gives m = -inf and no exponentials.
+    The exponentials overwrite ``terms``, which the caller owns.  No term,
+    or every term -inf, gives m = -inf and no exponentials.
     """
     m = float(terms.max()) if terms.size else -math.inf
-    return m, (terms[:0] if m == -math.inf else np.exp(terms - m))
+    if m == -math.inf:
+        return m, terms[:0]
+    np.subtract(terms, m, out=terms)
+    return m, np.exp(terms, out=terms)
 
 
-def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> Tuple[float, float]:
+def _log_moments(
+    logp: np.ndarray, logx: np.ndarray, k: float, out: Optional[np.ndarray] = None
+) -> Tuple[float, float]:
     """The log-moment kernel: log sum e^logp x^k and log sum e^logp x^(k-1).
 
     ``logx`` is the finite log of x > 0 on each atom and ``logp`` its log
     probability (-inf entries contribute nothing).  The order-(k-1) terms are
     derived from the order-k ones, and each sum is taken after subtracting
     its largest term, so any k and any spread of x stay overflow-safe.  No
-    atom, or every term -inf, gives -inf.
+    atom, or every term -inf, gives -inf.  The terms are built in the two
+    rows of ``out`` (each at least as long as ``logx``) when it is given,
+    else in a fresh array.
     """
-    a = logp + k * logx
-    out = []
-    for terms in (a, a - logx):
+    n = logx.size
+    rows = np.empty((2, n)) if out is None else out[:, :n]
+    a, b = rows[0], rows[1]
+    np.multiply(k, logx, out=a)
+    np.add(logp, a, out=a)
+    np.subtract(a, logx, out=b)
+    res = []
+    for terms in (a, b):
         m, e = _exp_shifted(terms)
-        out.append(m + math.log(float(e.sum())) if e.size else m)
-    return out[0], out[1]
+        res.append(m + math.log(float(e.sum())) if e.size else m)
+    return res[0], res[1]
 
 
 def power_mean(d: DiscreteDistribution, p: float, shift: float, mode: str = "plus_part") -> float:

@@ -210,24 +210,30 @@ def evar_power(
         return RiskResult(M, M, _argmax_density(d), branch, 0, 0.0)
 
     m, s, y = _unit_space(d)
+    # one scratch block for every evaluation: the gap logs, then the two
+    # rows of kernel terms
+    scratch = np.empty((3, d.n_atoms))
+    logx_out, terms_out = scratch[0], scratch[1:]
 
     def fprime(t: float) -> float:
         # -log(1 - stationarity): the same sign, but no saturation near 1
         if gap and t <= 0.0:
             return -top / p  # the limit at esssup, strictly negative here
-        lk, lk1 = _log_moments(*_log_gaps(y, logp, t, gap=gap), p)
+        lk, lk1 = _log_moments(*_log_gaps(y, logp, t, gap, logx_out), p, terms_out)
         if lk == -math.inf:
             return math.inf  # no atom above t
         return -(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
 
     lo, hi = (0.0, 1.0) if gap else (-2.0, 0.0)
     t, iterations = find_root(fprime, lo, hi, tol)
-    logp_t, logx = _log_gaps(y, logp, t, gap=gap)
-    lk, lk1 = _log_moments(logp_t, logx, p)
+    logp_t, logx = _log_gaps(y, logp, t, gap, logx_out)
+    lk, lk1 = _log_moments(logp_t, logx, p, terms_out)
     norm = math.exp(log_beta / p + lk / p)
     value = min(0.0, t - norm if gap else t + norm)
+    # the gap power (p - 1) logx - lk1, exponentiated in the scratch too
+    e = np.multiply(p - 1.0, logx, out=terms_out[0, : logx.size])
     w = np.zeros(d.n_atoms)
-    w[d.n_atoms - logx.size :] = np.exp((p - 1.0) * logx - lk1)
+    w[d.n_atoms - logx.size :] = np.exp(np.subtract(e, lk1, out=e), out=e)
     return RiskResult(
         m + s * value, m + s * t, Density(d, w), "negative_order" if gap else "higher_order",
         iterations, abs(_stationarity(lk, lk1, p, log_beta)),
@@ -256,11 +262,13 @@ def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12
         return RiskResult(esssup(d), None, _argmax_density(d), "shannon", 0, 0.0)
 
     m, s, y = _unit_space(d)
+    terms = np.empty(d.n_atoms)  # scratch for every evaluation
 
     def tilt(theta: float) -> Tuple[float, float]:
         # the log-normalizer lambda = log E e^(theta y) and the tilted mean,
         # both from the one exp pass over a = log p + theta y
-        top_a, e = _exp_shifted(logp + theta * y)
+        np.multiply(theta, y, out=terms)
+        top_a, e = _exp_shifted(np.add(logp, terms, out=terms))
         total = float(e.sum())
         return top_a + math.log(total), float(np.dot(e, y)) / total
 
@@ -271,7 +279,8 @@ def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12
 
     theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
     lam, value = tilt(theta)
-    w = np.exp(theta * y - lam)
+    np.multiply(theta, y, out=terms)
+    w = np.exp(np.subtract(terms, lam, out=terms), out=terms)
     return RiskResult(m + s * value, theta / s, Density(d, w), "shannon", iterations,
                       abs(theta * value - lam - log_beta))
 

@@ -2,7 +2,9 @@
 
 Everything here computes by direct enumeration, dense grids or finite
 differences with plain numpy powers, deliberately avoiding the library's
-log-space code paths.
+log-space code paths.  The one exception is the allocating log-moment
+kernel and the two solves built on it, kept as the exact reference for the
+library's kernel that writes into caller-owned scratch.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 import numpy as np
 
 from renyi_risk import DiscreteDistribution, from_samples
+from renyi_risk.evar import _top_atom_test, _unit_space
+from renyi_risk.solver import find_root
 
 
 def avar_grid_oracle(d: DiscreteDistribution, alpha: float, step: float = 1e-4,
@@ -186,3 +190,79 @@ def rand_dist(rng: np.random.Generator, n: int, lo: float = 0.0, hi: float = 10.
             continue
         return from_samples(v, p)
     raise RuntimeError("could not draw a distribution with the requested shape")
+
+
+def log_gaps_alloc(values, logp, t: float, gap: bool = False):
+    """The allocating ``distribution._log_gaps``: a fresh array per call."""
+    if gap:
+        i = int(np.searchsorted(values, t, side="left"))
+        return logp[:i], np.log(t - values[:i])
+    i = int(np.searchsorted(values, t, side="right"))
+    return logp[i:], np.log(values[i:] - t)
+
+
+def exp_shifted_alloc(terms):
+    """The allocating ``distribution._exp_shifted``: ``terms`` is left intact."""
+    m = float(terms.max()) if terms.size else -math.inf
+    return m, (terms[:0] if m == -math.inf else np.exp(terms - m))
+
+
+def log_moments_alloc(logp, logx, k: float):
+    """The allocating ``distribution._log_moments``, term for term."""
+    a = logp + k * logx
+    out = []
+    for terms in (a, a - logx):
+        m, e = exp_shifted_alloc(terms)
+        out.append(m + math.log(float(e.sum())) if e.size else m)
+    return out[0], out[1]
+
+
+def evar_power_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
+    """``evar.evar_power`` on the allocating kernel, for an interior solve:
+    ``(value, t_star, iterations, density weights)``, or None when the
+    top-atom pre-test takes the boundary branch."""
+    gap = p < 0.0
+    top, log_beta, logp = _top_atom_test(d, alpha)
+    if top >= 0.0:
+        return None
+    m, s, y = _unit_space(d)
+
+    def fprime(t: float) -> float:
+        if gap and t <= 0.0:
+            return -top / p
+        lk, lk1 = log_moments_alloc(*log_gaps_alloc(y, logp, t, gap=gap), p)
+        if lk == -math.inf:
+            return math.inf
+        return -(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
+
+    t, iterations = find_root(fprime, *((0.0, 1.0) if gap else (-2.0, 0.0)), tol)
+    logp_t, logx = log_gaps_alloc(y, logp, t, gap=gap)
+    lk, lk1 = log_moments_alloc(logp_t, logx, p)
+    norm = math.exp(log_beta / p + lk / p)
+    value = min(0.0, t - norm if gap else t + norm)
+    w = np.zeros(d.n_atoms)
+    w[d.n_atoms - logx.size:] = np.exp((p - 1.0) * logx - lk1)
+    return m + s * value, m + s * t, iterations, w
+
+
+def evar_shannon_alloc(d: DiscreteDistribution, alpha: float, theta_tol: float):
+    """``evar.evar_shannon`` on the allocating exp pass, for an interior solve:
+    ``(value, t_star, iterations, density weights)``, or None when the
+    top-atom pre-test takes the boundary branch."""
+    top, log_beta, logp = _top_atom_test(d, alpha)
+    if top >= 0.0:
+        return None
+    m, s, y = _unit_space(d)
+
+    def tilt(theta: float):
+        top_a, e = exp_shifted_alloc(logp + theta * y)
+        total = float(e.sum())
+        return top_a + math.log(total), float(np.dot(e, y)) / total
+
+    def budget_gap(theta: float) -> float:
+        lam, mean = tilt(theta)
+        return theta * mean - lam - log_beta
+
+    theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
+    lam, value = tilt(theta)
+    return m + s * value, theta / s, iterations, np.exp(theta * y - lam)

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from renyi_risk import RiskSpec, dual_norm, evar, from_samples
+from renyi_risk import cli
 from renyi_risk.cli import main
 
 
@@ -88,6 +90,18 @@ class TestRisk:
         _, out_j, _ = run(capsys, ["risk", "--input", sample_json, "--alpha", "0.5", "--order", "2"])
         _, out_c, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "2"])
         assert json.loads(out_j)["entries"] == json.loads(out_c)["entries"]
+
+    @pytest.mark.parametrize("atoms,where", [
+        ('[["a", 1.0], [2.0, 1.0]]', "atoms[0][0]"),
+        ('[[1.0, 1.0], [null, 1.0]]', "atoms[1][0]"),
+        ('[[1.0, [2]]]', "atoms[0][1]"),
+        ('[[1' + '0' * 400 + ', 1.0]]', "atoms[0][0]"),
+    ])
+    def test_non_numeric_json_entry_exits_2(self, capsys, tmp_path, atoms, where):
+        path = tmp_path / "y.json"
+        path.write_text('{"atoms": %s}' % atoms, encoding="utf-8")
+        code, _, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5", "--order", "2"])
+        assert (code, err) == (2, f"error: line 1: {where} is not a number\n")
 
     def test_csv_format(self, capsys, sample_csv):
         code, out, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5",
@@ -252,8 +266,126 @@ class TestEntropyCommand:
         entries = json.loads(out)["entries"]
         assert entries[0]["q"] == "inf"
 
+    @pytest.mark.parametrize("density", ['["x", 1.0]', '[1.0, null]'])
+    def test_non_numeric_json_density_exits_2(self, capsys, tmp_path, density):
+        path = tmp_path / "z.json"
+        path.write_text('{"atoms": [[0, 0.5], [1, 0.5]], "density": %s}' % density,
+                        encoding="utf-8")
+        code, _, err = run(capsys, ["entropy", "--input", str(path), "--q", "2"])
+        index = 0 if density.startswith('["x"') else 1
+        assert (code, err) == (2, f"error: line 1: density[{index}] is not a number\n")
+
     def test_negative_order_on_degenerate_density_exits_3(self, capsys, tmp_path):
         path = tmp_path / "z.csv"
         path.write_text("value,density\n0,0.0\n1,2.0\n", encoding="utf-8")
         code, _, _ = run(capsys, ["entropy", "--input", path.as_posix(), "--q", "-1"])
         assert code == 3
+
+
+#: (id, file bytes, density file?) for the ingest parity checks
+CSV_CORPUS = [
+    ("plain", b"value\n1.5\n-2\n3e-5\n", False),
+    ("weights", b"value,weight\n0,3\n1,1\n4,1\n", False),
+    ("quoted_fields", b'value,weight\n"1.5",2\n3,"1"\n', False),
+    ("quoted_header", b'"value","weight"\n1,2\n3,4\n', False),
+    ("comma_in_quoted_unused_field", b'name,value\n"a,2,",1\n', False),
+    ("blank_lines", b"value\n\n1\n\n\n2\n\n", False),
+    ("whitespace_only_line", b"value\n1\n   \n2\n", False),
+    ("whitespace_around_fields", b"value,weight\n 1.5 ,\t2\n", False),
+    ("crlf", b"value,weight\r\n1,2\r\n3,4\r\n", False),
+    ("bom", b"\xef\xbb\xbfvalue\n1\n2\n", False),
+    ("bom_on_unused_column", b"\xef\xbb\xbfweight,value\n1,2\n3,4\n", False),
+    ("duplicate_header", b"value,value\n1,2\n3,4\n", False),
+    ("duplicate_unused_header", b"value,x,x\n1,2,3\n", False),
+    ("extra_fields", b"value\n1,5\n2\n", False),
+    ("missing_field", b"value,weight\n1,2\n3\n", False),
+    ("empty_field", b"value,weight\n1,\n", False),
+    ("nan", b"value\n1\nnan\n", False),
+    ("inf", b"value\n-inf\n1\n", False),
+    ("overflow", b"value\n1\n1e400\n", False),
+    ("nan_weight", b"value,weight\n1,nan\n", False),
+    ("negative_weight", b"value,weight\n1,2\n2,-1\n", False),
+    ("negative_zero", b"value,weight\n-0.0,-0.0\n1,1\n", False),
+    ("underscore_digits", b"value\n1_000\n2\n", False),
+    ("non_ascii_digits", "value\n\u0661\u0662\n\uff13\n".encode("utf-8"), False),
+    ("hex", b"value\n0x10\n", False),
+    ("hash_in_field", b"value\n1#2\n", False),
+    ("hash_in_unused_field", b"value,note\n1,#x\n", False),
+    ("header_only", b"value\n", False),
+    ("header_then_empty_lines", b"value\n\n\n", False),
+    ("header_without_newline", b"value", False),
+    ("empty_file", b"", False),
+    ("no_value_column", b"x\n1\n", False),
+    ("zero_weights", b"value,weight\n1,0\n2,0\n", False),
+    ("bad_density_in_sample_file", b"value,density\n0,abc\n", False),
+    ("density", b"value,weight,density\n0,1,1.0\n1,1,1.0\n", True),
+    ("density_without_weight", b"value,density\n1,0.5\n0,1.5\n", True),
+    ("density_missing_column", b"value,weight\n0,1\n", True),
+    ("density_non_numeric", b"value,density\n0,x\n", True),
+    ("density_non_finite", b"value,density\n0,inf\n1,1\n", True),
+    ("density_duplicate_values", b"value,density\n0,1\n0,1\n", True),
+]
+
+
+def no_fast_path(monkeypatch):
+    monkeypatch.setattr(cli, "_load_columns", lambda text, want_density: None)
+
+
+def parse_outcome(text, want_density):
+    """Parsed columns as raw bytes, or the parse error's message."""
+    try:
+        columns = cli._parse_csv(text, want_density)
+    except cli.InputError as exc:
+        return "error", str(exc)
+    return "ok", [None if c is None else np.asarray(c, dtype=float).tobytes() for c in columns]
+
+
+class TestCsvIngestParity:
+    """The vectorized fast path and the row parser agree bit for bit, and
+    every error keeps its message, line number and exit code."""
+
+    @pytest.mark.parametrize("name,data,density", CSV_CORPUS, ids=[c[0] for c in CSV_CORPUS])
+    def test_fast_path_matches_row_parser(self, capsys, monkeypatch, tmp_path, name, data,
+                                          density):
+        path = tmp_path / ("z.csv" if density else "y.csv")
+        path.write_bytes(data)
+        text = cli._read_text(str(path))
+        argv = (["entropy", "--input", str(path), "--q", "2"] if density else
+                ["risk", "--input", str(path), "--alpha", "0.5", "--order", "2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fast path warns about nothing
+            fast = parse_outcome(text, density), run(capsys, argv)
+        no_fast_path(monkeypatch)
+        rows = parse_outcome(text, density), run(capsys, argv)
+        assert fast == rows
+
+    @pytest.mark.parametrize("name", ["plain", "weights", "blank_lines",
+                                      "whitespace_around_fields", "crlf", "extra_fields",
+                                      "negative_zero", "hash_in_unused_field", "density"])
+    def test_well_formed_files_take_the_fast_path(self, tmp_path, name):
+        data, density = next((d, z) for n, d, z in CSV_CORPUS if n == name)
+        path = tmp_path / "y.csv"
+        path.write_bytes(data)
+        assert cli._load_columns(cli._read_text(str(path)), density) is not None
+
+    def test_header_only_file_reports_no_data_rows(self, capsys, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text("value\n", encoding="utf-8")
+        code, _, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5",
+                                    "--order", "2"])
+        assert (code, err) == (2, "error: line 2: no data rows\n")
+
+    def test_report_is_byte_identical_through_either_parser(self, capsys, monkeypatch,
+                                                            tmp_path):
+        path = tmp_path / "y.csv"
+        rng = np.random.default_rng(7)
+        tail = rng.random(20_000) < 0.05
+        y = np.where(tail, 1.5 + rng.lognormal(0.0, 0.75, 20_000), rng.normal(size=20_000))
+        path.write_text("value\n" + "\n".join(map(repr, y.tolist())) + "\n", encoding="utf-8")
+        argv = ["risk", "--input", str(path), "--alpha", "0.95",
+                "--order", "1", "2", "inf", "-2", "--emit-density"]
+        assert cli._load_columns(cli._read_text(str(path)), False) is not None
+        fast = run(capsys, argv)
+        no_fast_path(monkeypatch)
+        assert fast[0] == 0
+        assert run(capsys, argv) == fast

@@ -1,4 +1,5 @@
-"""The log-moment kernel: agreement with direct power sums, edge cases, no scipy."""
+"""The log-moment kernel: agreement with direct power sums, edge cases, the
+scratch-writing solves against the allocating reference, no scipy."""
 
 import math
 import os
@@ -9,7 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from renyi_risk import evar_power, evar_shannon, from_samples
 from renyi_risk.distribution import _log_gaps, _log_moments
+from renyi_risk.evar import DEFAULT_TOL
+
+from oracles import evar_power_alloc, evar_shannon_alloc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -87,6 +92,71 @@ class TestEdgeCases:
         big = 2 if k > 0 else 0
         assert lk == pytest.approx(math.log(p[big]) + k * math.log(x[big]), rel=1e-14)
         assert lk1 == pytest.approx(math.log(p[big]) + (k - 1.0) * math.log(x[big]), rel=1e-14)
+
+
+def kernel_samples(n):
+    """Lognormal, rounded-normal (tied atoms) and weighted Student-t samples."""
+    rng = np.random.default_rng(n)
+    yield from_samples(rng.lognormal(size=n))
+    yield from_samples(np.round(2.0 * rng.normal(size=n)) / 2.0)
+    yield from_samples(rng.standard_t(3, size=n), rng.uniform(0.5, 1.5, n))
+
+
+def assert_same_solve(result, reference):
+    if reference is None:  # boundary branch: no solve, no kernel call
+        assert result.iterations == 0
+        return
+    value, t_star, iterations, weights = reference
+    assert (result.value, result.t_star, result.iterations) == (value, t_star, iterations)
+    assert result.density.weights.tobytes() == weights.tobytes()
+
+
+class TestScratchKernelParity:
+    """The solves that write into caller-owned scratch give bit-identical
+    values, optimizers, iteration counts and densities to the allocating
+    kernel kept in ``oracles``."""
+
+    @pytest.mark.parametrize("n,alphas", [(3, (0.5, 0.95, 0.99)), (1000, (0.5, 0.95, 0.99)),
+                                          (200_000, (0.95,))])
+    def test_bitwise_equal_to_the_allocating_kernel(self, n, alphas):
+        for d in kernel_samples(n):
+            for alpha in alphas:
+                # p > 1 reads (Y - t)_+, p < 0 the gap t - Y
+                for p in (2.0, 10.0, -2.0, -0.5):
+                    assert_same_solve(evar_power(d, alpha, p),
+                                      evar_power_alloc(d, alpha, p, DEFAULT_TOL))
+                assert_same_solve(evar_shannon(d, alpha), evar_shannon_alloc(d, alpha, 1e-12))
+
+    def test_no_active_atom_end(self):
+        # every p > 1 solve evaluates the right end t' = 0, where no atom lies
+        # above t and the kernel sums nothing; two atoms keep the bracket short
+        d = from_samples([0.0, 1.0], [0.9, 0.1])
+        for alpha in (0.5, 0.8):
+            assert_same_solve(evar_power(d, alpha, 2.0), evar_power_alloc(d, alpha, 2.0, DEFAULT_TOL))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are read on Linux")
+    def test_large_solve_reuses_its_scratch(self):
+        # each evaluation of the allocating kernel maps fresh ~1.6 MB
+        # temporaries and faults their pages in again; the scratch is
+        # faulted in once per solve.  Each solve runs in a fresh process,
+        # since earlier allocations in this one decide what a free returns
+        # to the system.
+        def minor_faults(solve):
+            return int(run_python(
+                "import resource, sys\n"
+                "import numpy as np\n"
+                f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+                "from renyi_risk import evar_power, from_samples\n"
+                "from renyi_risk.evar import DEFAULT_TOL\n"
+                "from oracles import evar_power_alloc\n"
+                "d = from_samples(np.random.default_rng(0).lognormal(size=200_000))\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                f"{solve}\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
+
+        allocating = minor_faults("evar_power_alloc(d, 0.95, -2.0, DEFAULT_TOL)")
+        scratch = minor_faults("evar_power(d, 0.95, -2.0)")
+        assert scratch < allocating / 5, (scratch, allocating)
 
 
 def run_python(program):
