@@ -112,37 +112,41 @@ def _parse_csv_rows(text: str, want_density: bool) -> _Columns:
     """Row by row through ``csv.DictReader``: the reference parser, and the
     one that reports the first bad line."""
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "value" not in reader.fieldnames:
-        raise InputError("line 1: header with a 'value' column is required")
-    has_weight = "weight" in reader.fieldnames
-    has_density = "density" in reader.fieldnames
-    if want_density and not has_density:
-        raise InputError("line 1: density files need a 'density' column")
-    values: List[float] = []
-    weights: List[float] = []
-    densities: List[float] = []
-    for row in reader:
-        line = reader.line_num
-        tok = row.get("value")
-        if tok is None or not tok.strip():
-            raise InputError(f"line {line}: missing value")
-        values.append(_parse_float(tok.strip(), line, "value"))
-        if has_weight:
-            wtok = row.get("weight")
-            if wtok is None or not wtok.strip():
-                raise InputError(f"line {line}: missing weight")
-            w = _parse_float(wtok.strip(), line, "weight")
-            if w < 0.0:
-                raise InputError(f"line {line}: negative weight")
-            weights.append(w)
-        if has_density:
-            ztok = row.get("density")
-            if ztok is None or not ztok.strip():
-                raise InputError(f"line {line}: missing density")
-            densities.append(_parse_float(ztok.strip(), line, "density"))
-    if not values:
-        raise InputError("line 2: no data rows")
-    return values, (weights if has_weight else None), (densities if has_density else None)
+    try:
+        if reader.fieldnames is None or "value" not in reader.fieldnames:
+            raise InputError("line 1: header with a 'value' column is required")
+        has_weight = "weight" in reader.fieldnames
+        has_density = "density" in reader.fieldnames
+        if want_density and not has_density:
+            raise InputError("line 1: density files need a 'density' column")
+        values: List[float] = []
+        weights: List[float] = []
+        densities: List[float] = []
+        for row in reader:
+            line = reader.line_num
+            tok = row.get("value")
+            if tok is None or not tok.strip():
+                raise InputError(f"line {line}: missing value")
+            values.append(_parse_float(tok.strip(), line, "value"))
+            if has_weight:
+                wtok = row.get("weight")
+                if wtok is None or not wtok.strip():
+                    raise InputError(f"line {line}: missing weight")
+                w = _parse_float(wtok.strip(), line, "weight")
+                if w < 0.0:
+                    raise InputError(f"line {line}: negative weight")
+                weights.append(w)
+            if has_density:
+                ztok = row.get("density")
+                if ztok is None or not ztok.strip():
+                    raise InputError(f"line {line}: missing density")
+                densities.append(_parse_float(ztok.strip(), line, "density"))
+        if not values:
+            raise InputError("line 2: no data rows")
+        return values, (weights if has_weight else None), (densities if has_density else None)
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        # the DictReader's own count lags until a row is returned
+        raise InputError(f"line {reader.reader.line_num}: {exc}") from exc
 
 
 def _json_number(x, where: str) -> float:
@@ -177,6 +181,9 @@ def _parse_json(text: str, want_density: bool) -> _Columns:
         if not isinstance(densities, list) or len(densities) != len(values):
             raise InputError("line 1: density files need a 'density' list matching atoms")
         densities = [_json_number(x, f"density[{i}]") for i, x in enumerate(densities)]
+        for i, z in enumerate(densities):
+            if not math.isfinite(z):
+                raise InputError(f"line 1: density[{i}] has a non-finite entry")
     return values, weights, densities
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -24,7 +25,7 @@ from .evar import RiskSpec, _top_atom_test, avar, conjugate, evar, evar_power
 from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
-_CHUNK = 2_000_000
+_CHUNK = 65_536
 
 
 class NoFiniteWitnessError(RuntimeError):
@@ -75,29 +76,58 @@ def _feasible_mask(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
     return s >= bound
 
 
+@functools.lru_cache(maxsize=None)
+def _refine_offsets(n: int) -> np.ndarray:
+    """Integer steps of the local refinement around the best point of n atoms.
+
+    Every vector of n - 1 steps within the reach, completed by a last step
+    that makes the row sum to zero and kept when that step is within the
+    reach too, in meshgrid ('ij') order of the first n - 1 steps.  It depends
+    on n alone, so it is built once per atom count: read-only int8, 3.9 MB
+    for all of n = 2..6 together.
+    """
+    reach = {2: 20, 3: 20, 4: 20, 5: 12, 6: 7}[n]
+    head = np.indices((2 * reach + 1,) * (n - 1), dtype=np.int8).reshape(n - 1, -1).T - reach
+    last = -head.sum(axis=1)
+    keep = np.abs(last) <= reach
+    offs = np.column_stack([head[keep], last[keep].astype(np.int8)])
+    offs.setflags(write=False)
+    return offs
+
+
+def _improve(Q: np.ndarray, d: DiscreteDistribution, pprime: float, log_beta: float,
+             best_val: float, best_q: np.ndarray) -> Tuple[float, np.ndarray]:
+    """The running best after one chunk of candidate measures (rows of Q).
+
+    The objective goes first: only rows above the running best pay for the
+    entropy-budget test.  The strict ``>`` and argmax's first index keep the
+    earliest of equal rows, so chunking picks the row one pass would.
+    """
+    obj = Q @ d.values
+    rows = np.flatnonzero(obj > best_val)
+    if rows.size == 0:
+        return best_val, best_q
+    # a refinement step can leave the simplex; such rows are no measures
+    rows = rows[np.all(Q[rows] >= 0.0, axis=1)]
+    rows = rows[_feasible_mask(Q[rows], d, pprime, log_beta)]
+    if rows.size == 0:
+        return best_val, best_q
+    k = rows[np.argmax(obj[rows])]
+    return float(obj[k]), Q[k].copy()
+
+
 def _refine(d: DiscreteDistribution, q0: np.ndarray, val0: float, pprime: float,
             log_beta: float, resolution: int) -> Tuple[float, np.ndarray]:
     """One local pass at a twentieth of the grid step around the best point."""
-    n = d.n_atoms
-    if n == 1:
+    if d.n_atoms == 1:
         return val0, q0
-    reach = {2: 20, 3: 20, 4: 20, 5: 12, 6: 7}[n]
-    axes = [np.arange(-reach, reach + 1, dtype=np.int64)] * (n - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    offs = np.column_stack([m.ravel() for m in mesh])
-    last = -offs.sum(axis=1)
-    keep = np.abs(last) <= reach
-    offs = np.column_stack([offs, last])[keep]
-    Q = q0[None, :] + offs.astype(np.float64) / (20.0 * resolution)
-    Q = Q[np.all(Q >= 0.0, axis=1)]
-    mask = _feasible_mask(Q, d, pprime, log_beta)
-    if not mask.any():
-        return val0, q0
-    obj = Q[mask] @ d.values
-    k = int(np.argmax(obj))
-    if obj[k] > val0:
-        return float(obj[k]), Q[mask][k]
-    return val0, q0
+    offs = _refine_offsets(d.n_atoms)
+    step = 20.0 * resolution
+    best_val, best_q = val0, q0
+    for start in range(0, offs.shape[0], _CHUNK):
+        Q = q0 + np.divide(offs[start : start + _CHUNK], step, dtype=np.float64)
+        best_val, best_q = _improve(Q, d, pprime, log_beta, best_val, best_q)
+    return best_val, best_q
 
 
 def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
@@ -108,11 +138,15 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
     1/resolution, those inside the regime's entropy budget are kept, and
     E YZ is maximized; one local refinement pass at a twentieth of the step
     follows.  The constant density is always seeded (it is feasible by
-    definition), so the result is never below the expectation.  Limited to
-    6 atoms; blow-up beyond ~5e7 grid points is rejected.
+    definition), so the result is never below the expectation.  Both scans
+    run in chunks of a fixed number of rows, so the float copies stay small
+    at any resolution.  Limited to 6 atoms; blow-up beyond ~5e7 grid points
+    is rejected.
     """
     if d.n_atoms > 6:
         raise ValueError("brute-force oracle is limited to 6 atoms")
+    if not isinstance(resolution, numbers.Integral):
+        raise ValueError("resolution must be an integer")
     if resolution < 10:
         raise ValueError("resolution must be at least 10")
     a, p = spec.alpha, spec.order
@@ -122,27 +156,14 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
         raise ValueError("no entropy-budget regime for this order")
     pprime = conjugate(p)
     log_beta = -math.log1p(-a)
-    v, pr = d.values, d.probs
+    pr = d.probs
 
     best_val = expectation(d)
     best_q = pr.copy()
     grid = _simplex_grid(d.n_atoms, resolution)
     for start in range(0, grid.shape[0], _CHUNK):
-        Q = grid[start : start + _CHUNK].astype(np.float64) / resolution
-        # the constraint is the expensive part; only rows that would improve
-        # the running best need it
-        improving = (Q @ v) > best_val
-        if not improving.any():
-            continue
-        Q = Q[improving]
-        Q = Q[_feasible_mask(Q, d, pprime, log_beta)]
-        if Q.shape[0] == 0:
-            continue
-        obj = Q @ v
-        k = int(np.argmax(obj))
-        if obj[k] > best_val:
-            best_val = float(obj[k])
-            best_q = Q[k]
+        Q = np.divide(grid[start : start + _CHUNK], resolution, dtype=np.float64)
+        best_val, best_q = _improve(Q, d, pprime, log_beta, best_val, best_q)
     best_val, best_q = _refine(d, best_q, best_val, pprime, log_beta, resolution)
     return best_val, Density(d, best_q / pr)
 

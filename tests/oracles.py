@@ -2,9 +2,11 @@
 
 Everything here computes by direct enumeration, dense grids or finite
 differences with plain numpy powers, deliberately avoiding the library's
-log-space code paths.  The one exception is the allocating log-moment
-kernel and the two solves built on it, kept as the exact reference for the
-library's kernel that writes into caller-owned scratch.
+log-space code paths.  Two exceptions are kept as exact references: the
+allocating log-moment kernel and the two solves built on it, for the
+library's kernel that writes into caller-owned scratch; and the supremum
+oracle in one pass, for its chunked scan that tests the budget only on
+improving rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 
 import numpy as np
 
-from renyi_risk import DiscreteDistribution, from_samples
+from renyi_risk import DiscreteDistribution, RiskSpec, conjugate, expectation, from_samples
+from renyi_risk.duality import _feasible_mask, _simplex_grid
 from renyi_risk.evar import _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
@@ -266,3 +269,48 @@ def evar_shannon_alloc(d: DiscreteDistribution, alpha: float, theta_tol: float):
     theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
     lam, value = tilt(theta)
     return m + s * value, theta / s, iterations, np.exp(theta * y - lam)
+
+
+def refine_offsets_reference(n: int) -> np.ndarray:
+    """The refinement's integer steps for n atoms, built by an int64 meshgrid."""
+    reach = {2: 20, 3: 20, 4: 20, 5: 12, 6: 7}[n]
+    axes = [np.arange(-reach, reach + 1, dtype=np.int64)] * (n - 1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    offs = np.column_stack([m.ravel() for m in mesh])
+    last = -offs.sum(axis=1)
+    return np.column_stack([offs, last])[np.abs(last) <= reach]
+
+
+def refine_reference(d: DiscreteDistribution, q0: np.ndarray, val0: float, pprime: float,
+                     log_beta: float, resolution: int):
+    """The oracle's local refinement in one pass: the budget tested on every
+    nonnegative row, then one argmax."""
+    if d.n_atoms == 1:
+        return val0, q0
+    offs = refine_offsets_reference(d.n_atoms)
+    Q = q0[None, :] + offs.astype(np.float64) / (20.0 * resolution)
+    Q = Q[np.all(Q >= 0.0, axis=1)]
+    Q = Q[_feasible_mask(Q, d, pprime, log_beta)]
+    if Q.shape[0] == 0:
+        return val0, q0
+    obj = Q @ d.values
+    k = int(np.argmax(obj))
+    if obj[k] > val0:
+        return float(obj[k]), Q[k]
+    return val0, q0
+
+
+def sup_oracle_reference(d: DiscreteDistribution, spec: RiskSpec, resolution: int):
+    """``sup_oracle`` without chunks or pruning: the whole simplex grid as one
+    float array, the budget tested on every row, one argmax, then
+    ``refine_reference``.  Returns (value, q) with q_i = p_i Z_i."""
+    pprime = conjugate(spec.order)
+    log_beta = -math.log1p(-spec.alpha)
+    Q = _simplex_grid(d.n_atoms, resolution).astype(np.float64) / resolution
+    Q = Q[_feasible_mask(Q, d, pprime, log_beta)]
+    best_val, best_q = expectation(d), d.probs.copy()
+    obj = Q @ d.values
+    k = int(np.argmax(obj))
+    if obj[k] > best_val:
+        best_val, best_q = float(obj[k]), Q[k]
+    return refine_reference(d, best_q, best_val, pprime, log_beta, resolution)

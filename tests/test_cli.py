@@ -275,6 +275,15 @@ class TestEntropyCommand:
         index = 0 if density.startswith('["x"') else 1
         assert (code, err) == (2, f"error: line 1: density[{index}] is not a number\n")
 
+    @pytest.mark.parametrize("command", [["entropy", "--q", "2"],
+                                         ["dualnorm", "--alpha", "0.5", "--order", "2"]])
+    def test_non_finite_json_density_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "z.json"
+        path.write_text('{"atoms": [[0, 0.5], [1, 0.5]], "density": [NaN, 1.0]}',
+                        encoding="utf-8")
+        code, _, err = run(capsys, [command[0], "--input", str(path), *command[1:]])
+        assert (code, err) == (2, "error: line 1: density[0] has a non-finite entry\n")
+
     def test_negative_order_on_degenerate_density_exits_3(self, capsys, tmp_path):
         path = tmp_path / "z.csv"
         path.write_text("value,density\n0,0.0\n1,2.0\n", encoding="utf-8")
@@ -367,6 +376,19 @@ class TestCsvIngestParity:
         path = tmp_path / "y.csv"
         path.write_bytes(data)
         assert cli._load_columns(cli._read_text(str(path)), density) is not None
+
+    def test_quoted_field_over_the_csv_limit_exits_2(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_text('value,note\n1,"%s"\n2,x\n' % ("a" * 200_000), encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "renyi_risk.cli", "risk", "--input", str(path),
+             "--alpha", "0.5", "--order", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: line 2: field larger than field limit")
 
     def test_header_only_file_reports_no_data_rows(self, capsys, tmp_path):
         path = tmp_path / "y.csv"

@@ -27,7 +27,14 @@ from renyi_risk import (
     norm_equivalence_bounds,
     sup_oracle,
 )
-from oracles import dual_norm_grid, rand_dist
+from renyi_risk.duality import _CHUNK, _refine_offsets, _simplex_grid
+from oracles import (
+    dual_norm_grid,
+    rand_dist,
+    refine_offsets_reference,
+    refine_reference,
+    sup_oracle_reference,
+)
 
 
 def pair(d, weights):
@@ -101,8 +108,18 @@ class TestSupOracle:
         with pytest.raises(ValueError):
             sup_oracle(d2, RiskSpec(0.5, 2.0), 9)
 
+    def test_resolution_must_be_an_integer(self):
+        d = from_samples([0.0, 1.0, 3.0], weights=[0.5, 0.3, 0.2])
+        spec = RiskSpec(0.5, 2.0)
+        for bad in (100.0, "100"):
+            with pytest.raises(ValueError, match="resolution must be an integer"):
+                sup_oracle(d, spec, bad)
+        val, z = sup_oracle(d, spec, np.int64(100))
+        ref_val, ref_z = sup_oracle(d, spec, 100)
+        assert val == ref_val
+        assert z.weights.tobytes() == ref_z.weights.tobytes()
+
     def test_grid_cache_is_bounded_and_reused(self):
-        from renyi_risk.duality import _simplex_grid
         d = from_samples([0.0, 1.0, 3.0])
         spec = RiskSpec(0.5, 2.0)
         maxsize = _simplex_grid.cache_info().maxsize
@@ -118,6 +135,62 @@ class TestSupOracle:
         for p in (1.0, 0.5):
             with pytest.raises(ValueError):
                 sup_oracle(d, RiskSpec(0.5, p), 100)
+
+    @pytest.mark.parametrize("n, resolution", [(2, 400), (3, 1000), (4, 60), (5, 20), (6, 10)])
+    def test_matches_the_one_pass_reference(self, n, resolution):
+        # the same row wins, so the densities agree to the byte; the value is
+        # a dot product BLAS may round differently by the row's position
+        rng = np.random.default_rng(60 + n)
+        if resolution == 1000:
+            assert _simplex_grid(n, resolution).shape[0] > _CHUNK
+        for p in (2.0, 4.0, 10.0, 1.5, -0.5, -1.0, -2.0):
+            for lo in (0.0, -5.0):
+                d = rand_dist(rng, n, lo=lo, hi=5.0)
+                spec = RiskSpec(float(rng.uniform(0.2, 0.8)), p)
+                val, z = sup_oracle(d, spec, resolution)
+                ref_val, ref_q = sup_oracle_reference(d, spec, resolution)
+                assert z.weights.tobytes() == (ref_q / d.probs).tobytes()
+                assert abs(val - ref_val) <= 2.0 * np.spacing(abs(ref_val))
+
+    def test_matches_the_reference_when_refinement_finds_nothing(self):
+        # the top atom is heavy enough to take all the mass: the grid corner
+        # attains esssup and no refinement step improves on it
+        d = from_samples([0.0, 1.0, 2.0], weights=[0.3, 0.3, 0.4])
+        spec = RiskSpec(0.7, 2.0)
+        q0 = np.array([0.0, 0.0, 1.0])
+        pprime, log_beta = conjugate(2.0), -math.log1p(-0.7)
+        assert refine_reference(d, q0, 2.0, pprime, log_beta, 50) == (2.0, q0)
+        val, z = sup_oracle(d, spec, 50)
+        ref_val, ref_q = sup_oracle_reference(d, spec, 50)
+        assert val == ref_val == 2.0
+        assert z.weights.tobytes() == (ref_q / d.probs).tobytes()
+
+    def test_refinement_offsets_match_the_meshgrid(self):
+        for n in range(2, 7):
+            offs = _refine_offsets(n)
+            assert offs.dtype == np.int8
+            assert np.array_equal(offs, refine_offsets_reference(n))
+            assert not offs.flags.writeable
+            with pytest.raises(ValueError):
+                offs[0, 0] = 1
+
+    def test_peak_memory_is_bounded(self):
+        # a cold 5-atom call builds its grid and refinement steps; a warm
+        # 3-atom call scans a cached 501 501-row grid
+        spec = RiskSpec(0.5, 2.0)
+        d5 = rand_dist(np.random.default_rng(70), 5)
+        d3 = rand_dist(np.random.default_rng(71), 3)
+        _refine_offsets.cache_clear()
+        _simplex_grid.cache_clear()
+        sup_oracle(d3, spec, 1000)
+        for d, resolution in ((d5, 20), (d3, 1000)):
+            tracemalloc.start()
+            try:
+                sup_oracle(d, spec, resolution)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 15e6
 
 
 class TestDualNorm:
