@@ -30,7 +30,9 @@ def main() -> int:
     d = from_samples(values, weights)
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "pprime", "p", "value", "t_star"])
-    pprimes = [1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0]
+    # 1 + 1e-12 and 1 + 1e-6 are the orders p of about 1e12 and 1e6, next to
+    # the Shannon member at p' = 1
+    pprimes = [1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0]
     for alpha in (0.5, 0.9, 0.99):
         base = avar(d, alpha)
         writer.writerow([alpha, "inf", 1.0, base.value, base.t_star])

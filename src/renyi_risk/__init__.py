@@ -28,7 +28,6 @@ from .evar import (
     evar,
     evar_derivative_pprime,
     evar_power,
-    evar_shannon,
     norm_equivalence_bounds,
     risk_level_bound,
 )

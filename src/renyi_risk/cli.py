@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -412,8 +413,17 @@ def cmd_entropy(args: argparse.Namespace, tol: Optional[float]) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a negative number in exponent notation
+    (-1e300) is a value, as -2 and -0.5 already are, not an unknown option."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renyi-risk",
         description="Entropic value-at-risk of arbitrary Renyi order on empirical data.",
     )

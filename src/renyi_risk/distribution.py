@@ -97,26 +97,6 @@ def var_level(d: DiscreteDistribution, alpha: float) -> float:
     return float(d.values[idx])
 
 
-def _log_gaps(
-    values: np.ndarray, logp: np.ndarray, t: float, gap: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Atoms of sorted ``values`` where (Y - t)_+ is positive, or (t - Y)_+ when ``gap``.
-
-    Returns their log-probabilities and the log of that positive part, found
-    with one ``searchsorted`` and one ``log``.  The logs are written to the
-    front of ``out`` (at least as long as ``values``) when it is given, so a
-    solve that evaluates many t allocates nothing per evaluation.
-    """
-    if gap:
-        i = int(np.searchsorted(values, t, side="left"))
-        x = np.subtract(t, values[:i], out=None if out is None else out[:i])
-        return logp[:i], np.log(x, out=x)
-    i = int(np.searchsorted(values, t, side="right"))
-    x = np.subtract(values[i:], t, out=None if out is None else out[: values.size - i])
-    return logp[i:], np.log(x, out=x)
-
-
 def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
     """``(m, e^(terms - m))`` with m the largest term, the one exp pass of the
     kernel: no term overflows and log sum e^terms is m + log of the sum.
@@ -130,30 +110,16 @@ def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
     return m, np.exp(terms, out=terms)
 
 
-def _log_moments(
-    logp: np.ndarray, logx: np.ndarray, k: float, out: Optional[np.ndarray] = None
-) -> Tuple[float, float]:
-    """The log-moment kernel: log sum e^logp x^k and log sum e^logp x^(k-1).
+def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> float:
+    """The log-moment kernel: log sum e^logp x^k.
 
     ``logx`` is the finite log of x > 0 on each atom and ``logp`` its log
-    probability (-inf entries contribute nothing).  The order-(k-1) terms are
-    derived from the order-k ones, and each sum is taken after subtracting
-    its largest term, so any k and any spread of x stay overflow-safe.  No
-    atom, or every term -inf, gives -inf.  The terms are built in the two
-    rows of ``out`` (each at least as long as ``logx``) when it is given,
-    else in a fresh array.
+    probability (-inf entries contribute nothing).  The sum is taken after
+    subtracting its largest term, so any k and any spread of x stay
+    overflow-safe.  No atom, or every term -inf, gives -inf.
     """
-    n = logx.size
-    rows = np.empty((2, n)) if out is None else out[:, :n]
-    a, b = rows[0], rows[1]
-    np.multiply(k, logx, out=a)
-    np.add(logp, a, out=a)
-    np.subtract(a, logx, out=b)
-    res = []
-    for terms in (a, b):
-        m, e = _exp_shifted(terms)
-        res.append(m + math.log(float(e.sum())) if e.size else m)
-    return res[0], res[1]
+    m, e = _exp_shifted(logp + k * logx)
+    return m + math.log(float(e.sum())) if e.size else m
 
 
 def power_mean(d: DiscreteDistribution, p: float, shift: float, mode: str = "plus_part") -> float:
@@ -167,13 +133,20 @@ def power_mean(d: DiscreteDistribution, p: float, shift: float, mode: str = "plu
         raise ValueError("p must be a nonzero finite real")
     if mode not in ("plus_part", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    logp, logx = _log_gaps(d.values, np.log(d.probs), shift, gap=(mode == "full"))
-    if logx.size < d.n_atoms:
+    # the atoms where the shifted value is positive
+    logp = np.log(d.probs)
+    if mode == "full":
+        i = int(np.searchsorted(d.values, shift, side="left"))
+        logp, x = logp[:i], shift - d.values[:i]
+    else:
+        i = int(np.searchsorted(d.values, shift, side="right"))
+        logp, x = logp[i:], d.values[i:] - shift
+    if x.size < d.n_atoms:
         if mode == "full":
             raise ValueError("full mode needs the shift above every value")
         if p < 0.0:
             raise ValueError("nonpositive argument raised to a negative power")
-    return math.exp(_log_moments(logp, logx, p)[0] / p)
+    return math.exp(_log_moments(logp, np.log(x), p) / p)
 
 
 def lp_norm(d: DiscreteDistribution, p: float) -> float:
@@ -188,4 +161,4 @@ def lp_norm(d: DiscreteDistribution, p: float) -> float:
     active = a > 0.0
     if p < 0.0 and not np.all(active):
         raise ValueError("negative p needs strictly nonzero values")
-    return math.exp(_log_moments(np.log(d.probs[active]), np.log(a[active]), p)[0] / p)
+    return math.exp(_log_moments(np.log(d.probs[active]), np.log(a[active]), p) / p)

@@ -57,7 +57,7 @@ def renyi_entropy(z: Density, q: float) -> float:
         return float(np.dot(p[pos] * wp, np.log(wp)))
     if math.isinf(q):
         return float(np.log(w.max()))
-    return _log_moments(np.log(p[pos]), np.log(w[pos]), q)[0] / (q - 1.0)
+    return _log_moments(np.log(p[pos]), np.log(w[pos]), q) / (q - 1.0)
 
 
 def hellinger_divergence(z: Density, q: float) -> float:
@@ -71,7 +71,7 @@ def hellinger_divergence(z: Density, q: float) -> float:
     pos = w > 0.0
     if q < 0.0 and not np.all(pos):
         raise ValueError("negative order needs a strictly positive density")
-    ezq = math.exp(_log_moments(np.log(p[pos]), np.log(w[pos]), q)[0])
+    ezq = math.exp(_log_moments(np.log(p[pos]), np.log(w[pos]), q))
     return (ezq - 1.0) / (q - 1.0)
 
 

@@ -18,8 +18,6 @@ import numpy as np
 from .distribution import (
     DiscreteDistribution,
     _exp_shifted,
-    _log_gaps,
-    _log_moments,
     essinf,
     esssup,
     expectation,
@@ -27,7 +25,7 @@ from .distribution import (
 from .entropy import Density
 from .solver import find_root
 
-DEFAULT_TOL = 1e-11
+DEFAULT_TOL = 1e-14
 
 #: Dispatch route tags carried by RiskResult.branch.
 BRANCHES = (
@@ -82,9 +80,12 @@ class RiskResult:
 
     ``branch`` is one of ``BRANCHES`` and identifies the dispatch route.
     ``t_star`` is the scalar optimizer of the regime's dual problem; for the
-    "shannon" branch it holds the exponential tilt parameter instead.
-    ``residual`` is the stationarity defect of the scalar solve (zero for
-    closed forms), ``iterations`` the number of evaluations of the scalar
+    "shannon" branch it holds the exponential tilt parameter instead.  It is
+    None where no finite value exists, which includes finite orders of
+    magnitude near the float range (the optimizer moves out like -p/theta).
+    ``residual`` is |h| at the solution, the distance of the attaining
+    density's conjugate-order entropy from the budget log(1/(1-alpha)) (zero
+    for closed forms), ``iterations`` the number of evaluations of the scalar
     solve's monotone function after bracketing, on every branch (zero for
     closed forms and pre-test exits).
     """
@@ -139,19 +140,6 @@ def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray]:
     return m, s, (d.values - m) / s
 
 
-def _stationarity(lk: float, lk1: float, p: float, log_beta: float) -> float:
-    """d/dt of the scalar dual from the log-moments of orders p and p - 1.
-
-    For p > 1 the dual is t + beta^(1/p) ||(Y - t)_+||_p (one-sided at atom
-    kinks, 1 once no atom is above t); for p < 0 it is
-    t - beta^(1/p) ||t - Y||_p on (esssup, inf).  Both derivatives read
-    1 - beta^(1/p) E[X^p]^(1/p - 1) E[X^(p-1)] with X the positive gap.
-    """
-    if lk == -math.inf:
-        return 1.0
-    return 1.0 - math.exp(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
-
-
 def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     """Average value-at-risk: the mean of the worst (1 - alpha) tail.
 
@@ -183,106 +171,98 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
 def evar_power(
     d: DiscreteDistribution, alpha: float, p: float, tol: float = DEFAULT_TOL
 ) -> RiskResult:
-    """Finite orders p > 1 and p < 0: minimize t + beta^(1/p) ||(Y - t)_+||_p
-    for p > 1, and t - beta^(1/p) ||t - Y||_p over t > esssup Y for p < 0.
+    """Every entropy-budget order: finite p > 1, p < 0, and p = +inf (Shannon).
 
-    Both derivatives tend to 1 - (beta P(Y = esssup))^(1/p) at esssup, so the
-    shared top-atom pre-test, beta P(Y = esssup) >= 1, selects the boundary
-    branch exactly: value esssup, attained by the normalized indicator of the
-    top atom, with no solve ("degenerate_negative_order" for p < 0).
-    Otherwise the stationary point is interior.  On the standardized atoms
-    (esssup 0, spread 1) ``find_root`` brackets it on [-2, 0] for p > 1 and
-    on [0, 1] for p < 0 and narrows the bracket by safeguarded interpolation.
-    It is handed -log(1 - derivative), which has the derivative's sign and
-    does not saturate near 1: +inf where no atom lies above t, and the
-    closed-form limit -top/p at the p < 0 end esssup.  The attaining density
-    is the normalized gap power, (Y - t*)_+^(p-1) or (t* - Y)^(p-1).
+    The finite orders minimize t + beta^(1/p) ||(Y - t)_+||_p (p > 1) or
+    t - beta^(1/p) ||t - Y||_p over t > esssup Y (p < 0).  The shared top-atom
+    pre-test, beta P(Y = esssup) >= 1, selects the boundary branch exactly:
+    value esssup, attained by the normalized indicator of the top atom, with
+    no solve ("degenerate_negative_order" for p < 0).
+
+    Otherwise one solve serves every order.  On the standardized atoms y
+    (esssup 0, spread 1) write t' = -p/theta with theta > 0 and
+    u = 1 + theta y / p, so that the gap |y - t'| is |t'| u; the factor |t'|
+    cancels from the stationarity and from the density.  With
+    phi(z) = p log1p(z/p), the log of u^p at z = theta y, let
+    L = log E e^phi(theta y) and w the weights P e^phi / E e^phi.  Then
+
+        h = log beta + L + phi(-E_w[theta y / u])
+
+    is p times the stationarity, and log beta - h is the conjugate-order
+    entropy of the density u^(p-1) / E u^(p-1).  h falls from log beta at
+    theta = 0 to ``top`` < 0 as theta grows, so ``find_root`` finds its
+    root in s = log theta, which keeps relative resolution in theta at both
+    ends.  It starts from [1, 3], where the root lies for most samples at
+    levels 0.5 to 0.99.  The value is (c/theta) expm1(c/p) / (c/p) with
+    c = log beta + L, the scalar objective at t'.  Order +inf is the
+    same code with phi(z) = z (the limit as |p| grows): u = 1, the density
+    is the exponential tilt e^(theta y - L) and the value (log beta + L)/theta.
+
+    ``t_star`` is the optimizer m - spread p/theta for finite p, or None
+    where that overflows (|p| near the float range); at p = +inf it is the
+    tilt parameter theta/spread, and None on the boundary branch.
+    ``residual`` is |h| at the returned theta, the density's distance from
+    the entropy budget.
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    if math.isinf(p) or not (p > 1.0 or p < 0.0):
-        raise ValueError("order must be a finite real above 1 or below 0")
-    gap = p < 0.0
+    if not (p > 1.0 or p < 0.0) or p == -math.inf:
+        raise ValueError("order must be a real above 1 or below 0, or +inf")
+    finite = not math.isinf(p)
+    branch = "higher_order" if p > 1.0 else "negative_order"
+    branch = branch if finite else "shannon"
     top, log_beta, logp = _top_atom_test(d, alpha)
     if top >= 0.0:
         M = esssup(d)
-        branch = "degenerate_negative_order" if gap else "higher_order"
-        return RiskResult(M, M, _argmax_density(d), branch, 0, 0.0)
+        branch = "degenerate_negative_order" if p < 0.0 else branch
+        return RiskResult(M, M if finite else None, _argmax_density(d), branch, 0, 0.0)
 
-    m, s, y = _unit_space(d)
-    # one scratch block for every evaluation: the gap logs, then the two
-    # rows of kernel terms
+    m, spread, y = _unit_space(d)
+    # theta and theta/|p| stay below e^700, so every term below is finite;
+    # past that h is taken at its limit, top
+    s_max = 700.0 + min(0.0, math.log(abs(p)))
+    # one scratch block for every evaluation: theta y / p (theta y at +inf),
+    # then the terms log P + phi, then theta y / (p u)
     scratch = np.empty((3, d.n_atoms))
-    logx_out, terms_out = scratch[0], scratch[1:]
 
-    def fprime(t: float) -> float:
-        # -log(1 - stationarity): the same sign, but no saturation near 1
-        if gap and t <= 0.0:
-            return -top / p  # the limit at esssup, strictly negative here
-        lk, lk1 = _log_moments(*_log_gaps(y, logp, t, gap, logx_out), p, terms_out)
-        if lk == -math.inf:
-            return math.inf  # no atom above t
-        return -(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
-
-    lo, hi = (0.0, 1.0) if gap else (-2.0, 0.0)
-    t, iterations = find_root(fprime, lo, hi, tol)
-    logp_t, logx = _log_gaps(y, logp, t, gap, logx_out)
-    lk, lk1 = _log_moments(logp_t, logx, p, terms_out)
-    norm = math.exp(log_beta / p + lk / p)
-    value = min(0.0, t - norm if gap else t + norm)
-    # the gap power (p - 1) logx - lk1, exponentiated in the scratch too
-    e = np.multiply(p - 1.0, logx, out=terms_out[0, : logx.size])
-    w = np.zeros(d.n_atoms)
-    w[d.n_atoms - logx.size :] = np.exp(np.subtract(e, lk1, out=e), out=e)
-    return RiskResult(
-        m + s * value, m + s * t, Density(d, w), "negative_order" if gap else "higher_order",
-        iterations, abs(_stationarity(lk, lk1, p, log_beta)),
-    )
-
-
-def evar_shannon(d: DiscreteDistribution, alpha: float, theta_tol: float = 1e-12) -> RiskResult:
-    """Shannon member (order +inf) by exponential tilting.
-
-    The tilted density proportional to e^(theta Y) has relative entropy
-    nondecreasing in theta >= 0, so the entropy budget log(1/(1-alpha)) is
-    met by ``find_root`` on theta, with one exp pass over the atoms per
-    evaluation.  If even the largest reachable entropy
-    log(1/P(Y = esssup)) fits the budget, the value is the essential
-    supremum with the uniform density on the top atom.  The tilt is found on
-    the standardized atoms (esssup 0, spread 1) and rescaled.  ``t_star``
-    holds the tilt parameter; it is 0 at alpha = 0 and None on the esssup
-    branch.
-    """
-    if math.isnan(alpha) or not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0,1)")
-    if alpha == 0.0:
-        return RiskResult(expectation(d), 0.0, _ones_density(d), "shannon", 0, 0.0)
-    top, log_beta, logp = _top_atom_test(d, alpha)
-    if top >= 0.0:
-        return RiskResult(esssup(d), None, _argmax_density(d), "shannon", 0, 0.0)
-
-    m, s, y = _unit_space(d)
-    terms = np.empty(d.n_atoms)  # scratch for every evaluation
-
-    def tilt(theta: float) -> Tuple[float, float]:
-        # the log-normalizer lambda = log E e^(theta y) and the tilted mean,
-        # both from the one exp pass over a = log p + theta y
-        np.multiply(theta, y, out=terms)
-        top_a, e = _exp_shifted(np.add(logp, terms, out=terms))
+    def moments(theta: float) -> Tuple[int, float, float]:
+        # (first atom with u > 0, L, E_w[theta y / (p u)]), or E_w[theta y] at +inf
+        x = np.multiply(theta / p if finite else theta, y, out=scratch[0])
+        i = int(np.searchsorted(x, -1.0, side="right")) if finite and p > 0.0 else 0
+        x, a = x[i:], scratch[1, i:]
+        phi = np.multiply(p, np.log1p(x, out=a), out=a) if finite else x
+        top_a, e = _exp_shifted(np.add(logp[i:], phi, out=a))
         total = float(e.sum())
-        return top_a + math.log(total), float(np.dot(e, y)) / total
+        q = np.divide(x, np.add(x, 1.0, out=scratch[2, i:]), out=scratch[2, i:]) if finite else x
+        return i, top_a + math.log(total), float(np.dot(e, q)) / total
 
-    def budget_gap(theta: float) -> float:
-        # relative entropy of the tilt, theta E_tilt[y] - lambda, minus the budget
-        lam, mean = tilt(theta)
-        return theta * mean - lam - log_beta
+    def h_at(L: float, mean: float) -> float:
+        return log_beta + L + (p * math.log1p(-mean) if finite else -mean)
 
-    theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
-    lam, value = tilt(theta)
-    np.multiply(theta, y, out=terms)
-    w = np.exp(np.subtract(terms, lam, out=terms), out=terms)
-    return RiskResult(m + s * value, theta / s, Density(d, w), "shannon", iterations,
-                      abs(theta * value - lam - log_beta))
+    def h(s: float) -> float:
+        return top if s > s_max else h_at(*moments(math.exp(s))[1:])
+
+    s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)
+    theta = math.exp(min(s, s_max))
+    i, L, mean = moments(theta)
+    c = log_beta + L
+    r = c / p
+    value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))
+    # the density u^(p-1) / E u^(p-1), with log E u^(p-1) = L + log1p(-mean)
+    x = scratch[0, i:]
+    if finite:
+        e = np.multiply(p - 1.0, np.log1p(x, out=x), out=x)
+        np.subtract(e, L + math.log1p(-mean), out=e)
+        t_star = m - spread * (p / theta)
+    else:
+        e = np.subtract(x, L, out=x)
+        t_star = theta / spread
+    w = np.zeros(d.n_atoms)
+    w[i:] = np.exp(e, out=e)
+    return RiskResult(
+        m + spread * value, t_star if math.isfinite(t_star) else None, Density(d, w), branch,
+        iterations, abs(h_at(L, mean)),
+    )
 
 
 def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -> RiskResult:
@@ -291,9 +271,13 @@ def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -
     Dispatch: alpha = 1 gives the essential supremum; orders in (0, 1)
     collapse to the essential supremum at every level (including alpha = 0);
     alpha = 0 otherwise gives the expectation; order 1 is the average
-    value-at-risk; +inf goes to ``evar_shannon`` and every finite order above
-    1 or below 0 to ``evar_power``.  The attaining density is returned
-    whenever one exists in closed form.
+    value-at-risk; every other order (above 1, below 0, or +inf) goes to
+    ``evar_power``.  The attaining density is returned whenever one exists
+    in closed form.  ``t_star`` is the scalar optimizer, except on the
+    "shannon" branch, where it is the tilt parameter, and it is None where
+    no finite one exists: on the "esssup_level1" and "expectation" branches,
+    at p = +inf on the boundary branch, and at finite |p| so large that
+    m - spread p/theta overflows.
     """
     a, p = spec.alpha, spec.order
     if a == 1.0:
@@ -305,8 +289,6 @@ def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -
         return RiskResult(expectation(d), None, _ones_density(d), "expectation", 0, 0.0)
     if p == 1.0:
         return avar(d, a)
-    if math.isinf(p):
-        return evar_shannon(d, a, theta_tol=(1e-12 if tol is None else tol))
     return evar_power(d, a, p, tol=DEFAULT_TOL if tol is None else tol)
 
 

@@ -2,11 +2,12 @@
 
 Everything here computes by direct enumeration, dense grids or finite
 differences with plain numpy powers, deliberately avoiding the library's
-log-space code paths.  Two exceptions are kept as exact references: the
-allocating log-moment kernel and the two solves built on it, for the
-library's kernel that writes into caller-owned scratch; and the supremum
-oracle in one pass, for its chunked scan that tests the budget only on
-improving rows.
+log-space code paths.  Three exceptions are kept as references: the
+allocating log-moment kernel and the solve in theta built the same way,
+exact twins of the library's solve that writes into caller-owned scratch;
+the finite-order solve in t and the Shannon tilt that the solve in theta
+replaced, for values; and the supremum oracle in one pass, for its chunked
+scan that tests the budget only on improving rows.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def rand_dist(rng: np.random.Generator, n: int, lo: float = 0.0, hi: float = 10.
 
 
 def log_gaps_alloc(values, logp, t: float, gap: bool = False):
-    """The allocating ``distribution._log_gaps``: a fresh array per call."""
+    """Atoms where (Y - t)_+ is positive, or (t - Y)_+ when ``gap``: their
+    log-probabilities and the log of that positive part, freshly allocated."""
     if gap:
         i = int(np.searchsorted(values, t, side="left"))
         return logp[:i], np.log(t - values[:i])
@@ -212,35 +214,37 @@ def exp_shifted_alloc(terms):
 
 def log_moments_alloc(logp, logx, k: float):
     """The allocating ``distribution._log_moments``, term for term."""
-    a = logp + k * logx
-    out = []
-    for terms in (a, a - logx):
-        m, e = exp_shifted_alloc(terms)
-        out.append(m + math.log(float(e.sum())) if e.size else m)
-    return out[0], out[1]
+    m, e = exp_shifted_alloc(logp + k * logx)
+    return m + math.log(float(e.sum())) if e.size else m
 
 
 def evar_power_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
-    """``evar.evar_power`` on the allocating kernel, for an interior solve:
-    ``(value, t_star, iterations, density weights)``, or None when the
-    top-atom pre-test takes the boundary branch."""
+    """The finite-order solve in t that preceded the solve in theta, kept as
+    a reference for values: ``(value, t_star, iterations, density weights)``
+    for an interior solve, or None when the top-atom pre-test takes the
+    boundary branch.  It brackets t' on [-2, 0] (p > 1) or [0, 1] (p < 0)
+    and roots -log(1 - derivative) from the log-moments of orders p and
+    p - 1."""
     gap = p < 0.0
     top, log_beta, logp = _top_atom_test(d, alpha)
     if top >= 0.0:
         return None
     m, s, y = _unit_space(d)
 
+    def moments(t: float):
+        logp_t, logx = log_gaps_alloc(y, logp, t, gap=gap)
+        return logx, log_moments_alloc(logp_t, logx, p), log_moments_alloc(logp_t, logx, p - 1.0)
+
     def fprime(t: float) -> float:
         if gap and t <= 0.0:
             return -top / p
-        lk, lk1 = log_moments_alloc(*log_gaps_alloc(y, logp, t, gap=gap), p)
+        _, lk, lk1 = moments(t)
         if lk == -math.inf:
             return math.inf
         return -(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
 
     t, iterations = find_root(fprime, *((0.0, 1.0) if gap else (-2.0, 0.0)), tol)
-    logp_t, logx = log_gaps_alloc(y, logp, t, gap=gap)
-    lk, lk1 = log_moments_alloc(logp_t, logx, p)
+    logx, lk, lk1 = moments(t)
     norm = math.exp(log_beta / p + lk / p)
     value = min(0.0, t - norm if gap else t + norm)
     w = np.zeros(d.n_atoms)
@@ -249,9 +253,11 @@ def evar_power_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
 
 
 def evar_shannon_alloc(d: DiscreteDistribution, alpha: float, theta_tol: float):
-    """``evar.evar_shannon`` on the allocating exp pass, for an interior solve:
-    ``(value, t_star, iterations, density weights)``, or None when the
-    top-atom pre-test takes the boundary branch."""
+    """The Shannon solve by exponential tilting that preceded the solve in
+    theta, kept as a reference for values: ``(value, t_star, iterations,
+    density weights)`` for an interior solve, or None when the top-atom
+    pre-test takes the boundary branch.  It roots the tilt's entropy-budget
+    gap in theta and reads the value as the tilted mean."""
     top, log_beta, logp = _top_atom_test(d, alpha)
     if top >= 0.0:
         return None
@@ -269,6 +275,76 @@ def evar_shannon_alloc(d: DiscreteDistribution, alpha: float, theta_tol: float):
     theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
     lam, value = tilt(theta)
     return m + s * value, theta / s, iterations, np.exp(theta * y - lam)
+
+
+def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
+    """``evar.evar_power``'s solve in s = log theta on freshly allocated
+    arrays, term for term, for every order (finite p > 1, p < 0, +inf):
+    ``(value, t_star, iterations, density weights)`` for an interior solve,
+    or None when the top-atom pre-test takes the boundary branch."""
+    top, log_beta, logp = _top_atom_test(d, alpha)
+    if top >= 0.0:
+        return None
+    m, spread, y = _unit_space(d)
+    finite = not math.isinf(p)
+    s_max = 700.0 + min(0.0, math.log(abs(p)))
+
+    def scaled(theta: float):
+        # theta y / p on the atoms with u = 1 + theta y / p > 0; theta y at +inf
+        x = (theta / p if finite else theta) * y
+        i = int(np.searchsorted(x, -1.0, side="right")) if finite and p > 0.0 else 0
+        return i, x[i:]
+
+    def moments(theta: float):
+        i, x = scaled(theta)
+        top_a, e = exp_shifted_alloc(logp[i:] + (p * np.log1p(x) if finite else x))
+        total = float(e.sum())
+        q = x / (x + 1.0) if finite else x
+        return top_a + math.log(total), float(np.dot(e, q)) / total
+
+    def h_at(L: float, mean: float) -> float:
+        return log_beta + L + (p * math.log1p(-mean) if finite else -mean)
+
+    def h(s: float) -> float:
+        return top if s > s_max else h_at(*moments(math.exp(s)))
+
+    s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)
+    theta = math.exp(min(s, s_max))
+    L, mean = moments(theta)
+    c = log_beta + L
+    r = c / p
+    value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))
+    i, x = scaled(theta)
+    if finite:
+        e = (p - 1.0) * np.log1p(x) - (L + math.log1p(-mean))
+        t_star = m - spread * (p / theta)
+    else:
+        e = x - L
+        t_star = theta / spread
+    w = np.zeros(d.n_atoms)
+    w[i:] = np.exp(e)
+    return m + spread * value, t_star if math.isfinite(t_star) else None, iterations, w
+
+
+def conjugate_entropy(d: DiscreteDistribution, weights, p: float) -> float:
+    """Renyi entropy of the density at the conjugate order p' = p/(p - 1).
+
+    Written with k = p' - 1 = 1/(p - 1), taken from p, so that it keeps its
+    precision where p' rounds to 1: with S = E Z and Q the probability
+    P Z / S, it is log1p(E_Q[expm1(k log Z)]) / k - log S, and
+    E_Q[log Z] - log S at p = +inf (k = 0).  Dividing by S keeps a rounding
+    of E Z away from 1 from being multiplied by 1/k.  Compensated sums;
+    atoms with Z = 0 are dropped.
+    """
+    z = np.asarray(weights, dtype=float)
+    pos = z > 0.0
+    pz = d.probs[pos] * z[pos]
+    total = math.fsum(pz.tolist())
+    q, logz = pz / total, np.log(z[pos])
+    if math.isinf(p):
+        return math.fsum((q * logz).tolist()) - math.log(total)
+    k = 1.0 / (p - 1.0)
+    return math.log1p(math.fsum((q * np.expm1(k * logz)).tolist())) / k - math.log(total)
 
 
 def refine_offsets_reference(n: int) -> np.ndarray:

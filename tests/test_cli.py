@@ -132,6 +132,21 @@ class TestRisk:
                                   "--alpha", "0.5", "--order", "2"])
         assert code == 2
 
+    def test_huge_orders_give_strict_json(self, capsys, sample_csv):
+        # a negative order in exponent notation is a value, not an option, and
+        # an optimizer beyond the float range is null, never Infinity
+        code, out, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5",
+                                    "--order", "1e12", "-1e300", "1.7e308", "--emit-density"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert [e["order"] for e in report["entries"]] == [1e12, -1e300, 1.7e308]
+        assert report["entries"][2]["t_star"] is None
+        assert all(0.8 <= e["value"] <= 4.0 for e in report["entries"])
+
     def test_tolerance_env_override(self, capsys, sample_csv, monkeypatch):
         monkeypatch.setenv("RENYI_RISK_TOL", "1e-6")
         code, out, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "2"])

@@ -18,7 +18,6 @@ from renyi_risk import (
     evar,
     evar_derivative_pprime,
     evar_power,
-    evar_shannon,
     expectation,
     from_samples,
     hb_density_for,
@@ -32,6 +31,7 @@ from oracles import (
     avar_grid_oracle,
     bisect_root,
     chernoff_shannon_oracle,
+    conjugate_entropy,
     objective_neg,
     rand_dist,
 )
@@ -244,28 +244,28 @@ class TestNegativeOrder:
                 assert ez >= 0.5 ** (1.0 - pp) - 1e-8
 
     def test_one_kernel_pass_per_derivative(self, monkeypatch):
-        # one log-moment pass per root-finder evaluation, one at the right end
-        # of the bracket and one for the result; the left end, esssup, is
-        # closed form
+        # one exp pass per root-finder step, one at each end of the starting
+        # bracket (it holds the root here, so it does not grow) and one for
+        # the result
         module = importlib.import_module("renyi_risk.evar")
-        kernel = module._log_moments
+        kernel = module._exp_shifted
         calls = []
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(module, "_log_moments", counted)
+        monkeypatch.setattr(module, "_exp_shifted", counted)
         d = from_samples([0.0, 1.0], weights=[0.9, 0.1])
         r = evar(d, RiskSpec(0.5, -1.0))
         assert r.branch == "negative_order"
         assert (r.t_star - esssup(d)) / (esssup(d) - essinf(d)) > 1e-8
         assert r.iterations > 0
-        assert len(calls) <= r.iterations + 2
+        assert len(calls) == r.iterations + 3
 
     def test_power_solver_rejects_orders_outside_its_regimes(self):
         d = from_samples([0.0, 1.0, 2.0])
-        for p in (0.5, 1.0, math.inf, math.nan):
+        for p in (0.5, 1.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match="order must be"):
                 evar_power(d, 0.5, p)
 
@@ -300,33 +300,29 @@ class TestTopAtomPretest:
 class TestShannon:
     def test_boundary_equality_activates_esssup(self):
         d = from_samples([0.0, 1.0], weights=[0.3, 0.7])
-        r = evar_shannon(d, 0.3)
+        r = evar_power(d, 0.3, math.inf)
         assert r.value == 1.0
 
     def test_chernoff_cross_check(self):
         d = from_samples([0.0, 1.0])
-        r = evar_shannon(d, 0.5)
+        r = evar_power(d, 0.5, math.inf)
         assert r.value == pytest.approx(chernoff_shannon_oracle(d, 0.5), abs=1e-8)
 
     def test_chernoff_cross_check_interior(self):
         rng = np.random.default_rng(6)
         for _ in range(6):
             d = rand_dist(rng, 5, max_top=0.3)
-            r = evar_shannon(d, 0.6)
+            r = evar_power(d, 0.6, math.inf)
             assert r.value == pytest.approx(chernoff_shannon_oracle(d, 0.6), abs=1e-8)
             assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-10)
             kl = renyi_entropy(r.density, 1.0)
             assert kl <= LOG(1 / 0.4) + 1e-8
 
-    def test_level_zero_returns_zero_tilt(self):
-        d = from_samples([0.0, 1.0])
-        r = evar_shannon(d, 0.0)
-        assert r.t_star == 0.0
-        assert r.value == pytest.approx(0.5, abs=1e-14)
-
     def test_one_pass_tilt_matches_the_density_form(self):
         # the value and residual come from one exp pass per step; recompute
-        # them at the returned tilt from the density exp(theta y - lambda)
+        # them at the returned tilt from the density exp(theta y - lambda),
+        # where the value, (log beta + lambda) / theta at the root, is the
+        # tilted mean
         rng = np.random.default_rng(8)
         for n in (200, 2000, 20000):
             # no atom weighs 1 - alpha or more, so every level solves
@@ -334,7 +330,7 @@ class TestShannon:
             m, s = esssup(d), esssup(d) - essinf(d)
             y = (d.values - m) / s
             for alpha in (0.5, 0.95, 0.99):
-                r = evar_shannon(d, alpha)
+                r = evar_power(d, alpha, math.inf)
                 theta = r.t_star * s
                 a = np.log(d.probs) + theta * y
                 lam = float(a.max() + np.log(np.exp(a - a.max()).sum()))
@@ -346,8 +342,9 @@ class TestShannon:
                     abs(theta * mean - lam + math.log1p(-alpha)), abs=1e-12)
 
     def test_one_exp_pass_per_evaluation(self, monkeypatch):
-        # each evaluation of the entropy-budget gap, and the final tilt, takes
-        # one exp pass; the two-sum log-moment kernel is not used
+        # Shannon is the |p| = inf case of the one solve in theta: at every
+        # order each evaluation of h, and the final one at the root, takes
+        # one exp pass
         module = importlib.import_module("renyi_risk.evar")
         shifted, root_finder = module._exp_shifted, module.find_root
         passes, evaluations = [], []
@@ -357,18 +354,97 @@ class TestShannon:
             return shifted(terms)
 
         def counted_root(g, lo, hi, tol):
-            def counted_g(theta):
-                evaluations.append(theta)
-                return g(theta)
+            def counted_g(s):
+                evaluations.append(s)
+                return g(s)
             return root_finder(counted_g, lo, hi, tol)
 
         monkeypatch.setattr(module, "_exp_shifted", counted_pass)
         monkeypatch.setattr(module, "find_root", counted_root)
-        monkeypatch.setattr(module, "_log_moments", None)
-        r = evar_shannon(from_samples(np.linspace(0.0, 1.0, 50)), 0.9)
-        assert r.branch == "shannon" and r.iterations > 0
-        assert len(passes) == len(evaluations) + 1
-        assert set(passes) == {50}
+        d = from_samples(np.linspace(0.0, 1.0, 50))
+        for p in (2.0, 10.0, math.inf, -1.0, -2.0, -0.5, 1e300, -1e300):
+            passes.clear()
+            evaluations.clear()
+            r = evar_power(d, 0.9, p)
+            assert r.iterations > 0
+            assert len(passes) == len(evaluations) + 1, p
+            # p < 0 and +inf keep every atom, p > 1 only those with u > 0
+            assert set(passes) == {50} or (p > 1.0 and max(passes) <= 50), p
+
+
+#: Orders of huge magnitude: the conjugate order rounds to 1 from 1e16 on.
+HUGE = (1e6, 1e12, 1e100, 1e300, 1.7e308)
+
+
+def assert_solution(d, alpha, p, r):
+    """A unit-mean density, a value in [mean, esssup], and the entropy budget
+    met to 1e-12 relative (an upper bound on the boundary branch)."""
+    assert abs(math.fsum((d.probs * r.density.weights).tolist()) - 1.0) <= 1e-12
+    assert expectation(d) <= r.value <= esssup(d)
+    budget = -math.log1p(-alpha)
+    entropy = conjugate_entropy(d, r.density.weights, p)
+    if r.iterations:
+        assert abs(entropy - budget) <= 1e-12 * budget, (p, entropy, budget)
+    else:
+        assert entropy <= budget * (1.0 + 1e-12)
+
+
+def assert_toward_shannon(d, orders, results):
+    """Values nonincreasing along ``orders``, which ascend in the conjugate
+    order and pass through +inf, so they approach the Shannon value from
+    both sides."""
+    slack = 1e-15 * (esssup(d) - essinf(d))
+    values = [r.value for r in results]
+    for (p1, v1), (p2, v2) in zip(zip(orders, values), zip(orders[1:], values[1:])):
+        assert v2 <= v1 + slack, (p1, v1, p2, v2)
+
+
+class TestHugeOrders:
+    """One solve in theta serves every order, whatever its magnitude."""
+
+    CASES = {"two_atoms": (([0.0, 1.0], None), 0.3),
+             "three_atoms": (([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]), 0.5)}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reproducers_solve_and_approach_shannon(self, case):
+        (values, weights), alpha = self.CASES[case]
+        d = from_samples(values, weights)
+        # ascending conjugate order: -1e6 ... -1.7e308, inf, 1.7e308 ... 1e6
+        orders = [-p for p in HUGE] + [math.inf] + list(reversed(HUGE))
+        results = [evar(d, RiskSpec(alpha, p)) for p in orders]
+        for p, r in zip(orders, results):
+            assert r.iterations > 0
+            assert_solution(d, alpha, p, r)
+        assert_toward_shannon(d, orders, results)
+
+    @pytest.mark.parametrize("p", [-0.5, -1.0, -2.0])
+    def test_negative_order_near_ties_meet_the_budget(self, p):
+        # the top atom weighs (1 - alpha)(1 - eps): the optimizer t' is of
+        # order eps above esssup, which a stop rule on the width in t missed
+        for alpha in (0.7, 0.95):
+            for k in range(3, 13):
+                top = (1.0 - alpha) * (1.0 - 10.0 ** -k)
+                d = from_samples([0.0, 0.5, 1.0], [(1.0 - top) / 2.0, (1.0 - top) / 2.0, top])
+                r = evar(d, RiskSpec(alpha, p))
+                assert r.branch == "negative_order"
+                assert_solution(d, alpha, p, r)
+                pairing = math.fsum((d.probs * r.density.weights * d.values).tolist())
+                assert abs(pairing - r.value) <= 1e-14 * (esssup(d) - essinf(d)), (alpha, k)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(math.log10(2.0), 300.0),
+           st.floats(math.log10(2.0), 300.0), st.floats(0.05, 0.99))
+    @settings(max_examples=40, deadline=None)
+    def test_any_magnitude_meets_the_budget_toward_shannon(self, seed, e1, e2, alpha):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        d = from_samples(rng.uniform(-5.0, 5.0, n), rng.dirichlet(np.full(n, 2.0)))
+        small, large = sorted((10.0 ** e1, 10.0 ** e2))
+        orders = [-small, -large, math.inf, large, small]
+        results = [evar(d, RiskSpec(alpha, p)) for p in orders]
+        for p, r in zip(orders, results):
+            assert_solution(d, alpha, p, r)
+        assert_toward_shannon(d, orders, results)
 
 
 class TestBisectionParity:

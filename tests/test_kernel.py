@@ -1,5 +1,6 @@
 """The log-moment kernel: agreement with direct power sums, edge cases, the
-scratch-writing solves against the allocating reference, no scipy."""
+scratch-writing solve against its allocating twin and against the solves it
+replaced, no scipy."""
 
 import math
 import os
@@ -10,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyi_risk import evar_power, evar_shannon, from_samples
-from renyi_risk.distribution import _log_gaps, _log_moments
+from renyi_risk import esssup, essinf, evar_power, from_samples, power_mean
+from renyi_risk.distribution import _log_moments
 from renyi_risk.evar import DEFAULT_TOL
 
-from oracles import evar_power_alloc, evar_shannon_alloc
+from oracles import evar_power_alloc, evar_shannon_alloc, evar_theta_alloc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -27,27 +28,27 @@ def direct(p, x, k):
 class TestAgainstDirectSums:
     @pytest.mark.parametrize("k", [-2.0, 2.0, 10.0, 1e3])
     def test_both_orders_match_fsum(self, k):
+        # the orders k and k - 1, which the solve in t once read together
         rng = np.random.default_rng(20)
         p = rng.dirichlet(np.ones(40))
         # kept near 1 so that x^1000 neither overflows nor underflows directly
         x = rng.uniform(0.5, 1.5, 40)
-        lk, lk1 = _log_moments(np.log(p), np.log(x), k)
-        assert lk == pytest.approx(direct(p, x, k), rel=1e-12, abs=1e-12)
-        assert lk1 == pytest.approx(direct(p, x, k - 1.0), rel=1e-12, abs=1e-12)
+        for order in (k, k - 1.0):
+            assert _log_moments(np.log(p), np.log(x), order) == pytest.approx(
+                direct(p, x, order), rel=1e-12, abs=1e-12)
 
     def test_shifted_moments_match_fsum_on_both_sides(self):
         rng = np.random.default_rng(21)
         y = np.sort(rng.normal(size=30))
         p = rng.dirichlet(np.ones(30))
+        d = from_samples(y, p)
         t = float(np.median(y))
-        lk, lk1 = _log_moments(*_log_gaps(y, np.log(p), t), 3.0)
         above = y > t
-        assert lk == pytest.approx(direct(p[above], y[above] - t, 3.0), rel=1e-12)
-        assert lk1 == pytest.approx(direct(p[above], y[above] - t, 2.0), rel=1e-12)
+        assert math.log(power_mean(d, 3.0, t)) * 3.0 == pytest.approx(
+            direct(p[above], y[above] - t, 3.0), rel=1e-12)
         top = float(y[-1]) + 0.5
-        lk, lk1 = _log_moments(*_log_gaps(y, np.log(p), top, gap=True), -2.0)
-        assert lk == pytest.approx(direct(p, top - y, -2.0), rel=1e-12)
-        assert lk1 == pytest.approx(direct(p, top - y, -3.0), rel=1e-12)
+        assert math.log(power_mean(d, -2.0, top, mode="full")) * -2.0 == pytest.approx(
+            direct(p, top - y, -2.0), rel=1e-12)
 
 
 class TestEdgeCases:
@@ -60,38 +61,39 @@ class TestEdgeCases:
 
     def test_all_entries_minus_inf(self):
         logp = np.full(3, -math.inf)
-        assert _log_moments(logp, np.zeros(3), 2.0) == (-math.inf, -math.inf)
+        assert _log_moments(logp, np.zeros(3), 2.0) == -math.inf
 
     def test_one_atom(self):
-        lk, lk1 = _log_moments(np.array([math.log(0.25)]), np.array([math.log(3.0)]), -2.0)
-        assert lk == pytest.approx(math.log(0.25 * 3.0 ** -2), rel=1e-15)
-        assert lk1 == pytest.approx(math.log(0.25 * 3.0 ** -3), rel=1e-15)
+        assert _log_moments(np.array([math.log(0.25)]), np.array([math.log(3.0)]),
+                            -2.0) == pytest.approx(math.log(0.25 * 3.0 ** -2), rel=1e-15)
 
     def test_no_active_atom(self):
-        y = np.array([0.0, 1.0, 2.0])
-        logp = np.log(np.full(3, 1.0 / 3.0))
-        logp_t, logx = _log_gaps(y, logp, 2.0)
-        assert logx.size == 0
-        assert _log_moments(logp_t, logx, 2.0) == (-math.inf, -math.inf)
-        logp_t, logx = _log_gaps(y, logp, 0.0, gap=True)
-        assert logx.size == 0
+        d = from_samples([0.0, 1.0, 2.0])
+        assert _log_moments(np.empty(0), np.empty(0), 2.0) == -math.inf
+        # no atom above the shift: the plus part is zero
+        assert power_mean(d, 2.0, 2.0) == 0.0
+        with pytest.raises(ValueError, match="shift above every value"):
+            power_mean(d, -2.0, 0.0, mode="full")
 
     def test_atoms_at_the_shift_are_inactive(self):
-        y = np.array([0.0, 1.0, 1.0, 2.0])
-        logp = np.log(np.full(4, 0.25))
-        assert _log_gaps(y, logp, 1.0)[1].size == 1
-        assert _log_gaps(y, logp, 1.0, gap=True)[1].size == 1
+        d = from_samples([0.0, 1.0, 1.0, 2.0])
+        # only the atom at 2 lies above 1: (0.25 * 1^2)^(1/2)
+        assert power_mean(d, 2.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(ValueError, match="nonpositive argument"):
+            power_mean(d, -2.0, 1.0)
+        with pytest.raises(ValueError, match="shift above every value"):
+            power_mean(d, -2.0, 2.0, mode="full")
 
     @pytest.mark.parametrize("k", [-2.0, 2.0])
     def test_spreads_of_1e_plus_minus_300(self, k):
         x = np.array([1e-300, 1.0, 1e300])
         p = np.array([0.2, 0.3, 0.5])
-        lk, lk1 = _log_moments(np.log(p), np.log(x), k)
-        assert math.isfinite(lk) and math.isfinite(lk1)
         # the extreme atom on the side the order favours dominates every other term
         big = 2 if k > 0 else 0
-        assert lk == pytest.approx(math.log(p[big]) + k * math.log(x[big]), rel=1e-14)
-        assert lk1 == pytest.approx(math.log(p[big]) + (k - 1.0) * math.log(x[big]), rel=1e-14)
+        for order in (k, k - 1.0):
+            lk = _log_moments(np.log(p), np.log(x), order)
+            assert math.isfinite(lk)
+            assert lk == pytest.approx(math.log(p[big]) + order * math.log(x[big]), rel=1e-14)
 
 
 def kernel_samples(n):
@@ -100,6 +102,9 @@ def kernel_samples(n):
     yield from_samples(rng.lognormal(size=n))
     yield from_samples(np.round(2.0 * rng.normal(size=n)) / 2.0)
     yield from_samples(rng.standard_t(3, size=n), rng.uniform(0.5, 1.5, n))
+
+
+ORDERS = (2.0, 10.0, -2.0, -0.5, math.inf)
 
 
 def assert_same_solve(result, reference):
@@ -112,31 +117,30 @@ def assert_same_solve(result, reference):
 
 
 class TestScratchKernelParity:
-    """The solves that write into caller-owned scratch give bit-identical
-    values, optimizers, iteration counts and densities to the allocating
-    kernel kept in ``oracles``."""
+    """The solve that writes into caller-owned scratch gives bit-identical
+    values, optimizers, iteration counts and densities to its allocating
+    twin kept in ``oracles``."""
 
     @pytest.mark.parametrize("n,alphas", [(3, (0.5, 0.95, 0.99)), (1000, (0.5, 0.95, 0.99)),
                                           (200_000, (0.95,))])
     def test_bitwise_equal_to_the_allocating_kernel(self, n, alphas):
         for d in kernel_samples(n):
             for alpha in alphas:
-                # p > 1 reads (Y - t)_+, p < 0 the gap t - Y
-                for p in (2.0, 10.0, -2.0, -0.5):
+                # p > 1 drops the atoms with u <= 0, p < 0 and +inf keep every atom
+                for p in ORDERS:
                     assert_same_solve(evar_power(d, alpha, p),
-                                      evar_power_alloc(d, alpha, p, DEFAULT_TOL))
-                assert_same_solve(evar_shannon(d, alpha), evar_shannon_alloc(d, alpha, 1e-12))
+                                      evar_theta_alloc(d, alpha, p, DEFAULT_TOL))
 
     def test_no_active_atom_end(self):
-        # every p > 1 solve evaluates the right end t' = 0, where no atom lies
-        # above t and the kernel sums nothing; two atoms keep the bracket short
+        # past theta = p the lower of two atoms has u <= 0, so every p > 1
+        # solve evaluates an end where no atom below the top one is active
         d = from_samples([0.0, 1.0], [0.9, 0.1])
         for alpha in (0.5, 0.8):
-            assert_same_solve(evar_power(d, alpha, 2.0), evar_power_alloc(d, alpha, 2.0, DEFAULT_TOL))
+            assert_same_solve(evar_power(d, alpha, 2.0), evar_theta_alloc(d, alpha, 2.0, DEFAULT_TOL))
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are read on Linux")
     def test_large_solve_reuses_its_scratch(self):
-        # each evaluation of the allocating kernel maps fresh ~1.6 MB
+        # each evaluation of the allocating twin maps fresh ~1.6 MB
         # temporaries and faults their pages in again; the scratch is
         # faulted in once per solve.  Each solve runs in a fresh process,
         # since earlier allocations in this one decide what a free returns
@@ -148,15 +152,40 @@ class TestScratchKernelParity:
                 f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
                 "from renyi_risk import evar_power, from_samples\n"
                 "from renyi_risk.evar import DEFAULT_TOL\n"
-                "from oracles import evar_power_alloc\n"
+                "from oracles import evar_theta_alloc\n"
                 "d = from_samples(np.random.default_rng(0).lognormal(size=200_000))\n"
                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
                 f"{solve}\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
 
-        allocating = minor_faults("evar_power_alloc(d, 0.95, -2.0, DEFAULT_TOL)")
+        allocating = minor_faults("evar_theta_alloc(d, 0.95, -2.0, DEFAULT_TOL)")
         scratch = minor_faults("evar_power(d, 0.95, -2.0)")
         assert scratch < allocating / 5, (scratch, allocating)
+
+
+class TestAgreementWithTheSolvesInT:
+    """The solve in theta returns the values of the solve in t (finite
+    orders) and of the Shannon tilt (+inf) that it replaced.  Those run at
+    their own stopping rules, 1e-11 in t'; the tilt at 1e-15 in theta,
+    because it reads the value off the tilted mean, whose error is first
+    order in theta."""
+
+    @pytest.mark.parametrize("n,alphas", [(3, (0.5, 0.95, 0.99)), (1000, (0.5, 0.95, 0.99)),
+                                          (200_000, (0.95,))])
+    def test_values_agree_within_the_spread(self, n, alphas):
+        for d in kernel_samples(n):
+            spread = esssup(d) - essinf(d)
+            for alpha in alphas:
+                for p in ORDERS:
+                    result = evar_power(d, alpha, p)
+                    if math.isinf(p):
+                        reference, bound = evar_shannon_alloc(d, alpha, 1e-15), 1e-12
+                    else:
+                        reference, bound = evar_power_alloc(d, alpha, p, 1e-11), 1e-15
+                    if reference is None:
+                        assert result.iterations == 0
+                        continue
+                    assert abs(result.value - reference[0]) <= bound * spread, (n, alpha, p)
 
 
 def run_python(program):
