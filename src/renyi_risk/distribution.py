@@ -91,10 +91,32 @@ def var_level(d: DiscreteDistribution, alpha: float) -> float:
         raise ValueError("alpha must lie in [0,1)")
     if alpha == 0.0:
         return essinf(d)
-    cdf = np.cumsum(d.probs)
-    idx = int(np.searchsorted(cdf, alpha, side="left"))
-    idx = min(idx, d.n_atoms - 1)
-    return float(d.values[idx])
+    return float(d.values[_quantile_split(d, alpha)[0]])
+
+
+def _tail_sums(probs: np.ndarray) -> np.ndarray:
+    """``tail[i]``: the probability of atom i and every atom after it.
+
+    Summed once from the last atom, in extended precision where the platform
+    has it, and rounded once, so small tails keep their relative precision
+    and every tail is near exact at any atom count.
+    """
+    return np.cumsum(probs[::-1], dtype=np.longdouble)[::-1].astype(float)
+
+
+def _quantile_split(d: DiscreteDistribution, alpha: float) -> Tuple[int, float]:
+    """``(i, upper)``: the index of the lower quantile at alpha in (0, 1) and
+    the probability of the atoms above it.
+
+    P(Y <= v_i) >= alpha is read as P(Y > v_i) <= 1 - alpha on the upper
+    tails, so the atom chosen and the tail the tail-mean density splits
+    against are the same numbers: the tail above the atom below the
+    quantile exceeds 1 - alpha, so at most the quantile atom's own
+    probability is left to split.
+    """
+    above = _tail_sums(d.probs)[:0:-1]  # above[k]: the mass of the top k + 1 atoms
+    k = int(np.searchsorted(above, 1.0 - alpha, side="right"))
+    return d.n_atoms - 1 - k, float(above[k - 1]) if k else 0.0
 
 
 def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:

@@ -19,13 +19,22 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, essinf, esssup, expectation, from_samples
+from .distribution import (
+    DiscreteDistribution,
+    _tail_sums,
+    essinf,
+    esssup,
+    expectation,
+    from_samples,
+)
 from .entropy import Density
 from .evar import RiskSpec, _top_atom_test, avar, conjugate, evar, evar_power
 from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
 _CHUNK = 65_536
+#: The dual-norm solve's stopping width in the level u of |Z|, in units of max |Z|.
+_LEVEL_TOL = 1e-11
 
 
 class NoFiniteWitnessError(RuntimeError):
@@ -169,7 +178,7 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
 
 
 def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
-                     p: float, tol: float = 1e-11) -> Tuple[float, Optional[np.ndarray]]:
+                     p: float) -> Tuple[float, Optional[np.ndarray]]:
     """Dual norm by one root solve; returns (value, |Y'| attaining it, or None).
 
     With W = |Z|^(p'-1) (0 for p > 1 and inf for p < 0 where Z = 0) the
@@ -241,7 +250,7 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     tail = sign * (limit * beta_pow * float(pr @ W ** p) ** (1.0 / p) - float(pwW.sum()))
     if tail >= 0.0:
         return limit, at_limit
-    u, _ = find_root(lambda u: tail if u == 0.0 else parts(to_t(u))[1], 0.0, 1.0, tol)
+    u, _ = find_root(lambda u: tail if u == 0.0 else parts(to_t(u))[1], 0.0, 1.0, _LEVEL_TOL)
     r, _, y = parts(to_t(u))
     if r >= limit:
         return r, w_max ** (pprime - 1.0) * y
@@ -389,29 +398,15 @@ class KusuokaMeasure:
 
 
 def _measure_from_density(z: Density) -> KusuokaMeasure:
-    pr = z.dist.probs
-    w = z.weights
-    order = np.argsort(w, kind="stable")
-    ws, ps = w[order], pr[order]
-    breakpoints = [0.0]
-    heights = [float(ws[0])]
-    levels = []
-    masses = []
-    if ws[0] > 0.0:
-        levels.append(0.0)
-        masses.append(float(ws[0]))
-    cum = float(ps[0])
-    for i in range(1, ws.size):
-        if ws[i] > heights[-1]:
-            jump = float(ws[i]) - heights[-1]
-            breakpoints.append(cum)
-            heights.append(float(ws[i]))
-            levels.append(cum)
-            masses.append((1.0 - cum) * jump)
-        cum += float(ps[i])
-    return KusuokaMeasure(
-        np.array(levels), np.array(masses), np.array(breakpoints), np.array(heights)
-    )
+    # heights: the distinct density values, tail[k] = P(Z >= heights[k])
+    heights, inverse = np.unique(z.weights, return_inverse=True)
+    tail = _tail_sums(np.bincount(inverse, weights=z.dist.probs))
+    breakpoints = np.concatenate(([0.0], 1.0 - tail[1:]))
+    masses = tail[1:] * np.diff(heights)
+    if heights[0] > 0.0:
+        return KusuokaMeasure(breakpoints, np.concatenate((heights[:1], masses)),
+                              breakpoints, heights)
+    return KusuokaMeasure(breakpoints[1:], masses, breakpoints, heights)
 
 
 def kusuoka(d: DiscreteDistribution, spec: RiskSpec) -> KusuokaMeasure:

@@ -18,6 +18,7 @@ import numpy as np
 from .distribution import (
     DiscreteDistribution,
     _exp_shifted,
+    _quantile_split,
     essinf,
     esssup,
     expectation,
@@ -25,6 +26,7 @@ from .distribution import (
 from .entropy import Density
 from .solver import find_root
 
+#: The risk solve's stopping width in s = log theta.
 DEFAULT_TOL = 1e-14
 
 #: Dispatch route tags carried by RiskResult.branch.
@@ -151,13 +153,12 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
         raise ValueError("alpha must lie in [0,1)")
     beta = 1.0 / (1.0 - alpha)
     v, p = d.values, d.probs
-    cdf = np.cumsum(p)
-    idx = min(int(np.searchsorted(cdf, alpha, side="left")), d.n_atoms - 1)
-    t = float(v[idx])  # left-continuous lower quantile, same rule as var_level
-    # the split takes the tail mass above the quantile atom as an exact sum,
-    # not from the rounded cdf, so the reweighted mass is 1 - alpha by construction
-    upper = math.fsum(p[idx + 1 :].tolist())
-    frac = min(max(((1.0 - alpha) - upper) / float(p[idx]), 0.0), 1.0)
+    # the lower quantile and the tail above it, from the sums var_level uses
+    idx, upper = _quantile_split(d, alpha)
+    t = float(v[idx])
+    # the split is nonnegative, and above 1 only by the rounding of the sums
+    # (or at the bottom atom, where they can fall short of 1 - alpha)
+    frac = min(((1.0 - alpha) - upper) / float(p[idx]), 1.0)
     w = np.zeros(d.n_atoms)
     w[idx + 1 :] = beta
     w[idx] = beta * frac
@@ -168,9 +169,7 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     return RiskResult(value, t, Density(d, w), "avar", 0, 0.0)
 
 
-def evar_power(
-    d: DiscreteDistribution, alpha: float, p: float, tol: float = DEFAULT_TOL
-) -> RiskResult:
+def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     """Every entropy-budget order: finite p > 1, p < 0, and p = +inf (Shannon).
 
     The finite orders minimize t + beta^(1/p) ||(Y - t)_+||_p (p > 1) or
@@ -242,7 +241,7 @@ def evar_power(
     def h(s: float) -> float:
         return top if s > s_max else h_at(*moments(math.exp(s))[1:])
 
-    s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)
+    s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, DEFAULT_TOL)
     theta = math.exp(min(s, s_max))
     i, L, mean = moments(theta)
     c = log_beta + L
@@ -265,7 +264,7 @@ def evar_power(
     )
 
 
-def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -> RiskResult:
+def evar(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     """Entropic value-at-risk of the requested level and order.
 
     Dispatch: alpha = 1 gives the essential supremum; orders in (0, 1)
@@ -289,7 +288,7 @@ def evar(d: DiscreteDistribution, spec: RiskSpec, tol: Optional[float] = None) -
         return RiskResult(expectation(d), None, _ones_density(d), "expectation", 0, 0.0)
     if p == 1.0:
         return avar(d, a)
-    return evar_power(d, a, p, tol=DEFAULT_TOL if tol is None else tol)
+    return evar_power(d, a, p)
 
 
 def norm_equivalence_bounds(alpha: float, p: float) -> Tuple[float, float]:
@@ -326,9 +325,7 @@ def risk_level_bound(alpha: float, alpha_prime: float, p: float) -> float:
     raise ValueError("bound exists for finite p > 1 or p < 0 only")
 
 
-def evar_derivative_pprime(
-    d: DiscreteDistribution, alpha: float, pprime: float, tol: float = DEFAULT_TOL
-) -> float:
+def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float) -> float:
     """Exact conjugate-order derivative of the p > 1 risk value at its optimizer.
 
     Requires strictly positive, nonconstant atoms.  Always nonpositive: the
@@ -341,7 +338,7 @@ def evar_derivative_pprime(
     if d.n_atoms == 1:
         raise ValueError("constant variable: the value does not depend on the order")
     p = pprime / (pprime - 1.0)
-    res = evar_power(d, alpha, p, tol=tol)
+    res = evar_power(d, alpha, p)
     w = res.density.weights
     log_beta = _log_beta(alpha)
     # value - t* is beta^(1/p) ||(Y - t*)_+||_p, and 0 on the boundary branch

@@ -7,12 +7,14 @@ allocating log-moment kernel and the solve in theta built the same way,
 exact twins of the library's solve that writes into caller-owned scratch;
 the finite-order solve in t and the Shannon tilt that the solve in theta
 replaced, for values; and the supremum oracle in one pass, for its chunked
-scan that tests the budget only on improving rows.
+scan that tests the budget only on improving rows.  The tail mean and the
+Kusuoka measure are also pinned by exact sums (``fractions``, ``math.fsum``).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +36,45 @@ def avar_grid_oracle(d: DiscreteDistribution, alpha: float, step: float = 1e-4,
     plus = np.maximum(v[None, :] - ts[:, None], 0.0)
     obj = ts + (plus @ p) / (1.0 - alpha)
     return float(obj.min())
+
+
+def avar_exact(d: DiscreteDistribution, alpha: float) -> float:
+    """The tail mean in rational arithmetic on the stored probabilities.
+
+    The (1 - alpha) tail is filled from the top atom down, the last atom
+    taking what is left of 1 - alpha, and the one rounding is the return.
+    """
+    room = Fraction(1) - Fraction(alpha)
+    total = Fraction(0)
+    for v, p in zip(d.values[::-1].tolist(), d.probs[::-1].tolist()):
+        take = min(Fraction(p), room)
+        total += take * Fraction(v)
+        room -= take
+        if room == 0:
+            break
+    return float(total / (Fraction(1) - Fraction(alpha)))
+
+
+def kusuoka_reference(weights: np.ndarray, probs: np.ndarray):
+    """``(levels, masses, breakpoints, heights)`` of the Kusuoka measure of a
+    density, atom by atom in increasing Z, every tail an exact ``math.fsum``.
+
+    Each new value h of Z is a height whose breakpoint and level are
+    1 - P(Z >= h) and whose mass is P(Z >= h) times the jump; the smallest
+    value starts the profile at 0 and is the mass at level 0 when positive.
+    """
+    order = np.argsort(weights, kind="stable")
+    ws, ps = weights[order].tolist(), probs[order].tolist()
+    levels, masses = ([0.0], [ws[0]]) if ws[0] > 0.0 else ([], [])
+    breakpoints, heights = [0.0], [ws[0]]
+    for i in range(1, len(ws)):
+        if ws[i] > heights[-1]:
+            tail = math.fsum(ps[i:])
+            levels.append(1.0 - tail)
+            masses.append(tail * (ws[i] - heights[-1]))
+            breakpoints.append(1.0 - tail)
+            heights.append(ws[i])
+    return tuple(np.array(x) for x in (levels, masses, breakpoints, heights))
 
 
 def objective_high(d: DiscreteDistribution, alpha: float, p: float, t: float) -> float:

@@ -39,6 +39,15 @@ def density_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def uniform_10k_csv(tmp_path):
+    # equal weights on 0..9999: at alpha 0.9990999999999064 a forward cdf and
+    # the exact tail above the quantile atom disagree in the last bits
+    path = tmp_path / "u.csv"
+    path.write_text("value\n" + "\n".join(map(str, range(10_000))) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -147,21 +156,33 @@ class TestRisk:
         assert report["entries"][2]["t_star"] is None
         assert all(0.8 <= e["value"] <= 4.0 for e in report["entries"])
 
-    def test_tolerance_env_override(self, capsys, sample_csv, monkeypatch):
-        monkeypatch.setenv("RENYI_RISK_TOL", "1e-6")
-        code, out, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "2"])
+    def test_tolerance_environment_variable_changes_nothing(self, capsys, sample_csv,
+                                                            monkeypatch):
+        # each solve has one fixed stopping rule; no environment variable sets it
+        argv = ["risk", "--input", sample_csv, "--alpha", "0.5", "0.95",
+                "--order", "2", "inf", "-2", "--emit-density"]
+        monkeypatch.delenv("RENYI_RISK_TOL", raising=False)
+        code, unset, _ = run(capsys, argv)
         assert code == 0
-        loose = json.loads(out)["entries"][0]["value"]
-        monkeypatch.delenv("RENYI_RISK_TOL")
-        _, out2, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "2"])
-        tight = json.loads(out2)["entries"][0]["value"]
-        assert loose == pytest.approx(tight, rel=1e-5)
+        for raw in ("1e-6", "-1"):
+            monkeypatch.setenv("RENYI_RISK_TOL", raw)
+            assert run(capsys, argv) == (0, unset, "")
 
-    def test_bad_env_tolerance_exits_3(self, capsys, sample_csv, monkeypatch):
-        monkeypatch.setenv("RENYI_RISK_TOL", "-1")
-        code, _, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "2"])
-        assert code == 3
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"value\n\xff\xfe\n")
+        code, _, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5",
+                                    "--order", "2"])
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
 
+    def test_tail_mean_at_a_level_between_rounded_cdf_points(self, capsys, uniform_10k_csv):
+        code, out, err = run(capsys, ["risk", "--input", uniform_10k_csv,
+                                      "--alpha", "0.9990999999999064", "--order", "1",
+                                      "--emit-density"])
+        assert code == 0, err
+        entry = json.loads(out)["entries"][0]
+        assert abs(math.fsum(entry["density"]) / 10_000 - 1.0) <= 1e-12
 
     def test_tail_mean_on_200k_rows_at_high_level(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
@@ -207,6 +228,23 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][0] == "1.0" and rows[1][1] == "inf"
 
+    def test_tail_mean_row_at_a_level_between_rounded_cdf_points(self, capsys,
+                                                                 uniform_10k_csv):
+        code, out, err = run(capsys, ["sweep", "--input", uniform_10k_csv,
+                                      "--alpha", "0.9990999999999064", "--pprime", "default"])
+        assert code == 0, err
+        avar_row = list(csv.reader(io.StringIO(out)))[-2]
+        direct = evar(from_samples(np.arange(10_000.0)), RiskSpec(0.9990999999999064, 1.0))
+        assert avar_row[:3] == ["inf", "1.0", repr(direct.value)]
+
+    def test_unwritable_output_exits_2(self, capsys, sample_csv, tmp_path):
+        target = tmp_path / "missing" / "s.csv"
+        code, out, err = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
+                                      "--pprime", "default", "--output", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_malformed_grid_exits_3(self, capsys, sample_csv):
         code, _, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
                                   "--pprime", "a:b"])
@@ -231,6 +269,15 @@ class TestDualnormCommand:
         code, _, _ = run(capsys, ["dualnorm", "--input", density_csv,
                                   "--alpha", "0.5", "--order", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("alpha, order", [("0.5", "inf"), ("0.5", "0.5"),
+                                              ("0", "2"), ("1", "-1")])
+    def test_levels_and_orders_outside_the_regimes_exit_3(self, capsys, density_csv,
+                                                          alpha, order):
+        code, out, err = run(capsys, ["dualnorm", "--input", density_csv,
+                                      "--alpha", alpha, "--order", order])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_zero_density_at_negative_order_warns_nothing(self, tmp_path):
         path = tmp_path / "z.csv"
@@ -262,6 +309,15 @@ class TestKusuokaCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["atoms"] == [[0.5, 1.0]]
+
+    def test_total_mass_is_one_on_200k_rows(self, capsys, tmp_path):
+        path = tmp_path / "y.csv"
+        y = np.random.default_rng(1).lognormal(size=200_000)
+        path.write_text("value\n" + "\n".join(map(repr, y.tolist())) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["kusuoka", "--input", str(path),
+                                      "--alpha", "0.5", "--order", "-2"])
+        assert code == 0, err  # exited 3 with "total mass must be 1"
+        assert abs(math.fsum(m for _, m in json.loads(out)["atoms"]) - 1.0) <= 1e-12
 
     def test_rejects_regimes_without_density(self, capsys, sample_csv):
         code, _, _ = run(capsys, ["kusuoka", "--input", sample_csv,

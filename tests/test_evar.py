@@ -28,6 +28,7 @@ from renyi_risk import (
     var_level,
 )
 from oracles import (
+    avar_exact,
     avar_grid_oracle,
     bisect_root,
     chernoff_shannon_oracle,
@@ -149,11 +150,32 @@ class TestAvar:
 
     def test_density_exact_at_a_million_atoms(self):
         d = from_samples(np.random.default_rng(0).normal(size=1_000_000))
-        r = evar(d, RiskSpec(0.95, 1.0))
+        for a in (0.5, 0.95):  # tails summed in plain doubles miss 1 by 1.3e-11 at 0.5
+            r = evar(d, RiskSpec(a, 1.0))
+            assert abs(float(np.dot(d.probs, r.density.weights)) - 1.0) <= 1e-12
+            upper = math.fsum((d.probs * d.values)[d.values > r.t_star].tolist())
+            split = (1.0 - a - math.fsum(d.probs[d.values > r.t_star].tolist())) * r.t_star
+            assert r.value == pytest.approx((upper + split) / (1.0 - a), rel=1e-12)
+
+    def test_levels_at_rounded_cdf_points(self):
+        # the quantile atom and its split read the same tail sums, so where a
+        # forward cdf and the tail above disagree in the last bits the density
+        # still has unit mean and the value is the exact tail mean
+        d = from_samples(np.arange(10_000.0))
+        r = avar(d, 0.9990999999999064)  # raised "density mean ... is not 1"
         assert abs(float(np.dot(d.probs, r.density.weights)) - 1.0) <= 1e-12
-        upper = math.fsum((d.probs * d.values)[d.values > r.t_star].tolist())
-        split = (1.0 - 0.95 - math.fsum(d.probs[d.values > r.t_star].tolist())) * r.t_star
-        assert r.value == pytest.approx((upper + split) / 0.05, rel=1e-12)
+        assert r.value == pytest.approx(avar_exact(d, 0.9990999999999064), abs=1e-15 * 9999.0)
+        rng = np.random.default_rng(11)
+        for n, weights in ((10, None), (1000, None), (1000, rng.dirichlet(np.ones(1000))),
+                           (2000, rng.random(2000) ** 8)):
+            d = from_samples(rng.normal(size=n), weights)
+            spread = esssup(d) - essinf(d)
+            for c in np.cumsum(d.probs)[rng.choice(n - 1, size=min(n - 1, 25), replace=False)]:
+                for a in (float(np.nextafter(c, 0.0)), float(c), float(np.nextafter(c, 1.0))):
+                    r = avar(d, a)
+                    assert abs(float(np.dot(d.probs, r.density.weights)) - 1.0) <= 1e-12
+                    assert abs(r.value - avar_exact(d, a)) <= 1e-15 * spread
+                    assert var_level(d, a) == r.t_star
 
     def test_never_rounds_above_esssup(self):
         # when the quantile atom is the top atom the value is esssup exactly
