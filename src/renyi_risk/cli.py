@@ -213,7 +213,8 @@ def _read_density(path: str) -> Density:
         raise InputError("duplicate values in a density file are ambiguous")
     w = None if weights is None else np.asarray(weights, dtype=float)[order]
     z = np.asarray(dens, dtype=float)[order]
-    return Density(from_samples(v, w), z)
+    # from_samples drops a zero-weight row; its density entry goes with it
+    return Density(from_samples(v, w), z if w is None else z[w > 0.0])
 
 
 def _parse_alpha(token: str) -> float:
@@ -227,6 +228,11 @@ def _parse_alpha(token: str) -> float:
 
 
 def _parse_order(token: str) -> float:
+    """An order token: 'inf' or a finite decimal literal.
+
+    Which orders a command accepts is the library's to say: ``RiskSpec`` and
+    ``dual_norm`` reject order 0, which the entropy takes.
+    """
     tok = token.strip().lower()
     if tok == "inf":
         return math.inf
@@ -234,8 +240,8 @@ def _parse_order(token: str) -> float:
         p = float(tok)
     except ValueError as exc:
         raise SpecError(f"cannot parse order {token!r}") from exc
-    if p == 0.0 or math.isnan(p) or math.isinf(p):
-        raise SpecError("order must be a nonzero real or 'inf'")
+    if not math.isfinite(p):
+        raise SpecError("order must be a finite real or 'inf'")
     return p
 
 
@@ -365,14 +371,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     z = _read_density(args.input)
     entries = []
     for tok in args.q:
-        stripped = tok.strip().lower()
-        if stripped == "inf":
-            q = math.inf
-        else:
-            try:
-                q = float(stripped)
-            except ValueError as exc:
-                raise SpecError(f"cannot parse order {tok!r}") from exc
+        q = _parse_order(tok)
         entries.append({"q": _order_token(q), "entropy": renyi_entropy(z, q)})
     print(json.dumps({"entries": entries, "version": VERSION_STRING}))
     return 0

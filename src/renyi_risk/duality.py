@@ -33,6 +33,8 @@ from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
 _CHUNK = 65_536
+#: The refinement's reach per atom count, in steps of a twentieth of the grid step.
+_REACH = {1: 0, 2: 20, 3: 20, 4: 20, 5: 12, 6: 7}
 #: The dual-norm solve's stopping width in the level u of |Z|, in units of max |Z|.
 _LEVEL_TOL = 1e-11
 
@@ -46,25 +48,28 @@ class DegenerateBranchError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=8)
-def _simplex_grid(parts: int, total: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
+def _lattice(parts: int, total: int, cap: int) -> np.ndarray:
+    """All integer vectors of length ``parts`` with entries in [0, cap] summing to ``total``.
 
-    Read-only and cached for the last few shapes, since the oracle rebuilds
-    the same grid for every distribution of a given atom count.
+    Rows are in lexicographic order, in the smallest signed integer type
+    that holds ``cap``.  The oracle's simplex grid is ``_lattice(n, r, r)``
+    and its refinement steps are ``_lattice(n, n * k, 2 * k) - k``; both
+    depend on the shape alone, so they are read-only and cached for the
+    last few shapes.
     """
     if math.comb(total + parts - 1, parts - 1) > _GRID_ROW_CAP:
         raise ValueError("atom count too large for this resolution (combinatorial blow-up)")
-    rows = np.zeros((1, 0), dtype=np.int32)
+    dtype = np.min_scalar_type(-cap - 1)  # signed, and holds +cap
+    rows = np.zeros((1, 0), dtype=dtype)
     budget = np.array([total], dtype=np.int64)
-    for _ in range(parts - 1):
-        counts = budget + 1
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        n_rows = int(counts.sum())
-        rows = np.repeat(rows, counts, axis=0)
-        ramp = (np.arange(n_rows, dtype=np.int64) - np.repeat(starts, counts)).astype(np.int32)
-        rows = np.column_stack([rows, ramp])
+    for later in range(parts - 1, 0, -1):
+        # the next entry leaves the later ones a budget they can hold
+        low = np.maximum(budget - cap * later, 0)
+        counts = np.minimum(budget, cap) - low + 1
+        ramp = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), ramp.astype(dtype)])
         budget = np.repeat(budget, counts) - ramp
-    grid = np.column_stack([rows, budget.astype(np.int32)])
+    grid = np.column_stack([rows, budget.astype(dtype)])
     grid.setflags(write=False)
     return grid
 
@@ -85,57 +90,33 @@ def _feasible_mask(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
     return s >= bound
 
 
-@functools.lru_cache(maxsize=None)
-def _refine_offsets(n: int) -> np.ndarray:
-    """Integer steps of the local refinement around the best point of n atoms.
+def _scan(d: DiscreteDistribution, pprime: float, log_beta: float,
+          best: Tuple[float, np.ndarray], rows: np.ndarray, scale: float, shift: int = 0,
+          origin: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+    """The running best (value, q) over the measures origin + (rows - shift) / scale.
 
-    Every vector of n - 1 steps within the reach, completed by a last step
-    that makes the row sum to zero and kept when that step is within the
-    reach too, in meshgrid ('ij') order of the first n - 1 steps.  It depends
-    on n alone, so it is built once per atom count: read-only int8, 3.9 MB
-    for all of n = 2..6 together.
+    Rows are scanned in chunks of a fixed number, so the float copies stay
+    small at any size.  The objective goes first: only rows above the
+    running best pay for the entropy-budget test.  The strict ``>`` and
+    argmax's first index keep the earliest of equal rows, so chunking picks
+    the row one pass would.
     """
-    reach = {2: 20, 3: 20, 4: 20, 5: 12, 6: 7}[n]
-    head = np.indices((2 * reach + 1,) * (n - 1), dtype=np.int8).reshape(n - 1, -1).T - reach
-    last = -head.sum(axis=1)
-    keep = np.abs(last) <= reach
-    offs = np.column_stack([head[keep], last[keep].astype(np.int8)])
-    offs.setflags(write=False)
-    return offs
-
-
-def _improve(Q: np.ndarray, d: DiscreteDistribution, pprime: float, log_beta: float,
-             best_val: float, best_q: np.ndarray) -> Tuple[float, np.ndarray]:
-    """The running best after one chunk of candidate measures (rows of Q).
-
-    The objective goes first: only rows above the running best pay for the
-    entropy-budget test.  The strict ``>`` and argmax's first index keep the
-    earliest of equal rows, so chunking picks the row one pass would.
-    """
-    obj = Q @ d.values
-    rows = np.flatnonzero(obj > best_val)
-    if rows.size == 0:
-        return best_val, best_q
-    # a refinement step can leave the simplex; such rows are no measures
-    rows = rows[np.all(Q[rows] >= 0.0, axis=1)]
-    rows = rows[_feasible_mask(Q[rows], d, pprime, log_beta)]
-    if rows.size == 0:
-        return best_val, best_q
-    k = rows[np.argmax(obj[rows])]
-    return float(obj[k]), Q[k].copy()
-
-
-def _refine(d: DiscreteDistribution, q0: np.ndarray, val0: float, pprime: float,
-            log_beta: float, resolution: int) -> Tuple[float, np.ndarray]:
-    """One local pass at a twentieth of the grid step around the best point."""
-    if d.n_atoms == 1:
-        return val0, q0
-    offs = _refine_offsets(d.n_atoms)
-    step = 20.0 * resolution
-    best_val, best_q = val0, q0
-    for start in range(0, offs.shape[0], _CHUNK):
-        Q = q0 + np.divide(offs[start : start + _CHUNK], step, dtype=np.float64)
-        best_val, best_q = _improve(Q, d, pprime, log_beta, best_val, best_q)
+    best_val, best_q = best
+    for start in range(0, rows.shape[0], _CHUNK):
+        block = rows[start : start + _CHUNK]
+        Q = np.divide(block - shift if shift else block, scale, dtype=np.float64)
+        if origin is not None:
+            Q += origin
+        obj = Q @ d.values
+        hit = np.flatnonzero(obj > best_val)
+        if hit.size == 0:
+            continue
+        # a refinement step can leave the simplex; such rows are no measures
+        hit = hit[np.all(Q[hit] >= 0.0, axis=1)]
+        hit = hit[_feasible_mask(Q[hit], d, pprime, log_beta)]
+        if hit.size:
+            k = hit[np.argmax(obj[hit])]
+            best_val, best_q = float(obj[k]), Q[k].copy()
     return best_val, best_q
 
 
@@ -146,13 +127,13 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
     Candidate measures q (q_i = p_i Z_i) are enumerated at step
     1/resolution, those inside the regime's entropy budget are kept, and
     E YZ is maximized; one local refinement pass at a twentieth of the step
-    follows.  The constant density is always seeded (it is feasible by
-    definition), so the result is never below the expectation.  Both scans
-    run in chunks of a fixed number of rows, so the float copies stay small
-    at any resolution.  Limited to 6 atoms; blow-up beyond ~5e7 grid points
-    is rejected.
+    follows, within ``_REACH`` of those steps per atom.  The constant
+    density is always seeded (it is feasible by definition), so the result
+    is never below the expectation.  Limited to 6 atoms; blow-up beyond
+    ~5e7 grid points is rejected.
     """
-    if d.n_atoms > 6:
+    n = d.n_atoms
+    if n > 6:
         raise ValueError("brute-force oracle is limited to 6 atoms")
     if not isinstance(resolution, numbers.Integral):
         raise ValueError("resolution must be an integer")
@@ -163,18 +144,14 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
         raise ValueError("alpha must be below 1")
     if not (p > 1.0 or p < 0.0):
         raise ValueError("no entropy-budget regime for this order")
-    pprime = conjugate(p)
-    log_beta = -math.log1p(-a)
-    pr = d.probs
+    pprime, log_beta = conjugate(p), -math.log1p(-a)
 
-    best_val = expectation(d)
-    best_q = pr.copy()
-    grid = _simplex_grid(d.n_atoms, resolution)
-    for start in range(0, grid.shape[0], _CHUNK):
-        Q = np.divide(grid[start : start + _CHUNK], resolution, dtype=np.float64)
-        best_val, best_q = _improve(Q, d, pprime, log_beta, best_val, best_q)
-    best_val, best_q = _refine(d, best_q, best_val, pprime, log_beta, resolution)
-    return best_val, Density(d, best_q / pr)
+    best = _scan(d, pprime, log_beta, (expectation(d), d.probs.copy()),
+                 _lattice(n, resolution, resolution), resolution)
+    k = _REACH[n]
+    best_val, best_q = _scan(d, pprime, log_beta, best, _lattice(n, n * k, 2 * k),
+                             20.0 * resolution, k, best[1])
+    return best_val, Density(d, best_q / d.probs)
 
 
 def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,

@@ -13,13 +13,15 @@ Kusuoka measure are also pinned by exact sums (``fractions``, ``math.fsum``).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from renyi_risk import DiscreteDistribution, RiskSpec, conjugate, expectation, from_samples
-from renyi_risk.duality import _feasible_mask, _simplex_grid
+from renyi_risk.duality import _feasible_mask
 from renyi_risk.evar import _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
@@ -388,6 +390,28 @@ def conjugate_entropy(d: DiscreteDistribution, weights, p: float) -> float:
     return math.log1p(math.fsum((q * np.expm1(k * logz)).tolist())) / k - math.log(total)
 
 
+def lattice_rows(parts: int, total: int, cap: int):
+    """Integer vectors of length ``parts`` with entries in [0, cap] summing to
+    ``total``, as tuples in lexicographic order: a plain Python recursion."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for x in range(max(0, total - cap * (parts - 1)), min(cap, total) + 1):
+        for rest in lattice_rows(parts - 1, total - x, cap):
+            yield (x, *rest)
+
+
+@functools.lru_cache(maxsize=2)
+def lattice_reference(parts: int, total: int, cap: int) -> np.ndarray:
+    """``lattice_rows`` as a read-only int64 array, cached for the oracle
+    reference's repeated grids."""
+    flat = itertools.chain.from_iterable(lattice_rows(parts, total, cap))
+    grid = np.fromiter(flat, dtype=np.int64).reshape(-1, parts)
+    grid.setflags(write=False)
+    return grid
+
+
 def refine_offsets_reference(n: int) -> np.ndarray:
     """The refinement's integer steps for n atoms, built by an int64 meshgrid."""
     reach = {2: 20, 3: 20, 4: 20, 5: 12, 6: 7}[n]
@@ -423,7 +447,8 @@ def sup_oracle_reference(d: DiscreteDistribution, spec: RiskSpec, resolution: in
     ``refine_reference``.  Returns (value, q) with q_i = p_i Z_i."""
     pprime = conjugate(spec.order)
     log_beta = -math.log1p(-spec.alpha)
-    Q = _simplex_grid(d.n_atoms, resolution).astype(np.float64) / resolution
+    grid = lattice_reference(d.n_atoms, resolution, resolution)
+    Q = grid.astype(np.float64) / resolution
     Q = Q[_feasible_mask(Q, d, pprime, log_beta)]
     best_val, best_q = expectation(d), d.probs.copy()
     obj = Q @ d.values

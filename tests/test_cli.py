@@ -361,6 +361,58 @@ class TestEntropyCommand:
         code, _, _ = run(capsys, ["entropy", "--input", path.as_posix(), "--q", "-1"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", [["entropy", "--q", "1", "2"],
+                                         ["dualnorm", "--alpha", "0.5", "--order", "2"]])
+    def test_zero_weight_row_is_dropped_with_its_density(self, capsys, tmp_path, command):
+        # the row carries no mass, so the file means what it does without it
+        path, without = tmp_path / "z.csv", tmp_path / "w.csv"
+        path.write_text("value,weight,density\n0,0,1.0\n1,1,1.0\n2,1,1.0\n",
+                        encoding="utf-8")
+        without.write_text("value,weight,density\n1,1,1.0\n2,1,1.0\n", encoding="utf-8")
+        code, out, err = run(capsys, [command[0], "--input", str(path), *command[1:]])
+        assert (code, err) == (0, "")  # exited 3: weights must match the atoms
+        assert out == run(capsys, [command[0], "--input", str(without), *command[1:]])[1]
+
+    def test_duplicate_value_next_to_a_zero_weight_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("value,weight,density\n0,0,1.0\n0,1,1.0\n1,1,1.0\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, ["entropy", "--input", str(path), "--q", "2"])
+        assert (code, err) == (2, "error: duplicate values in a density file are ambiguous\n")
+
+
+class TestOrderTokens:
+    """Every command reads its orders with one parser; which orders it
+    accepts is the library's to say."""
+
+    @pytest.fixture
+    def commands(self, sample_csv, density_csv):
+        return {
+            "risk": ["risk", "--input", sample_csv, "--alpha", "0.5", "--order"],
+            "kusuoka": ["kusuoka", "--input", sample_csv, "--alpha", "0.5", "--order"],
+            "dualnorm": ["dualnorm", "--input", density_csv, "--alpha", "0.5", "--order"],
+            "entropy": ["entropy", "--input", density_csv, "--q"],
+        }
+
+    @pytest.mark.parametrize("command", ["risk", "kusuoka", "dualnorm", "entropy"])
+    @pytest.mark.parametrize("token", ["abc", "", "nan", "infinity", "1e400", "-1e400"])
+    def test_unreadable_or_non_finite_tokens_exit_3(self, capsys, commands, command, token):
+        code, out, err = run(capsys, commands[command] + [token])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["kusuoka", "dualnorm"])
+    def test_order_zero_exits_3(self, capsys, commands, command):
+        # risk: TestRisk; the entropy takes order 0: TestEntropyCommand
+        code, out, _ = run(capsys, commands[command] + ["0"])
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("command", ["risk", "entropy"])
+    def test_inf_in_any_case_and_padding(self, capsys, commands, command):
+        outs = [run(capsys, commands[command] + [token]) for token in ("inf", "INF", " Inf ")]
+        assert outs[0][0] == 0
+        assert outs[1:] == outs[:1] * 2
+
 
 #: (id, file bytes, density file?) for the ingest parity checks
 CSV_CORPUS = [
@@ -404,6 +456,7 @@ CSV_CORPUS = [
     ("density_non_numeric", b"value,density\n0,x\n", True),
     ("density_non_finite", b"value,density\n0,inf\n1,1\n", True),
     ("density_duplicate_values", b"value,density\n0,1\n0,1\n", True),
+    ("density_zero_weight_row", b"value,weight,density\n0,0,1.0\n1,1,1.0\n2,1,1.0\n", True),
 ]
 
 

@@ -1,5 +1,6 @@
 """Supremum oracle, dual norms, extremal witnesses and the Kusuoka form."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -27,10 +28,11 @@ from renyi_risk import (
     norm_equivalence_bounds,
     sup_oracle,
 )
-from renyi_risk.duality import _CHUNK, _refine_offsets, _simplex_grid
+from renyi_risk.duality import _CHUNK, _REACH, _lattice
 from oracles import (
     dual_norm_grid,
     kusuoka_reference,
+    lattice_rows,
     rand_dist,
     refine_offsets_reference,
     refine_reference,
@@ -123,13 +125,15 @@ class TestSupOracle:
     def test_grid_cache_is_bounded_and_reused(self):
         d = from_samples([0.0, 1.0, 3.0])
         spec = RiskSpec(0.5, 2.0)
-        maxsize = _simplex_grid.cache_info().maxsize
+        maxsize = _lattice.cache_info().maxsize
         for resolution in range(10, 10 + maxsize + 4):
             sup_oracle(d, spec, resolution)
-            assert _simplex_grid.cache_info().currsize <= maxsize
-        hits = _simplex_grid.cache_info().hits
+            assert _lattice.cache_info().currsize <= maxsize
+        before = _lattice.cache_info()
         sup_oracle(d, spec, 10 + maxsize + 3)
-        assert _simplex_grid.cache_info().hits == hits + 1
+        # no miss: the grid's own entry is reused, and so are the 3-atom steps
+        assert _lattice.cache_info().hits == before.hits + 2
+        assert _lattice.cache_info().misses == before.misses
 
     def test_rejects_regimes_without_entropy_budget(self):
         d = from_samples([0, 1])
@@ -143,7 +147,7 @@ class TestSupOracle:
         # a dot product BLAS may round differently by the row's position
         rng = np.random.default_rng(60 + n)
         if resolution == 1000:
-            assert _simplex_grid(n, resolution).shape[0] > _CHUNK
+            assert _lattice(n, resolution, resolution).shape[0] > _CHUNK
         for p in (2.0, 4.0, 10.0, 1.5, -0.5, -1.0, -2.0):
             for lo in (0.0, -5.0):
                 d = rand_dist(rng, n, lo=lo, hi=5.0)
@@ -168,12 +172,54 @@ class TestSupOracle:
 
     def test_refinement_offsets_match_the_meshgrid(self):
         for n in range(2, 7):
-            offs = _refine_offsets(n)
-            assert offs.dtype == np.int8
-            assert np.array_equal(offs, refine_offsets_reference(n))
-            assert not offs.flags.writeable
+            k = _REACH[n]
+            lattice = _lattice(n, n * k, 2 * k)
+            assert lattice.dtype == np.int8
+            assert np.array_equal(lattice - k, refine_offsets_reference(n))
+            assert not lattice.flags.writeable
             with pytest.raises(ValueError):
-                offs[0, 0] = 1
+                lattice[0, 0] = 1
+
+    #: (atoms, resolution) of every grid the oracle tests and the benchmark's
+    #: dual_check build; the cache test adds 3 atoms at 10 to 21
+    ORACLE_GRIDS = [(1, 50), (2, 400), (3, 50), (3, 100), (3, 150), (3, 200), (3, 400),
+                    (3, 1000), (4, 60), (4, 80), (4, 400), (5, 20), (6, 10)]
+    ORACLE_GRIDS += [(3, r) for r in range(10, 22)]
+
+    @pytest.mark.parametrize("parts, total", ORACLE_GRIDS)
+    def test_lattice_matches_the_plain_python_builder(self, parts, total):
+        grid = _lattice(parts, total, total)
+        assert grid.shape == (math.comb(total + parts - 1, parts - 1), parts)
+        # compared in blocks, so the 10.8M-row grid needs no int64 copy
+        rows = itertools.chain.from_iterable(lattice_rows(parts, total, total))
+        for start in range(0, grid.shape[0], 1 << 20):
+            block = grid[start : start + (1 << 20)].ravel()
+            assert np.array_equal(block, np.fromiter(rows, np.int64, count=block.size))
+        assert next(rows, None) is None
+
+    @pytest.mark.parametrize("cap, dtype", [(1, np.int8), (127, np.int8), (128, np.int16),
+                                            (1000, np.int16), (32767, np.int16),
+                                            (32768, np.int32)])
+    def test_lattice_takes_the_smallest_signed_type_for_cap(self, cap, dtype):
+        lattice = _lattice(2, cap, cap)
+        assert lattice.dtype == dtype
+        assert lattice[-1].tolist() == [cap, 0]
+        assert not lattice.flags.writeable
+        with pytest.raises(ValueError):
+            lattice[0, 0] = 1
+
+    def test_cached_grids_at_the_benchmark_shapes_fit_in_3_5_mb(self):
+        # dual_check's shapes; as int32 they held 7.70e6 bytes
+        shapes = ((3, 1000), (4, 80), (5, 20))
+        spec = RiskSpec(0.5, 2.0)
+        rng = np.random.default_rng(72)
+        for n, resolution in shapes:
+            sup_oracle(rand_dist(rng, n), spec, resolution)
+        warm = _lattice.cache_info()
+        for n, resolution in shapes:
+            sup_oracle(rand_dist(rng, n), spec, resolution)
+        assert _lattice.cache_info().misses == warm.misses
+        assert sum(_lattice(n, r, r).nbytes for n, r in shapes) <= 3.5e6
 
     def test_peak_memory_is_bounded(self):
         # a cold 5-atom call builds its grid and refinement steps; a warm
@@ -181,8 +227,7 @@ class TestSupOracle:
         spec = RiskSpec(0.5, 2.0)
         d5 = rand_dist(np.random.default_rng(70), 5)
         d3 = rand_dist(np.random.default_rng(71), 3)
-        _refine_offsets.cache_clear()
-        _simplex_grid.cache_clear()
+        _lattice.cache_clear()
         sup_oracle(d3, spec, 1000)
         for d, resolution in ((d5, 20), (d3, 1000)):
             tracemalloc.start()
