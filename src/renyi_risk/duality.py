@@ -60,16 +60,35 @@ def _lattice(parts: int, total: int, cap: int) -> np.ndarray:
     if math.comb(total + parts - 1, parts - 1) > _GRID_ROW_CAP:
         raise ValueError("atom count too large for this resolution (combinatorial blow-up)")
     dtype = np.min_scalar_type(-cap - 1)  # signed, and holds +cap
-    rows = np.zeros((1, 0), dtype=dtype)
-    budget = np.array([total], dtype=np.int64)
-    for later in range(parts - 1, 0, -1):
+    if parts == 1:
+        grid = np.full((1, 1), total, dtype)
+        grid.setflags(write=False)
+        return grid
+    # every entry but the last two, and the budget each prefix leaves them
+    head = np.zeros((1, 0), dtype=dtype)
+    budget = np.array([total])
+    for later in range(parts - 1, 1, -1):
         # the next entry leaves the later ones a budget they can hold
         low = np.maximum(budget - cap * later, 0)
         counts = np.minimum(budget, cap) - low + 1
         ramp = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), ramp.astype(dtype)])
+        head = np.column_stack([np.repeat(head, counts, axis=0), ramp.astype(dtype)])
         budget = np.repeat(budget, counts) - ramp
-    grid = np.column_stack([rows, budget.astype(dtype)])
+    # the last two entries split each budget b: the first runs up from
+    # max(b - cap, 0) to min(b, cap) while the second runs down, so both are
+    # running sums of steps of one that jump at each prefix's first row;
+    # every partial sum is an entry, so the sums never leave the dtype
+    low, high = np.maximum(budget - cap, 0), np.minimum(budget, cap)
+    sizes = high - low + 1
+    grid = np.empty((int(sizes.sum()), parts), dtype)
+    for j in range(parts - 2):
+        grid[:, j] = np.repeat(head[:, j], sizes)
+    starts = np.cumsum(sizes) - sizes
+    for j, first, last, step in ((parts - 2, low, high, 1), (parts - 1, high, low, -1)):
+        col = grid[:, j]
+        col[:] = step
+        col[starts] = first - np.concatenate(([0], last[:-1]))
+        np.cumsum(col, dtype=dtype, out=col)
     grid.setflags(write=False)
     return grid
 
@@ -90,30 +109,59 @@ def _feasible_mask(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
     return s >= bound
 
 
+def _first_nonnegative_steps(origin: np.ndarray, shift: int, scale: float) -> np.ndarray:
+    """Per atom i, the number of steps j in [0, 2 shift] with origin_i + (j - shift) / scale < 0.
+
+    The float expression is the one ``_scan`` builds its measures with.  It
+    is nondecreasing in j, so a step j keeps entry i nonnegative exactly
+    when j is at least this count.
+    """
+    steps = np.divide(np.arange(-shift, shift + 1), scale, dtype=np.float64)
+    return np.count_nonzero(steps + origin[:, None] < 0.0, axis=1)
+
+
 def _scan(d: DiscreteDistribution, pprime: float, log_beta: float,
           best: Tuple[float, np.ndarray], rows: np.ndarray, scale: float, shift: int = 0,
           origin: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
     """The running best (value, q) over the measures origin + (rows - shift) / scale.
 
     Rows are scanned in chunks of a fixed number, so the float copies stay
-    small at any size.  The objective goes first: only rows above the
-    running best pay for the entropy-budget test.  The strict ``>`` and
-    argmax's first index keep the earliest of equal rows, so chunking picks
-    the row one pass would.
+    small at any size; they live in one scratch block per scan, so the
+    chunks allocate no chunk-sized arrays.  The objective goes first: only
+    rows above the running best pay for the tests.  Grid rows (no origin)
+    are lattice points, never negative, so they take the entropy-budget test
+    alone.  Refinement rows (entries in [0, 2 shift]) can leave the simplex,
+    and only through the atoms whose origin lies within ``shift`` steps of
+    0: each such atom costs one integer comparison of its entry against
+    ``_first_nonnegative_steps``, and the rows left take the budget test.
+    The strict ``>`` and argmax's first index keep the earliest of equal
+    rows, so chunking picks the row one pass would.
     """
     best_val, best_q = best
+    bounded = []
+    if origin is not None:
+        low = _first_nonnegative_steps(origin, shift, scale)
+        bounded = [(int(i), int(low[i])) for i in np.flatnonzero(low)]
+    # the chunk's measures, its hits' measures and its objective
+    m, n = min(_CHUNK, rows.shape[0]), rows.shape[1]
+    scratch = np.empty(m * (2 * n + 1))
+    chunk_q, hit_q, chunk_obj = (scratch[: m * n].reshape(m, n),
+                                 scratch[m * n : -m].reshape(m, n), scratch[-m:])
     for start in range(0, rows.shape[0], _CHUNK):
         block = rows[start : start + _CHUNK]
-        Q = np.divide(block - shift if shift else block, scale, dtype=np.float64)
+        size = block.shape[0]
+        Q = np.divide(block - shift if shift else block, scale, out=chunk_q[:size],
+                      dtype=np.float64)
         if origin is not None:
             Q += origin
-        obj = Q @ d.values
+        obj = np.matmul(Q, d.values, out=chunk_obj[:size])
         hit = np.flatnonzero(obj > best_val)
+        for i, least in bounded:
+            hit = hit[block[hit, i] >= least]
         if hit.size == 0:
             continue
-        # a refinement step can leave the simplex; such rows are no measures
-        hit = hit[np.all(Q[hit] >= 0.0, axis=1)]
-        hit = hit[_feasible_mask(Q[hit], d, pprime, log_beta)]
+        Qh = np.take(Q, hit, axis=0, out=hit_q[: hit.size])
+        hit = hit[_feasible_mask(Qh, d, pprime, log_beta)]
         if hit.size:
             k = hit[np.argmax(obj[hit])]
             best_val, best_q = float(obj[k]), Q[k].copy()

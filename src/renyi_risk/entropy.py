@@ -51,7 +51,8 @@ def renyi_entropy(z: Density, q: float) -> float:
     if q < 0.0 and not np.all(pos):
         raise ValueError("negative order needs a strictly positive density")
     if q == 0.0:
-        return float(-np.log(p[pos].sum()))
+        # 0.0 - x, not -x: a full support gives +0.0, not -0.0
+        return float(0.0 - np.log(p[pos].sum()))
     if q == 1.0:
         wp = w[pos]
         return float(np.dot(p[pos] * wp, np.log(wp)))

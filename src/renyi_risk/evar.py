@@ -100,6 +100,10 @@ class RiskResult:
     residual: float
 
 
+class _PastClamp(Exception):
+    """h is still positive at the clamp: the root in s lies past s_max."""
+
+
 def _log_beta(alpha: float) -> float:
     # log(1/(1-alpha)), the entropy budget
     return -math.log1p(-alpha)
@@ -192,8 +196,11 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     theta = 0 to ``top`` < 0 as theta grows, so ``find_root`` finds its
     root in s = log theta, which keeps relative resolution in theta at both
     ends.  It starts from [1, 3], where the root lies for most samples at
-    levels 0.5 to 0.99.  The value is (c/theta) expm1(c/p) / (c/p) with
-    c = log beta + L, the scalar objective at t'.  Order +inf is the
+    levels 0.5 to 0.99.  Past a clamp s_max, where theta and theta/|p|
+    would overflow, h is taken at its limit ``top``; when h is still
+    positive at s_max (tiny |p|, whose root lies beyond e^700) the solve
+    stops there with no steps.  The value is (c/theta) expm1(c/p) / (c/p)
+    with c = log beta + L, the scalar objective at t'.  Order +inf is the
     same code with phi(z) = z (the limit as |p| grows): u = 1, the density
     is the exponential tilt e^(theta y - L) and the value (log beta + L)/theta.
 
@@ -238,10 +245,22 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     def h_at(L: float, mean: float) -> float:
         return log_beta + L + (p * math.log1p(-mean) if finite else -mean)
 
-    def h(s: float) -> float:
-        return top if s > s_max else h_at(*moments(math.exp(s))[1:])
+    at_clamp = []  # h at s_max, taken the first time the bracket passes it
 
-    s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, DEFAULT_TOL)
+    def h(s: float) -> float:
+        if s <= s_max:
+            return h_at(*moments(math.exp(s))[1:])
+        if not at_clamp:
+            at_clamp.append(h_at(*moments(math.exp(s_max))[1:]))
+            if at_clamp[0] > 0.0:
+                raise _PastClamp
+        return top
+
+    try:
+        s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, DEFAULT_TOL)
+    except _PastClamp:
+        # steps could only close on the jump from h(s_max) > 0 to top
+        s, iterations = s_max, 0
     theta = math.exp(min(s, s_max))
     i, L, mean = moments(theta)
     c = log_beta + L

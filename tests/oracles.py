@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from renyi_risk import DiscreteDistribution, RiskSpec, conjugate, expectation, from_samples
-from renyi_risk.duality import _feasible_mask
 from renyi_risk.evar import _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
@@ -320,6 +319,10 @@ def evar_shannon_alloc(d: DiscreteDistribution, alpha: float, theta_tol: float):
     return m + s * value, theta / s, iterations, np.exp(theta * y - lam)
 
 
+class _PastClamp(Exception):
+    """h is still positive at the clamp s_max."""
+
+
 def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
     """``evar.evar_power``'s solve in s = log theta on freshly allocated
     arrays, term for term, for every order (finite p > 1, p < 0, +inf):
@@ -348,10 +351,21 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     def h_at(L: float, mean: float) -> float:
         return log_beta + L + (p * math.log1p(-mean) if finite else -mean)
 
-    def h(s: float) -> float:
-        return top if s > s_max else h_at(*moments(math.exp(s)))
+    at_clamp = []
 
-    s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)
+    def h(s: float) -> float:
+        if s <= s_max:
+            return h_at(*moments(math.exp(s)))
+        if not at_clamp:
+            at_clamp.append(h_at(*moments(math.exp(s_max))))
+            if at_clamp[0] > 0.0:
+                raise _PastClamp
+        return top
+
+    try:
+        s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)
+    except _PastClamp:
+        s, iterations = s_max, 0
     theta = math.exp(min(s, s_max))
     L, mean = moments(theta)
     c = log_beta + L
@@ -422,6 +436,20 @@ def refine_offsets_reference(n: int) -> np.ndarray:
     return np.column_stack([offs, last])[np.abs(last) <= reach]
 
 
+def budget_mask_reference(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
+                          log_beta: float) -> np.ndarray:
+    """Rows q (q_i = p_i Z_i) whose density Z = q / p is inside the entropy
+    budget: E Z log Z <= log beta at p' = 1, else E Z^p' <= beta^(p' - 1)
+    for p' > 1 and >= for p' < 1, each row's moment a sum over its atoms."""
+    p = d.probs
+    if pprime == 1.0:
+        safe = np.where(Q > 0.0, Q, 1.0)
+        return (np.where(Q > 0.0, Q * np.log(safe / p), 0.0)).sum(axis=1) <= log_beta
+    moment = (p * (Q / p) ** pprime).sum(axis=1)
+    bound = math.exp(log_beta * (pprime - 1.0))
+    return moment <= bound if pprime > 1.0 else moment >= bound
+
+
 def refine_reference(d: DiscreteDistribution, q0: np.ndarray, val0: float, pprime: float,
                      log_beta: float, resolution: int):
     """The oracle's local refinement in one pass: the budget tested on every
@@ -431,7 +459,7 @@ def refine_reference(d: DiscreteDistribution, q0: np.ndarray, val0: float, pprim
     offs = refine_offsets_reference(d.n_atoms)
     Q = q0[None, :] + offs.astype(np.float64) / (20.0 * resolution)
     Q = Q[np.all(Q >= 0.0, axis=1)]
-    Q = Q[_feasible_mask(Q, d, pprime, log_beta)]
+    Q = Q[budget_mask_reference(Q, d, pprime, log_beta)]
     if Q.shape[0] == 0:
         return val0, q0
     obj = Q @ d.values
@@ -449,7 +477,7 @@ def sup_oracle_reference(d: DiscreteDistribution, spec: RiskSpec, resolution: in
     log_beta = -math.log1p(-spec.alpha)
     grid = lattice_reference(d.n_atoms, resolution, resolution)
     Q = grid.astype(np.float64) / resolution
-    Q = Q[_feasible_mask(Q, d, pprime, log_beta)]
+    Q = Q[budget_mask_reference(Q, d, pprime, log_beta)]
     best_val, best_q = expectation(d), d.probs.copy()
     obj = Q @ d.values
     k = int(np.argmax(obj))

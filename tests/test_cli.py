@@ -331,6 +331,14 @@ class TestEntropyCommand:
         assert code == 0
         assert json.loads(out)["entries"] == [{"q": 2.0, "entropy": 0.0}]
 
+    def test_order_zero_of_a_full_support_prints_positive_zero(self, capsys, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("value,weight,density\n1,1,1.0\n2,1,1.0\n", encoding="utf-8")
+        code, out, _ = run(capsys, ["entropy", "--input", str(path), "--q", "0"])
+        assert code == 0
+        [entry] = json.loads(out)["entries"]
+        assert math.copysign(1.0, entry["entropy"]) == 1.0  # printed -0.0
+
     def test_infinite_order_token(self, capsys, density_csv):
         code, out, _ = run(capsys, ["entropy", "--input", density_csv, "--q", "inf", "0"])
         assert code == 0

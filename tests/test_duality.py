@@ -28,7 +28,7 @@ from renyi_risk import (
     norm_equivalence_bounds,
     sup_oracle,
 )
-from renyi_risk.duality import _CHUNK, _REACH, _lattice
+from renyi_risk.duality import _CHUNK, _REACH, _first_nonnegative_steps, _lattice
 from oracles import (
     dual_norm_grid,
     kusuoka_reference,
@@ -148,14 +148,22 @@ class TestSupOracle:
         rng = np.random.default_rng(60 + n)
         if resolution == 1000:
             assert _lattice(n, resolution, resolution).shape[0] > _CHUNK
-        for p in (2.0, 4.0, 10.0, 1.5, -0.5, -1.0, -2.0):
+        cases = []
+        for p in (2.0, 4.0, 10.0, 1.5, -0.5, -1.0, -2.0, math.inf):
             for lo in (0.0, -5.0):
-                d = rand_dist(rng, n, lo=lo, hi=5.0)
-                spec = RiskSpec(float(rng.uniform(0.2, 0.8)), p)
-                val, z = sup_oracle(d, spec, resolution)
-                ref_val, ref_q = sup_oracle_reference(d, spec, resolution)
-                assert z.weights.tobytes() == (ref_q / d.probs).tobytes()
-                assert abs(val - ref_val) <= 2.0 * np.spacing(abs(ref_val))
+                cases.append((rand_dist(rng, n, lo=lo, hi=5.0),
+                              RiskSpec(float(rng.uniform(0.2, 0.8)), p)))
+        # integer values and weights: many rows tie on the objective.  The
+        # level is drawn, not a round one, so that no row sits exactly on the
+        # budget, where the reference's own budget sum may round the other way
+        tied = from_samples(rng.choice(np.arange(-3, 4), n, replace=False), rng.integers(1, 4, n))
+        cases += [(tied, RiskSpec(float(rng.uniform(0.2, 0.8)), p))
+                  for p in (2.0, 4.0, -1.0, -2.0, math.inf)]
+        for d, spec in cases:
+            val, z = sup_oracle(d, spec, resolution)
+            ref_val, ref_q = sup_oracle_reference(d, spec, resolution)
+            assert z.weights.tobytes() == (ref_q / d.probs).tobytes()
+            assert abs(val - ref_val) <= 2.0 * np.spacing(abs(ref_val))
 
     def test_matches_the_reference_when_refinement_finds_nothing(self):
         # the top atom is heavy enough to take all the mass: the grid corner
@@ -179,6 +187,44 @@ class TestSupOracle:
             assert not lattice.flags.writeable
             with pytest.raises(ValueError):
                 lattice[0, 0] = 1
+
+    @pytest.mark.parametrize("resolution", [10, 37, 80, 1000])
+    def test_step_thresholds_match_the_float_predicate(self, resolution):
+        # a refinement row is a measure exactly where each entry reaches its
+        # atom's threshold; origins at exact zeros, at 1e-18, and at and one
+        # ulp either side of every multiple of the step up to k steps
+        scale = 20.0 * resolution
+        for n in range(2, 7):
+            k = _REACH[n]
+            pool = [0.0, 1e-18, 0.5]
+            for j in range(k + 1):
+                edge = j / scale
+                pool += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+            origins = np.resize(pool, (math.ceil(len(pool) / n), n))
+            rows = _lattice(n, n * k, 2 * k)
+            steps = range(2 * k + 1)
+            for origin in origins:
+                low = _first_nonnegative_steps(origin, k, scale)
+                for i in range(n):
+                    nonnegative = [origin[i] + (j - k) / scale >= 0.0 for j in steps]
+                    assert nonnegative == [j >= low[i] for j in steps]
+                # and so for every step row, through the scan's own expression
+                Q = np.divide(rows - k, scale, dtype=np.float64)
+                Q += origin
+                assert np.array_equal(Q >= 0.0, rows >= low)
+
+    def test_lattice_build_peak_at_4_atoms_and_resolution_400(self):
+        # the 87 MB grid test_acceptance c03 scans; built through int64
+        # temporaries and a copy per column it peaked at 348 MB
+        _lattice.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = _lattice(4, 400, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.nbytes == math.comb(403, 3) * 4 * 2
+        assert peak < 250e6
 
     #: (atoms, resolution) of every grid the oracle tests and the benchmark's
     #: dual_check build; the cache test adds 3 atoms at 10 to 21

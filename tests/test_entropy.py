@@ -82,6 +82,11 @@ class TestEntropyBranches:
         z = Density(d, np.array([0.0, 1.0 / 0.3, 0.0]))
         assert renyi_entropy(z, 0.0) == pytest.approx(-math.log(0.3), abs=1e-14)
 
+    def test_order_zero_of_a_full_support_is_positive_zero(self):
+        # -log 1 is -0.0
+        z = Density(from_samples([1, 2]), np.ones(2))
+        assert math.copysign(1.0, renyi_entropy(z, 0.0)) == 1.0
+
 
 class TestDivergences:
     def test_constant_density_divergences_vanish(self):

@@ -285,6 +285,17 @@ class TestNegativeOrder:
         assert r.iterations > 0
         assert len(calls) == r.iterations + 3
 
+    @pytest.mark.parametrize("alpha, residual", [(0.3, 0.06711699831313034),
+                                                 (0.49, 0.38378660763816363)])
+    def test_tiny_order_stops_at_the_clamp_without_steps(self, alpha, residual):
+        # the root of h lies past theta = e^700: the solve used to spend
+        # 45 and 55 steps closing on the clamp, with these results
+        r = evar_power(from_samples([0.0, 1.0]), alpha, -1e-3)
+        assert r.iterations == 0
+        assert r.value == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(r.density.weights, [9.792340943536091e-305, 2.0], rtol=1e-12, atol=0.0)
+        assert r.residual == pytest.approx(residual, rel=1e-12)
+
     def test_power_solver_rejects_orders_outside_its_regimes(self):
         d = from_samples([0.0, 1.0, 2.0])
         for p in (0.5, 1.0, -math.inf, math.nan):

@@ -138,6 +138,14 @@ class TestScratchKernelParity:
         for alpha in (0.5, 0.8):
             assert_same_solve(evar_power(d, alpha, 2.0), evar_theta_alloc(d, alpha, 2.0, DEFAULT_TOL))
 
+    def test_root_past_the_clamp(self):
+        # at p = -1e-3 the root of h lies past theta = e^700: both stop at the
+        # clamp with no steps
+        d = from_samples([0.0, 1.0])
+        for alpha in (0.3, 0.49):
+            assert_same_solve(evar_power(d, alpha, -1e-3),
+                              evar_theta_alloc(d, alpha, -1e-3, DEFAULT_TOL))
+
     @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are read on Linux")
     def test_large_solve_reuses_its_scratch(self):
         # each evaluation of the allocating twin maps fresh ~1.6 MB
