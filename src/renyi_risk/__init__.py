@@ -34,7 +34,6 @@ from .evar import (
 from .duality import (
     DegenerateBranchError,
     KusuokaMeasure,
-    NoFiniteWitnessError,
     alt_dual_check,
     dual_norm,
     dual_norm_raw,

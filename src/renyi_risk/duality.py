@@ -2,10 +2,9 @@
 
 Everything here works against the defining supremum of the risk family: a
 simplex-grid oracle enumerates feasible reweightings directly, each dual
-norm is the maximum over one scalar of a ratio of closed-form moments,
-found by one ``find_root`` solve per regime on a bracket the formulas give
-(with the limit E|Z| as the other candidate), together with the extremal
-pairing attaining it, and the Kusuoka (mixture of tail means)
+norm is E max(|Z|, u*) at the least water level u* whose floored density
+meets the entropy budget, found by one ``find_root`` solve, together with
+the extremal pairing attaining it, and the Kusuoka (mixture of tail means)
 representation is rebuilt from the attaining density.
 """
 
@@ -27,7 +26,7 @@ from .distribution import (
     expectation,
     from_samples,
 )
-from .entropy import Density
+from .entropy import Density, renyi_entropy
 from .evar import RiskSpec, _top_atom_test, avar, conjugate, evar, evar_power
 from .solver import find_root
 
@@ -35,12 +34,11 @@ _GRID_ROW_CAP = 50_000_000
 _CHUNK = 65_536
 #: The refinement's reach per atom count, in steps of a twentieth of the grid step.
 _REACH = {1: 0, 2: 20, 3: 20, 4: 20, 5: 12, 6: 7}
-#: The dual-norm solve's stopping width in the level u of |Z|, in units of max |Z|.
-_LEVEL_TOL = 1e-11
-
-
-class NoFiniteWitnessError(RuntimeError):
-    """The dual-norm supremum is approached only as the scalar parameter grows."""
+#: The dual-norm solve's stopping width in the water level u, in units of max |Z|.
+#: The value E max(x, u) moves by up to the width itself, so any coarser width
+#: shows in the value (1e-11 leaves it up to 1.3e-10 off); the solve runs to
+#: float resolution.
+_LEVEL_TOL = 1e-16
 
 
 class DegenerateBranchError(RuntimeError):
@@ -203,25 +201,24 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
 
 
 def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
-                     p: float) -> Tuple[float, Optional[np.ndarray]]:
-    """Dual norm by one root solve; returns (value, |Y'| attaining it, or None).
+                     p: float) -> Tuple[float, np.ndarray]:
+    """Dual norm by one root solve in the water level; returns (value, |Y'| attaining it).
 
-    With W = |Z|^(p'-1) (0 for p > 1 and inf for p < 0 where Z = 0) the
-    extremal pairings are Y(t) = (t + W)_+ for p > 1 and (t - W)_+ for
-    p < 0.  The dual norm is the supremum over t of N/D, with N = E|Z| Y(t)
-    and D the risk objective of Y(t) at s = t, so every ratio is a lower
-    bound.  In both regimes Y(t) is positive exactly where |Z| exceeds a
-    level u, with t = -u^(p'-1) for p > 1 and u^(p'-1) for p < 0, so the
-    search runs over u in [0, max |Z|]: t over [-max W, 0] and over
-    [min W, inf).  At u = max |Z| the pairing vanishes.  At u = 0 the sign
-    of the slope N'D - ND' has the closed form
-    sign * (beta^(1/p) E|Z| - ||Z||_p'), sign = +1 for p > 1 and -1 for
-    p < 0.  Where it is not negative the ratio rises to its limit E|Z| (for
-    p > 1 it is a ratio of linear functions once t >= 0), and E|Z| is the
-    value.  Otherwise ``find_root`` brackets the stationary point on
-    [0, max |Z|], with the closed form as its value at 0.  ``None`` marks a
-    p < 0 supremum approached only as t -> inf; for p > 1 that case has the
-    constant witness.
+    The unit dual ball is the solid hull of the densities inside the entropy
+    budget, so the dual norm is E max(|Z|, u*), with u* the least level u at
+    which max(|Z|, u) / E max(|Z|, u) meets the budget.  In units of
+    max |Z|, x = |Z| / max |Z|, the solve roots the slack
+    log beta - H_p'(max(x, u) / E max(x, u)), H_p' being ``renyi_entropy``
+    of order p'.  Raising the floor u gives a density majorized by the last
+    one, and H_p' is Schur-concave, so the slack is nondecreasing in u.  It
+    is constant below min x and equals log beta > 0 at u = 1.  Where it is
+    not negative at min x, u* = min x and the value is E|Z|; otherwise
+    ``find_root`` brackets u* on [min x, 1].  The attaining pairing is
+    (x^(p'-1) - u*^(p'-1))_+ for p > 1 and (u*^(p'-1) - x^(p'-1))_+ for
+    p < 0, zero wherever Z is; in the E|Z| case it is the constant, in both
+    regimes.  Both sides of the pairing equality are 1-homogeneous in Y',
+    so it is returned in units of max |Z| and divided by |p' - 1|, which
+    keeps it finite near p' = 1 and gives (log x - log u*)_+ at p' = 1.
     """
     if math.isnan(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
@@ -230,72 +227,42 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     w = np.abs(np.asarray(weights, dtype=float).ravel())
     if w.shape != d.values.shape:
         raise ValueError("weights must match the distribution's atoms")
-    high = p > 1.0
-    sign = 1.0 if high else -1.0
     pr = d.probs
-    pw = pr * w
-    limit = float(pw.sum())
-    at_limit = np.ones(w.size) if high else None
     w_max = float(w.max())
     if w_max == 0.0:  # the zero functional
-        return limit, at_limit
-    # levels in units of max |Z|, so W = 1 at the largest weight: max W for
-    # p > 1, min W for p < 0, where p' - 1 is negative
-    pos = w > 0.0
-    pprime = conjugate(p)
-    W = np.power(w / w_max, pprime - 1.0,
-                 out=np.full(w.size, 0.0 if high else math.inf), where=pos)
-    pwW = np.multiply(pw, W, out=np.zeros(w.size), where=pos)
-    beta_pow = math.exp(-math.log1p(-alpha) / p)
+        return 0.0, np.ones(w.size)
+    x = w / w_max
+    pprime, log_beta = conjugate(p), -math.log1p(-alpha)
 
-    def parts(t: float) -> Tuple[float, float, np.ndarray]:
-        """N/D, N'D - ND' (right derivatives in t) and Y(t) at a finite t.
+    def slack(u: float) -> float:
+        if u >= 1.0:  # the constant density, of entropy 0
+            return log_beta
+        v = np.maximum(x, u)
+        return log_beta - renyi_entropy(Density(d, v / float(pr @ v)), pprime)
 
-        With A = N' and B the E|Z|W terms where Y > 0, N'D - ND' is
-        sign (A K - B) + N (1 - D'), K = beta^(1/p) ||x||_p, which keeps
-        the terms of size t in N and D from cancelling.
-        """
-        s = t + sign * W
-        y = np.maximum(s, 0.0)
-        on = s >= 0.0
-        x = np.where(on, W, -sign * t)  # the gap sign (Y - t) of the objective at t
-        m = float(pr @ x ** p)
-        k = beta_pow * m ** (1.0 / p)
-        num = float(pw @ y)
-        # 1 - D' = beta^(1/p) M^(1/p - 1) E[x^(p-1); Y = 0], where x = |t|
-        drop = beta_pow * m ** (1.0 / p - 1.0) * abs(t) ** (p - 1.0) * float(pr @ ~on)
-        slope = sign * (float(pw @ on) * k - float(pwW @ on)) + num * drop
-        return num / (t + sign * k), slope, y
-
-    def to_t(u: float) -> float:
-        return -sign * u ** (pprime - 1.0)
-
-    # N'D - ND' where Y > 0 wherever Z is and N (1 - D') has died out: at
-    # t = 0 for p > 1, as t -> inf for p < 0
-    tail = sign * (limit * beta_pow * float(pr @ W ** p) ** (1.0 / p) - float(pwW.sum()))
-    if tail >= 0.0:
-        return limit, at_limit
-    u, _ = find_root(lambda u: tail if u == 0.0 else parts(to_t(u))[1], 0.0, 1.0, _LEVEL_TOL)
-    r, _, y = parts(to_t(u))
-    if r >= limit:
-        return r, w_max ** (pprime - 1.0) * y
-    return limit, at_limit
+    low = float(x.min())
+    if slack(low) >= 0.0:
+        return float(pr @ w), np.ones(w.size)
+    u, _ = find_root(slack, low, 1.0, _LEVEL_TOL)
+    # (x^e - u^e) / e with e = p' - 1, positive exactly where x > u in both
+    # regimes, as x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
+    e = pprime - 1.0
+    top = x > u
+    gap = np.log(x[top] / u)
+    y = np.zeros(x.size)
+    y[top] = -np.expm1(-e * gap) / e * x[top] ** e if e else gap
+    return w_max * float(pr @ np.maximum(x, u)), y
 
 
 def dual_norm(z: Density, alpha: float, p: float) -> float:
-    """Dual norm of a density against the risk-induced norm, by one root solve.
+    """Dual norm of a density against the risk-induced norm, as a water level.
 
-    The dual norm is the supremum over t of E[Z Y(t)] / D(t) for the
-    one-parameter family of extremal pairings Y(t), clipped at zero so that
-    maximizers vanishing on some atoms are covered, with D(t) the risk
-    objective of Y(t) at t.  Its limit E|Z| is always a candidate, and a
-    closed form says whether the ratio still rises toward it.  Otherwise
-    ``find_root`` solves N'D = ND' once, on the bracket the formulas give:
-    t in [-max W, 0] for p > 1, where the ratio is monotone for t >= 0, and
-    t in [min W, inf) for p < 0.  Where Z vanishes on some atoms the p < 0
-    ratio can peak beyond the largest finite W, so that tail is searched
-    too.  That the ratio is unimodal is tested against a dense grid, not
-    proved.  Memory and time per evaluation are linear in the atoms.
+    The unit dual ball is the solid hull of the feasible densities, so the
+    dual norm is E max(|Z|, u*): the least level u* at which the density
+    max(|Z|, u) / E max(|Z|, u) meets the entropy budget is the one root
+    of a slack that is nondecreasing in u, found by one ``find_root``
+    solve, and u* = min |Z| (the value E|Z|) where |Z| / E|Z| already
+    meets it.  Memory and time per evaluation are linear in the atoms.
     """
     return _dual_norm_parts(z.dist, z.weights, alpha, p)[0]
 
@@ -334,19 +301,14 @@ def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
 def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
     """Per-atom variable Y' attaining E Y'Z = risk(|Y'|) * dual_norm(Z).
 
-    It is the extremal pairing Y(t) at the optimizer of the dual-norm
-    solve, signed like Z, so both come from one computation: (t + W)_+ for
-    p > 1 and (t - W)_+ for p < 0, zero wherever Z is.  For p > 1 with the
-    supremum only in the t -> inf limit the constant witness is returned
-    (exact for unit-mean densities).  For p < 0 that case has no finite
-    witness and raises ``NoFiniteWitnessError``.
+    It is the pairing of the dual-norm solve at its water level u*, signed
+    like Z, so both come from one computation: with x = |Z| / max |Z|,
+    (x^(p'-1) - u*^(p'-1))_+ for p > 1 and (u*^(p'-1) - x^(p'-1))_+ for
+    p < 0, divided by |p' - 1|, zero wherever Z is.  Where the dual norm is
+    E|Z| it is the signed constant, in both regimes.  Every finite p > 1 or
+    p < 0 has one.
     """
-    y = _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
-    if y is None:
-        raise NoFiniteWitnessError(
-            "supremum approached only as t -> inf; the dual norm equals E|Z|"
-        )
-    return _sign(z.weights) * y
+    return _sign(z.weights) * _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
 
 
 def alt_dual_check(d: DiscreteDistribution, spec: RiskSpec, trials: int,

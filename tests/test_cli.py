@@ -292,6 +292,16 @@ class TestDualnormCommand:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["dual_norm"] >= 1.0
 
+    def test_order_near_one_on_a_spread_density(self, capsys, tmp_path):
+        # p' = 1001: a witness scale of max |Z|^(p'-1) overflowed here
+        path = tmp_path / "z.csv"
+        path.write_text("value,weight,density\n0,0.4,0.5\n1,0.4,0.5\n2,0.2,3.0\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, ["dualnorm", "--input", str(path),
+                                    "--alpha", "0.5", "--order", "1.001"])
+        assert code == 0
+        assert json.loads(out)["dual_norm"] == pytest.approx(1.4986275652075494, rel=1e-12)
+
     def test_invalid_density_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "z.csv"
         bad.write_text("value,density\n0,2.0\n1,2.0\n", encoding="utf-8")

@@ -10,7 +10,6 @@ import pytest
 from renyi_risk import (
     Density,
     DegenerateBranchError,
-    NoFiniteWitnessError,
     RiskSpec,
     alt_dual_check,
     avar,
@@ -26,6 +25,7 @@ from renyi_risk import (
     kusuoka,
     kusuoka_evaluate,
     norm_equivalence_bounds,
+    renyi_entropy,
     sup_oracle,
 )
 from renyi_risk.duality import _CHUNK, _REACH, _first_nonnegative_steps, _lattice
@@ -338,6 +338,35 @@ class TestDualNorm:
             for lam in (0.25, 2.0, 7.5):
                 assert dual_norm_raw(d, lam * w, 0.5, p) == pytest.approx(lam * base, rel=1e-8)
 
+    def test_scale_of_the_functional_near_order_one(self):
+        # at p' = 1001 a witness scale of max |Z|^(p'-1) overflowed
+        d = from_samples([0.0, 1.0, 2.0], [0.4, 0.4, 0.2])
+        w = np.array([0.5, 0.5, 3.0])
+        assert dual_norm_raw(d, w, 0.5, 1.001) == pytest.approx(
+            3.0 * dual_norm_raw(d, w / 3.0, 0.5, 1.001), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1e100, -1e100])
+    def test_orders_whose_conjugate_rounds_to_one(self, p):
+        # p' = 1 exactly: the entropy budget is the Kullback-Leibler one, and
+        # the value is the limit of large finite orders
+        d = from_samples([0.0, 1.0, 2.0], [0.4, 0.4, 0.2])
+        z = Density(d, np.array([0.5, 0.5, 3.0]))
+        value = dual_norm(z, 0.1, p)
+        assert value > 1.4
+        assert value == pytest.approx(dual_norm(z, 0.1, math.copysign(1e8, p)), rel=1e-7)
+        y = hb_witness_for(z, 0.1, p)
+        risk = evar(from_samples(np.abs(y), d.probs), RiskSpec(0.1, p)).value
+        assert pair_with(y, d, z) == pytest.approx(risk * value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1e4, -1e4])
+    def test_budget_below_the_rounding_of_the_constant_density(self, p):
+        # log beta = 1e-15 lies below the rounding of the constant density's
+        # entropy at p' = 1 +- 1e-4, so the top of the level bracket must be
+        # taken as exact; as the level reaches it the value nears max |Z|
+        d = from_samples([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
+        value = dual_norm_raw(d, np.array([1.0, 2.0, 40.0]), 1e-15, p)
+        assert 40.0 * (1.0 - 1e-6) <= value <= 40.0
+
     def test_invalid_orders_rejected(self):
         d = from_samples([0, 1])
         z = Density(d, np.ones(2))
@@ -372,7 +401,9 @@ MIX_ORDERS = (1.5, 2.0, 4.0, 10.0, -0.5, -1.0, -2.0, -5.0)
 
 
 class TestDualNormSolve:
-    """One root solve per regime, checked against a dense-grid reference."""
+    """One water-level solve, checked against the best ratio of the extremal
+    pairings on a dense grid (``oracles.dual_norm_grid``), an independent
+    formulation."""
 
     @pytest.mark.parametrize("weights, expected", [
         ([0.0, 0.0, 1.0 / 0.3], 1.0435607626104002),
@@ -388,6 +419,27 @@ class TestDualNormSolve:
         y = hb_witness_for(z, 0.5, -1.0)
         risk = evar(from_samples(np.abs(y), d.probs), RiskSpec(0.5, -1.0)).value
         assert value == pytest.approx(pair_with(y, d, z) / risk, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 10.0, -0.5, -2.0, -5.0])
+    def test_floored_entropy_is_nonincreasing_in_the_level(self, p):
+        # the fact the solve rests on: raising the floor u of x = |Z| / max |Z|
+        # gives a density majorized by the last one, so its order-p' entropy
+        # cannot rise; below min x the density does not change
+        rng = np.random.default_rng(45)
+        pprime = conjugate(p)
+        levels = np.linspace(0.0, 1.0, 1001)
+        for case in range(8):
+            n = int(rng.integers(2, 30))
+            d = rand_dist(rng, n)
+            x = rng.lognormal(sigma=1.5, size=n)
+            if case % 2:
+                x[rng.choice(n, int(rng.integers(1, n)), replace=False)] = 0.0
+            x /= x.max()
+            h = np.array([renyi_entropy(Density(d, v / np.dot(d.probs, v)), pprime)
+                          for v in np.maximum(x, levels[:, None])])
+            assert np.all(np.diff(h) <= 1e-13 * (1.0 + np.abs(h[1:])))
+            assert np.all(h[levels <= x.min()] == h[0])
+            assert abs(h[-1]) <= 1e-13
 
     def test_zero_weights_never_below_a_grid_ratio(self):
         rng = np.random.default_rng(41)
@@ -511,27 +563,29 @@ class TestHahnBanachWitnesses:
             rhs = evar(dy, RiskSpec(0.5, 2.0)).value * dual_norm(z, 0.5, 2.0)
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
+    def test_witness_where_the_dual_norm_is_the_mean(self):
+        # |Z| / E|Z| meets the order -1 budget, so the dual norm is E|Z| and
+        # the constant attains it; there used to be no witness here
+        d = from_samples([1.0, 2.0, 3.0], [0.4, 0.3, 0.3])
+        z = Density(d, np.array([0.9, 1.0, 1.1333333333333333]))
+        y = hb_witness_for(z, 0.5, -1.0)
+        assert np.all(y == y[0]) and y[0] > 0.0
+        value = dual_norm(z, 0.5, -1.0)
+        assert value == pytest.approx(float(np.dot(d.probs, z.weights)), rel=1e-15)
+        risk = evar(from_samples(np.abs(y), d.probs), RiskSpec(0.5, -1.0)).value
+        assert pair_with(y, d, z) == pytest.approx(risk * value, rel=1e-12)
+
     def test_witness_negative_order_finite_or_signalled(self):
         rng = np.random.default_rng(27)
-        seen_finite = seen_limit = False
         for _ in range(20):
             d = rand_dist(rng, 3)
             q = rng.dirichlet(np.ones(3) * 0.8)
             z = Density(d, q / d.probs)
-            try:
-                y = hb_witness_for(z, 0.5, -1.0)
-            except NoFiniteWitnessError:
-                seen_limit = True
-                assert dual_norm(z, 0.5, -1.0) == pytest.approx(
-                    float(np.dot(d.probs, np.abs(z.weights))), abs=1e-12
-                )
-                continue
-            seen_finite = True
+            y = hb_witness_for(z, 0.5, -1.0)
             lhs = pair_with(y, d, z)
             dy = from_samples(np.abs(y), d.probs)
             rhs = evar(dy, RiskSpec(0.5, -1.0)).value * dual_norm(z, 0.5, -1.0)
             assert lhs == pytest.approx(rhs, rel=1e-6)
-        assert seen_finite or seen_limit
 
 
 class TestAlternativeDual:
