@@ -15,7 +15,6 @@ from .distribution import (
 from .entropy import (
     Density,
     hellinger_divergence,
-    kl_divergence,
     renyi_entropy,
 )
 from .solver import SolverError, find_root

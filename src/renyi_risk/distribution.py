@@ -91,32 +91,34 @@ def var_level(d: DiscreteDistribution, alpha: float) -> float:
         raise ValueError("alpha must lie in [0,1)")
     if alpha == 0.0:
         return essinf(d)
-    return float(d.values[_quantile_split(d, alpha)[0]])
+    return float(d.values[_quantile_split(d, 1.0 - alpha)[0]])
 
 
-def _tail_sums(probs: np.ndarray) -> np.ndarray:
-    """``tail[i]``: the probability of atom i and every atom after it.
+def _tail_sums(x: np.ndarray) -> np.ndarray:
+    """``tail[i]``: the sum of x over atom i and every atom after it; tail[n] = 0.
 
     Summed once from the last atom, in extended precision where the platform
     has it, and rounded once, so small tails keep their relative precision
     and every tail is near exact at any atom count.
     """
-    return np.cumsum(probs[::-1], dtype=np.longdouble)[::-1].astype(float)
+    sums = np.zeros(x.size + 1, dtype=np.longdouble)
+    np.cumsum(x[::-1], dtype=np.longdouble, out=sums[1:])
+    return sums[::-1].astype(float)
 
 
-def _quantile_split(d: DiscreteDistribution, alpha: float) -> Tuple[int, float]:
-    """``(i, upper)``: the index of the lower quantile at alpha in (0, 1) and
-    the probability of the atoms above it.
+def _quantile_split(d: DiscreteDistribution, tail):
+    """``(i, upper)``: the index of the lower quantile at level 1 - tail and
+    the probability of the atoms above it, for one upper tail in (0, 1] or
+    an array of them.
 
-    P(Y <= v_i) >= alpha is read as P(Y > v_i) <= 1 - alpha on the upper
+    P(Y <= v_i) >= 1 - tail is read as P(Y > v_i) <= tail on the upper
     tails, so the atom chosen and the tail the tail-mean density splits
-    against are the same numbers: the tail above the atom below the
-    quantile exceeds 1 - alpha, so at most the quantile atom's own
+    against are the same numbers: at most the quantile atom's own
     probability is left to split.
     """
-    above = _tail_sums(d.probs)[:0:-1]  # above[k]: the mass of the top k + 1 atoms
-    k = int(np.searchsorted(above, 1.0 - alpha, side="right"))
-    return d.n_atoms - 1 - k, float(above[k - 1]) if k else 0.0
+    above = _tail_sums(d.probs)[::-1]  # above[k]: the mass of the top k atoms
+    k = np.searchsorted(above[1:-1], tail, side="right")
+    return d.n_atoms - 1 - k, above[k]
 
 
 def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:

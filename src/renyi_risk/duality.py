@@ -20,14 +20,14 @@ import numpy as np
 
 from .distribution import (
     DiscreteDistribution,
+    _quantile_split,
     _tail_sums,
-    essinf,
     esssup,
     expectation,
     from_samples,
 )
 from .entropy import Density, renyi_entropy
-from .evar import RiskSpec, _top_atom_test, avar, conjugate, evar, evar_power
+from .evar import RiskSpec, _top_atom_test, conjugate, evar, evar_power
 from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
@@ -336,44 +336,45 @@ def alt_dual_check(d: DiscreteDistribution, spec: RiskSpec, trials: int,
 
 @dataclass(frozen=True)
 class KusuokaMeasure:
-    """Discrete mixing measure over tail levels plus its distortion profile.
+    """Discrete mixing measure over tail levels, stored as its distortion profile.
 
-    ``levels``/``masses`` give the measure; ``breakpoints``/``heights``
-    describe the right-continuous step function sigma on [0, 1) (the
-    quantile profile of the attaining density).  Total mass and the
-    integral of sigma are both 1.
+    The distortion is h_k = ``heights[k]`` from level 1 - ``tails[k]`` on, with
+    tails 1 = tau_0 > tau_1 > ... > 0 and heights nonnegative, nondecreasing;
+    the measure puts mass tau_k (h_k - h_(k-1)) at level 1 - tau_k (h_(-1) = 0).
+    Its one invariant, total mass 1, is also the integral of the distortion.
+    ``levels``, ``masses`` (without the level-0 entry where h_0 = 0),
+    ``breakpoints``, ``atoms`` and ``distortion`` are views.
     """
 
-    levels: np.ndarray
-    masses: np.ndarray
-    breakpoints: np.ndarray
+    tails: np.ndarray
     heights: np.ndarray
 
     def __post_init__(self) -> None:
-        lv = np.asarray(self.levels, dtype=float).ravel()
-        ms = np.asarray(self.masses, dtype=float).ravel()
-        bp = np.asarray(self.breakpoints, dtype=float).ravel()
-        ht = np.asarray(self.heights, dtype=float).ravel()
-        if lv.shape != ms.shape or bp.shape != ht.shape:
-            raise ValueError("levels/masses and breakpoints/heights must pair up")
-        if np.any(lv < 0.0) or np.any(lv >= 1.0):
-            raise ValueError("levels must lie in [0,1)")
-        if np.any(ms < 0.0):
-            raise ValueError("masses must be nonnegative")
-        if abs(ms.sum() - 1.0) > 1e-8:
+        t = np.asarray(self.tails, dtype=float).ravel()
+        h = np.asarray(self.heights, dtype=float).ravel()
+        if t.size == 0 or t.shape != h.shape:
+            raise ValueError("tails and heights must pair up")
+        if t[0] != 1.0 or not (np.all(t[1:] < t[:-1]) and t[-1] > 0.0):
+            raise ValueError("tails must start at 1 and decrease strictly, staying above 0")
+        if not (h[0] >= 0.0 and np.all(h[1:] >= h[:-1])):
+            raise ValueError("heights must be nonnegative and nondecreasing")
+        if not abs(float(np.dot(t, np.diff(h, prepend=0.0))) - 1.0) <= 1e-8:
             raise ValueError("total mass must be 1")
-        if bp.size == 0 or bp[0] != 0.0 or np.any(np.diff(bp) <= 0.0) or np.any(bp >= 1.0):
-            raise ValueError("breakpoints must start at 0, increase strictly and stay below 1")
-        if np.any(np.diff(ht) < 0.0):
-            raise ValueError("the distortion must be nondecreasing")
-        seg = np.append(bp, 1.0)
-        integral = float(np.dot(np.diff(seg), ht))
-        if abs(integral - 1.0) > 1e-8:
-            raise ValueError("the distortion must integrate to 1")
-        for name, arr in (("levels", lv), ("masses", ms),
-                          ("breakpoints", bp), ("heights", ht)):
+        for name, arr in (("tails", t), ("heights", h)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        return 1.0 - self.tails
+
+    @property
+    def levels(self) -> np.ndarray:
+        return self.breakpoints[int(self.heights[0] == 0.0):]
+
+    @property
+    def masses(self) -> np.ndarray:
+        return (self.tails * np.diff(self.heights, prepend=0.0))[int(self.heights[0] == 0.0):]
 
     @property
     def atoms(self):
@@ -384,34 +385,34 @@ class KusuokaMeasure:
         return [(float(u), float(h)) for u, h in zip(self.breakpoints, self.heights)]
 
 
-def _measure_from_density(z: Density) -> KusuokaMeasure:
-    # heights: the distinct density values, tail[k] = P(Z >= heights[k])
-    heights, inverse = np.unique(z.weights, return_inverse=True)
-    tail = _tail_sums(np.bincount(inverse, weights=z.dist.probs))
-    breakpoints = np.concatenate(([0.0], 1.0 - tail[1:]))
-    masses = tail[1:] * np.diff(heights)
-    if heights[0] > 0.0:
-        return KusuokaMeasure(breakpoints, np.concatenate((heights[:1], masses)),
-                              breakpoints, heights)
-    return KusuokaMeasure(breakpoints[1:], masses, breakpoints, heights)
-
-
 def kusuoka(d: DiscreteDistribution, spec: RiskSpec) -> KusuokaMeasure:
     """Mixture-of-tail-means representation built from the attaining density.
 
-    The distortion is the quantile profile of the attaining density; the
-    mixing measure puts the profile's starting height at level 0 and mass
-    (1 - u) * jump at each of its jump points u.  Available whenever the
-    risk solve returns a density (boundary indicator branches included).
+    Its heights are the density's distinct values h and its tails P(Z >= h),
+    from one reverse sum; a tail that rounds onto the next spans no level, so
+    its height folds into the next.  Available whenever the risk solve returns
+    a density (boundary indicator branches included).
     """
     res = evar(d, spec)
     if res.density is None:
         raise ValueError("no attaining density in this regime")
-    return _measure_from_density(res.density)
+    heights, inverse = np.unique(res.density.weights, return_inverse=True)
+    tails = np.minimum(_tail_sums(np.bincount(inverse, weights=d.probs))[:-1], 1.0)
+    tails[0] = 1.0
+    keep = np.append(tails[1:] < tails[:-1], True)
+    return KusuokaMeasure(tails[keep], heights[keep])
 
 
 def kusuoka_evaluate(m: KusuokaMeasure, d: DiscreteDistribution) -> float:
-    """Integrate tail means of the distribution against the mixing measure."""
-    return float(
-        sum(mass * avar(d, float(level)).value for level, mass in zip(m.levels, m.masses))
-    )
+    """Integrate tail means of the distribution against the mixing measure.
+
+    That is M + sum_k (h_k - h_(k-1)) I(tau_k), with M = esssup and I(tau)
+    the integral of Y - M over the top tau: the atoms above the tail mean's
+    quantile atom from one reverse sum of P (Y - M), plus the share of that
+    atom the tail leaves.  No term is positive, and no tail divides.
+    """
+    M = esssup(d)
+    idx, upper = _quantile_split(d, m.tails)
+    centred = d.values - M
+    tail_integral = _tail_sums(d.probs * centred)[idx + 1] + (m.tails - upper) * centred[idx]
+    return M + float(np.dot(np.diff(m.heights, prepend=0.0), tail_integral))

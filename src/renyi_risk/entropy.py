@@ -62,20 +62,10 @@ def renyi_entropy(z: Density, q: float) -> float:
 
 
 def hellinger_divergence(z: Density, q: float) -> float:
-    """(E Z^q - 1) / (q - 1); undefined at q = 1 (use kl_divergence)."""
+    """(E Z^q - 1) / (q - 1) = expm1((q - 1) H_q) / (q - 1) with H_q the entropy;
+    undefined at q = 1, whose relative entropy is ``renyi_entropy(z, 1)``."""
     if q == 1.0:
         raise ValueError("order 1 is the Kullback-Leibler case")
     if math.isnan(q) or math.isinf(q):
         raise ValueError("order must be a finite real != 1")
-    w = z.weights
-    p = z.dist.probs
-    pos = w > 0.0
-    if q < 0.0 and not np.all(pos):
-        raise ValueError("negative order needs a strictly positive density")
-    ezq = math.exp(_log_moments(np.log(p[pos]), np.log(w[pos]), q))
-    return (ezq - 1.0) / (q - 1.0)
-
-
-def kl_divergence(z: Density) -> float:
-    """Relative entropy E Z log Z of the reweighted measure from the base."""
-    return renyi_entropy(z, 1.0)
+    return math.expm1((q - 1.0) * renyi_entropy(z, q)) / (q - 1.0)

@@ -158,7 +158,7 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     beta = 1.0 / (1.0 - alpha)
     v, p = d.values, d.probs
     # the lower quantile and the tail above it, from the sums var_level uses
-    idx, upper = _quantile_split(d, alpha)
+    idx, upper = _quantile_split(d, 1.0 - alpha)
     t = float(v[idx])
     # the split is nonnegative, and above 1 only by the rounding of the sums
     # (or at the bottom atom, where they can fall short of 1 - alpha)
@@ -189,20 +189,21 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     phi(z) = p log1p(z/p), the log of u^p at z = theta y, let
     L = log E e^phi(theta y) and w the weights P e^phi / E e^phi.  Then
 
-        h = log beta + L + phi(-E_w[theta y / u])
+        h = log beta + L + phi(-E_w[theta y / u]) = log beta + L + p log E_w[1/u]
 
     is p times the stationarity, and log beta - h is the conjugate-order
-    entropy of the density u^(p-1) / E u^(p-1).  h falls from log beta at
-    theta = 0 to ``top`` < 0 as theta grows, so ``find_root`` finds its
-    root in s = log theta, which keeps relative resolution in theta at both
-    ends.  It starts from [1, 3], where the root lies for most samples at
-    levels 0.5 to 0.99.  Past a clamp s_max, where theta and theta/|p|
-    would overflow, h is taken at its limit ``top``; when h is still
-    positive at s_max (tiny |p|, whose root lies beyond e^700) the solve
-    stops there with no steps.  The value is (c/theta) expm1(c/p) / (c/p)
-    with c = log beta + L, the scalar objective at t'.  Order +inf is the
-    same code with phi(z) = z (the limit as |p| grows): u = 1, the density
-    is the exponential tilt e^(theta y - L) and the value (log beta + L)/theta.
+    entropy of the density u^(p-1) / e^(L + log E_w[1/u]).  h falls from
+    log beta at theta = 0 to ``top`` < 0 as theta grows, so ``find_root``
+    finds its root in s = log theta, which keeps relative resolution in
+    theta at both ends.  It starts from [1, 3], where the root lies for most
+    samples at levels 0.5 to 0.99.  Past a clamp s_max, where theta and
+    theta/|p| would overflow, h is taken at its limit ``top``; when h is
+    still positive at s_max (tiny |p|, whose root lies beyond e^700) the
+    solve stops there with no steps.  The value is (c/theta) expm1(c/p) /
+    (c/p) with c = log beta + L, the scalar objective at t'.  Order +inf is
+    the same code with phi(z) = z (the limit as |p| grows): u = 1, the
+    density is the exponential tilt e^(theta y - L) and the value
+    (log beta + L)/theta.
 
     ``t_star`` is the optimizer m - spread p/theta for finite p, or None
     where that overflows (|p| near the float range); at p = +inf it is the
@@ -232,18 +233,25 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     scratch = np.empty((3, d.n_atoms))
 
     def moments(theta: float) -> Tuple[int, float, float]:
-        # (first atom with u > 0, L, E_w[theta y / (p u)]), or E_w[theta y] at +inf
+        # (first atom with u > 0, L, log E_w[1/u]), or -E_w[theta y] at +inf
         x = np.multiply(theta / p if finite else theta, y, out=scratch[0])
         i = int(np.searchsorted(x, -1.0, side="right")) if finite and p > 0.0 else 0
-        x, a = x[i:], scratch[1, i:]
+        x, a, u = x[i:], scratch[1, i:], scratch[2, i:]
         phi = np.multiply(p, np.log1p(x, out=a), out=a) if finite else x
         top_a, e = _exp_shifted(np.add(logp[i:], phi, out=a))
         total = float(e.sum())
-        q = np.divide(x, np.add(x, 1.0, out=scratch[2, i:]), out=scratch[2, i:]) if finite else x
-        return i, top_a + math.log(total), float(np.dot(e, q)) / total
+        L = top_a + math.log(total)
+        if not finite:
+            return i, L, -float(np.dot(e, x)) / total
+        # E_w[x/u] + E_w[1/u] = 1: sum whichever is below 1/2, so neither cancels
+        mean = float(np.dot(e, np.divide(x, np.add(x, 1.0, out=u), out=u))) / total
+        if mean < 0.5:
+            return i, L, math.log1p(-mean)
+        inv = np.divide(1.0, np.add(x, 1.0, out=u), out=u)
+        return i, L, math.log(float(np.dot(e, inv)) / total)
 
-    def h_at(L: float, mean: float) -> float:
-        return log_beta + L + (p * math.log1p(-mean) if finite else -mean)
+    def h_at(L: float, g: float) -> float:
+        return log_beta + L + (p * g if finite else g)
 
     at_clamp = []  # h at s_max, taken the first time the bracket passes it
 
@@ -262,15 +270,15 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
         # steps could only close on the jump from h(s_max) > 0 to top
         s, iterations = s_max, 0
     theta = math.exp(min(s, s_max))
-    i, L, mean = moments(theta)
+    i, L, g = moments(theta)
     c = log_beta + L
     r = c / p
     value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))
-    # the density u^(p-1) / E u^(p-1), with log E u^(p-1) = L + log1p(-mean)
+    # the density u^(p-1) / E u^(p-1), with log E u^(p-1) = L + log E_w[1/u]
     x = scratch[0, i:]
     if finite:
         e = np.multiply(p - 1.0, np.log1p(x, out=x), out=x)
-        np.subtract(e, L + math.log1p(-mean), out=e)
+        np.subtract(e, L + g, out=e)
         t_star = m - spread * (p / theta)
     else:
         e = np.subtract(x, L, out=x)
@@ -279,7 +287,7 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     w[i:] = np.exp(e, out=e)
     return RiskResult(
         m + spread * value, t_star if math.isfinite(t_star) else None, Density(d, w), branch,
-        iterations, abs(h_at(L, mean)),
+        iterations, abs(h_at(L, g)),
     )
 
 

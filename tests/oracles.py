@@ -8,7 +8,9 @@ exact twins of the library's solve that writes into caller-owned scratch;
 the finite-order solve in t and the Shannon tilt that the solve in theta
 replaced, for values; and the supremum oracle in one pass, for its chunked
 scan that tests the budget only on improving rows.  The tail mean and the
-Kusuoka measure are also pinned by exact sums (``fractions``, ``math.fsum``).
+Kusuoka measure are also pinned by exact sums (``fractions``, ``math.fsum``),
+the Kusuoka integral by one ``avar`` per level, and the p < 0 value by a
+``decimal`` search.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from renyi_risk import DiscreteDistribution, RiskSpec, conjugate, expectation, from_samples
+from renyi_risk import DiscreteDistribution, RiskSpec, avar, conjugate, expectation, from_samples
 from renyi_risk.evar import _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
@@ -76,6 +79,48 @@ def kusuoka_reference(weights: np.ndarray, probs: np.ndarray):
             breakpoints.append(1.0 - tail)
             heights.append(ws[i])
     return tuple(np.array(x) for x in (levels, masses, breakpoints, heights))
+
+
+def kusuoka_evaluate_loop(m, d: DiscreteDistribution) -> float:
+    """The Kusuoka integral level by level: one ``avar`` per atom of the
+    mixing measure, weighted by its mass.  O(levels x atoms)."""
+    return float(sum(mass * avar(d, float(lv)).value for lv, mass in zip(m.levels, m.masses)))
+
+
+def evar_negative_decimal(d: DiscreteDistribution, alpha: float, p: float,
+                          digits: int = 60) -> float:
+    """The p < 0 value min over t > esssup of t - beta^(1/p) (E (t - Y)^p)^(1/p)
+    in ``decimal`` arithmetic at ``digits`` digits, on the stored floats.
+
+    The objective is convex in t (the power mean of order p < 1 is concave),
+    so a golden-section search in s = log((t - esssup)/spread) over
+    [-100, 30] finds its minimum; the value is rounded once at the end.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        v = [Decimal(x) for x in d.values.tolist()]
+        probs = [Decimal(x) for x in d.probs.tolist()]
+        P, top, spread = Decimal(p), v[-1], v[-1] - v[0]
+        scale = (1 / (1 - Decimal(alpha))) ** (1 / P)
+
+        def f(s: Decimal) -> Decimal:
+            t = top + spread * s.exp()
+            return t - scale * sum(q * (t - x) ** P for q, x in zip(probs, v)) ** (1 / P)
+
+        g = (Decimal(5).sqrt() - 1) / 2
+        lo, hi = Decimal(-100), Decimal(30)
+        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+        fa, fb = f(a), f(b)
+        for _ in range(200):
+            if fa < fb:
+                hi, b, fb = b, a, fa
+                a = hi - g * (hi - lo)
+                fa = f(a)
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + g * (hi - lo)
+                fb = f(b)
+        return float(min(fa, fb))
 
 
 def objective_high(d: DiscreteDistribution, alpha: float, p: float, t: float) -> float:
@@ -342,14 +387,20 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
         return i, x[i:]
 
     def moments(theta: float):
+        # (L, log E_w[1/u]), or (L, -E_w[theta y]) at +inf
         i, x = scaled(theta)
         top_a, e = exp_shifted_alloc(logp[i:] + (p * np.log1p(x) if finite else x))
         total = float(e.sum())
-        q = x / (x + 1.0) if finite else x
-        return top_a + math.log(total), float(np.dot(e, q)) / total
+        L = top_a + math.log(total)
+        if not finite:
+            return L, -float(np.dot(e, x)) / total
+        mean = float(np.dot(e, x / (x + 1.0))) / total
+        if mean < 0.5:
+            return L, math.log1p(-mean)
+        return L, math.log(float(np.dot(e, 1.0 / (x + 1.0))) / total)
 
-    def h_at(L: float, mean: float) -> float:
-        return log_beta + L + (p * math.log1p(-mean) if finite else -mean)
+    def h_at(L: float, g: float) -> float:
+        return log_beta + L + (p * g if finite else g)
 
     at_clamp = []
 
@@ -367,13 +418,13 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     except _PastClamp:
         s, iterations = s_max, 0
     theta = math.exp(min(s, s_max))
-    L, mean = moments(theta)
+    L, g = moments(theta)
     c = log_beta + L
     r = c / p
     value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))
     i, x = scaled(theta)
     if finite:
-        e = (p - 1.0) * np.log1p(x) - (L + math.log1p(-mean))
+        e = (p - 1.0) * np.log1p(x) - (L + g)
         t_star = m - spread * (p / theta)
     else:
         e = x - L

@@ -112,6 +112,18 @@ class TestRisk:
         code, _, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5", "--order", "2"])
         assert (code, err) == (2, f"error: line 1: {where} is not a number\n")
 
+    def test_negative_orders_with_a_light_top_atom(self, capsys, tmp_path):
+        # exited 3 with "density mean ... is not 1"
+        path = tmp_path / "y.csv"
+        path.write_text("value,weight\n0,0.5\n1,0.5\n2,1e-12\n", encoding="utf-8")
+        code, out, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5",
+                                      "--order", "-0.5", "-0.1", "--emit-density"])
+        assert code == 0, err
+        for entry in json.loads(out)["entries"]:
+            assert entry["branch"] == "negative_order"
+            mean = math.fsum(p * z for p, z in zip([0.5, 0.5, 1e-12], entry["density"]))
+            assert abs(mean - 1.0) <= 1e-12
+
     def test_csv_format(self, capsys, sample_csv):
         code, out, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5",
                                     "--order", "2", "--format", "csv"])
@@ -328,6 +340,19 @@ class TestKusuokaCommand:
                                       "--alpha", "0.5", "--order", "-2"])
         assert code == 0, err  # exited 3 with "total mass must be 1"
         assert abs(math.fsum(m for _, m in json.loads(out)["atoms"]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["1", "2", "-2", "inf"])
+    def test_tail_below_level_resolution(self, capsys, tmp_path, order):
+        # the top atom's tail 1e-17 prints as level 1.0; orders 2, -2 and inf
+        # exited 3 with "levels must lie in [0,1)"
+        path = tmp_path / "y.csv"
+        path.write_text("value,weight\n0,0.5\n1,0.5\n2,1e-17\n", encoding="utf-8")
+        code, out, err = run(capsys, ["kusuoka", "--input", str(path),
+                                      "--alpha", "0.5", "--order", order])
+        assert code == 0, err
+        atoms = json.loads(out)["atoms"]
+        assert abs(math.fsum(m for _, m in atoms) - 1.0) <= 1e-12
+        assert (atoms[-1][0] == 1.0) == (order != "1")
 
     def test_rejects_regimes_without_density(self, capsys, sample_csv):
         code, _, _ = run(capsys, ["kusuoka", "--input", sample_csv,

@@ -10,6 +10,7 @@ import pytest
 from renyi_risk import (
     Density,
     DegenerateBranchError,
+    KusuokaMeasure,
     RiskSpec,
     alt_dual_check,
     avar,
@@ -31,6 +32,7 @@ from renyi_risk import (
 from renyi_risk.duality import _CHUNK, _REACH, _first_nonnegative_steps, _lattice
 from oracles import (
     dual_norm_grid,
+    kusuoka_evaluate_loop,
     kusuoka_reference,
     lattice_rows,
     rand_dist,
@@ -685,25 +687,70 @@ class TestKusuoka:
             kusuoka(d, RiskSpec(0.5, 0.5))
 
     def test_hand_built_point_masses_evaluate_to_tail_means(self):
-        from renyi_risk import KusuokaMeasure
-
         d = from_samples([0.0, 1.0, 4.0], weights=[0.6, 0.2, 0.2])
-        at_zero = KusuokaMeasure(np.array([0.0]), np.array([1.0]),
-                                 np.array([0.0]), np.array([1.0]))
+        at_zero = KusuokaMeasure(np.array([1.0]), np.array([1.0]))
         assert kusuoka_evaluate(at_zero, d) == pytest.approx(expectation(d), abs=1e-12)
-        at_alpha = KusuokaMeasure(np.array([0.25]), np.array([1.0]),
-                                  np.array([0.0, 0.25]), np.array([0.0, 4.0 / 3.0]))
+        at_alpha = KusuokaMeasure(np.array([1.0, 0.75]), np.array([0.0, 4.0 / 3.0]))
         assert kusuoka_evaluate(at_alpha, d) == pytest.approx(avar(d, 0.25).value, abs=1e-12)
 
     def test_measure_invariants_enforced(self):
-        from renyi_risk import KusuokaMeasure
-
         with pytest.raises(ValueError):  # mass not 1
-            KusuokaMeasure(np.array([0.0]), np.array([0.5]),
-                           np.array([0.0]), np.array([1.0]))
+            KusuokaMeasure(np.array([1.0]), np.array([0.5]))
         with pytest.raises(ValueError):  # distortion decreasing
-            KusuokaMeasure(np.array([0.0]), np.array([1.0]),
-                           np.array([0.0, 0.5]), np.array([2.0, 1.0]))
+            KusuokaMeasure(np.array([1.0, 0.5]), np.array([2.0, 1.0]))
         with pytest.raises(ValueError):  # distortion not integrating to 1
-            KusuokaMeasure(np.array([0.0]), np.array([1.0]),
-                           np.array([0.0]), np.array([2.0]))
+            KusuokaMeasure(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):  # tails not starting at 1
+            KusuokaMeasure(np.array([0.5]), np.array([2.0]))
+        with pytest.raises(ValueError):  # tails not decreasing strictly
+            KusuokaMeasure(np.array([1.0, 0.5, 0.5]), np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError):  # a zero tail
+            KusuokaMeasure(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):  # a negative height
+            KusuokaMeasure(np.array([1.0, 0.5]), np.array([-1.0, 3.0]))
+
+    #: The top atom's tail, 1e-17, is below the resolution of a level 1 - tau.
+    TINY_TAIL = ([0.0, 1.0, 2.0], [0.5, 0.5, 1e-17])
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, -2.0, math.inf])
+    def test_tail_below_level_resolution(self, p):
+        # orders 2, -2 and inf raised "levels must lie in [0,1)"; at -2 that
+        # tail carries mass 0.195, so dropping it would miss the identity
+        d = from_samples(*self.TINY_TAIL)
+        spec = RiskSpec(0.5, p)
+        m = kusuoka(d, spec)
+        assert abs(math.fsum(m.masses.tolist()) - 1.0) <= 1e-12
+        assert abs(kusuoka_evaluate(m, d) - evar(d, spec).value) <= 1e-12 * 2.0
+        if p != 1.0:
+            assert m.tails[-1] == 1e-17 and m.levels[-1] == 1.0
+        if p == -2.0:
+            assert m.masses[-1] == pytest.approx(0.195, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [2.0, -2.0, math.inf])
+    def test_tails_that_round_together_fold(self, p):
+        # the middle atom's 1e-20 leaves the tails above and below it equal:
+        # the measure raised "breakpoints must ... increase strictly"
+        d = from_samples([0.0, 1.0, 2.0], [0.5, 1e-20, 0.5])
+        spec = RiskSpec(0.3, p)
+        m = kusuoka(d, spec)
+        assert np.all(np.diff(m.tails) < 0.0)
+        assert m.heights[-1] == evar(d, spec).density.weights[-1]
+        assert abs(kusuoka_evaluate(m, d) - evar(d, spec).value) <= 1e-12 * 2.0
+
+    def test_evaluation_matches_the_per_level_loop(self):
+        rng = np.random.default_rng(33)
+        y = rng.lognormal(size=2000)
+        for d in (from_samples(y), from_samples(y, rng.dirichlet(np.ones(2000)))):
+            spread = esssup(d) - d.values[0]
+            for a, p in ((0.5, -2.0), (0.5, 2.0), (0.95, 10.0), (0.95, math.inf), (0.9, 1.0),
+                         (0.0, 2.0)):
+                m = kusuoka(d, RiskSpec(a, p))
+                assert abs(kusuoka_evaluate(m, d) - kusuoka_evaluate_loop(m, d)) <= 1e-14 * spread
+
+    @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -2.0])
+    def test_identity_at_a_million_atoms(self, p):
+        # one tail mean per level took O(levels x atoms): hours at this size
+        d = from_samples(np.random.default_rng(34).lognormal(size=1_000_000))
+        spec = RiskSpec(0.95, p)
+        value = kusuoka_evaluate(kusuoka(d, spec), d)
+        assert abs(value - evar(d, spec).value) <= 1e-12 * (esssup(d) - d.values[0])

@@ -10,7 +10,6 @@ from renyi_risk import (
     Density,
     from_samples,
     hellinger_divergence,
-    kl_divergence,
     renyi_entropy,
 )
 
@@ -94,16 +93,29 @@ class TestDivergences:
         z = Density(d, np.ones(2))
         assert renyi_entropy(z, 2.0) == pytest.approx(0.0, abs=1e-14)
         assert hellinger_divergence(z, 2.0) == pytest.approx(0.0, abs=1e-14)
-        assert kl_divergence(z) == pytest.approx(0.0, abs=1e-14)
+        assert renyi_entropy(z, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_point_kl(self):
         z = two_point_density(0.3)
-        assert kl_divergence(z) == pytest.approx(math.log(1.0 / 0.7), abs=1e-12)
+        assert renyi_entropy(z, 1.0) == pytest.approx(math.log(1.0 / 0.7), abs=1e-12)
 
     def test_hellinger_direct(self):
         d = from_samples([0, 1])
         z = Density(d, np.array([0.5, 1.5]))
         assert hellinger_divergence(z, 2.0) == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [-3.0, -0.3, 0.0, 0.5, 0.9, 1.2, 2.0, 5.0])
+    def test_hellinger_matches_direct_powers(self, q):
+        # zero weights count only at q >= 0, as in the entropy
+        for z in (positive_density(np.random.default_rng(7), 6), two_point_density(0.3)):
+            w, p = z.weights, z.dist.probs
+            if q < 0.0 and not np.all(w > 0.0):
+                with pytest.raises(ValueError):
+                    hellinger_divergence(z, q)
+                continue
+            pos = w > 0.0
+            direct = (float(np.dot(p[pos], w[pos] ** q)) - 1.0) / (q - 1.0)
+            assert hellinger_divergence(z, q) == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
     def test_hellinger_rejects_order_one(self):
         d = from_samples([0, 1])

@@ -33,6 +33,7 @@ from oracles import (
     bisect_root,
     chernoff_shannon_oracle,
     conjugate_entropy,
+    evar_negative_decimal,
     objective_neg,
     rand_dist,
 )
@@ -295,6 +296,26 @@ class TestNegativeOrder:
         assert r.value == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(r.density.weights, [9.792340943536091e-305, 2.0], rtol=1e-12, atol=0.0)
         assert r.residual == pytest.approx(residual, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [-0.1, -0.5, -1.0, -2.0])
+    def test_light_top_atom_keeps_a_unit_mean(self, p):
+        # E_w[theta y / (p u)] nears 1 here, and log1p of its negative lost
+        # the normalizer: "density mean ... is not 1" at -0.5 and -0.1
+        d = from_samples([0.0, 1.0, 2.0], [0.5, 0.5, 1e-12])
+        r = evar(d, RiskSpec(0.5, p))
+        assert r.branch == "negative_order"
+        assert_solution(d, 0.5, p, r)
+        assert abs(r.value - evar_negative_decimal(d, 0.5, p)) <= 2e-15 * 2.0
+
+    def test_light_top_atoms_across_random_samples(self):
+        # three of these samples raised "density mean ... is not 1"
+        rng = np.random.default_rng(0)
+        for _ in range(90):
+            n = int(rng.integers(3, 200))
+            d = from_samples(rng.lognormal(size=n), rng.dirichlet(np.full(n, 0.3)))
+            for alpha in (0.5, 0.95):
+                for p in (-0.1, -0.5, -1.0, -2.0):
+                    assert_solution(d, alpha, p, evar(d, RiskSpec(alpha, p)))
 
     def test_power_solver_rejects_orders_outside_its_regimes(self):
         d = from_samples([0.0, 1.0, 2.0])
