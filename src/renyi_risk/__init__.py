@@ -9,7 +9,6 @@ from .distribution import (
     expectation,
     from_samples,
     lp_norm,
-    power_mean,
     var_level,
 )
 from .entropy import (

@@ -4,20 +4,26 @@ Subcommands: ``risk``, ``sweep``, ``dualnorm``, ``kusuoka``, ``entropy``.
 Input is CSV (header with a ``value`` column, optional ``weight``, optional
 ``density`` for density files) or JSON (``{"atoms": [[value, prob], ...]}``,
 plus ``"density": [...]`` for density files).  Output is JSON by default.
-Exit codes: 0 success, 2 unreadable input or unwritable output, 3 invalid
-request.
+
+Each command is a function from its input and arguments to the report text.
+``main`` alone reads the input file, and every command writes through its
+one writer: to stdout, or to the path ``sweep --output`` names.
+Exit codes: 0 success; 2 unreadable input, a file with no probability mass
+(under every command), or output that cannot be written (stdout or
+``--output``); 3 invalid request.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,13 +35,11 @@ from .duality import dual_norm, kusuoka
 
 VERSION_STRING = f"renyi-risk {__version__}"
 
-_PRESET_PPRIME = {
-    "default": [1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0],
-}
+_DEFAULT_PPRIME = (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0)
 
 
 class InputError(Exception):
-    """Unreadable or malformed input data (exit code 2)."""
+    """Unreadable or malformed input data, or unwritable output (exit code 2)."""
 
 
 class SpecError(Exception):
@@ -115,35 +119,23 @@ def _parse_csv_rows(text: str, want_density: bool) -> _Columns:
     try:
         if reader.fieldnames is None or "value" not in reader.fieldnames:
             raise InputError("line 1: header with a 'value' column is required")
-        has_weight = "weight" in reader.fieldnames
-        has_density = "density" in reader.fieldnames
-        if want_density and not has_density:
+        if want_density and "density" not in reader.fieldnames:
             raise InputError("line 1: density files need a 'density' column")
-        values: List[float] = []
-        weights: List[float] = []
-        densities: List[float] = []
+        # every column the header names is read, wanted or not
+        columns = {c: [] for c in ("value", "weight", "density") if c in reader.fieldnames}
         for row in reader:
             line = reader.line_num
-            tok = row.get("value")
-            if tok is None or not tok.strip():
-                raise InputError(f"line {line}: missing value")
-            values.append(_parse_float(tok.strip(), line, "value"))
-            if has_weight:
-                wtok = row.get("weight")
-                if wtok is None or not wtok.strip():
-                    raise InputError(f"line {line}: missing weight")
-                w = _parse_float(wtok.strip(), line, "weight")
-                if w < 0.0:
+            for name, column in columns.items():
+                tok = row.get(name)
+                if tok is None or not tok.strip():
+                    raise InputError(f"line {line}: missing {name}")
+                x = _parse_float(tok.strip(), line, name)
+                if name == "weight" and x < 0.0:
                     raise InputError(f"line {line}: negative weight")
-                weights.append(w)
-            if has_density:
-                ztok = row.get("density")
-                if ztok is None or not ztok.strip():
-                    raise InputError(f"line {line}: missing density")
-                densities.append(_parse_float(ztok.strip(), line, "density"))
-        if not values:
+                column.append(x)
+        if not columns["value"]:
             raise InputError("line 2: no data rows")
-        return values, (weights if has_weight else None), (densities if has_density else None)
+        return columns["value"], columns.get("weight"), columns.get("density")
     except csv.Error as exc:  # a field over the csv module's size limit, say
         # the DictReader's own count lags until a row is returned
         raise InputError(f"line {reader.reader.line_num}: {exc}") from exc
@@ -187,72 +179,64 @@ def _parse_json(text: str, want_density: bool) -> _Columns:
     return values, weights, densities
 
 
-def _read_distribution(path: str) -> DiscreteDistribution:
+def _read_columns(path: str, want_density: bool) -> _Columns:
+    """The file's columns, read as JSON or as CSV; a density file always has
+    its density column."""
     text = _read_text(path)
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        values, weights, _ = _parse_json(text, want_density=False)
-    else:
-        values, weights, _ = _parse_csv(text, want_density=False)
+    json_file = path.endswith(".json") or text.lstrip().startswith("{")
+    return (_parse_json if json_file else _parse_csv)(text, want_density)
+
+
+def _read_input(path: str, want_density: bool) -> Union[DiscreteDistribution, Density]:
+    """The file's distribution, or for a density file its ``Density``.
+
+    What ``from_samples`` rejects (no probability mass, say) is the file's
+    fault under every command; what ``Density`` rejects is the request's.
+    """
+    values, weights, dens = _read_columns(path, want_density)
+    if want_density:
+        order = np.argsort(values)
+        values = np.asarray(values, dtype=float)[order]
+        if np.any(np.diff(values) == 0.0):
+            raise InputError("duplicate values in a density file are ambiguous")
+        weights = None if weights is None else np.asarray(weights, dtype=float)[order]
+        dens = np.asarray(dens, dtype=float)[order]
     try:
-        return from_samples(values, weights)
+        d = from_samples(values, weights)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _read_density(path: str) -> Density:
-    text = _read_text(path)
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        values, weights, dens = _parse_json(text, want_density=True)
-    else:
-        values, weights, dens = _parse_csv(text, want_density=True)
-        if dens is None:
-            raise InputError("density files need a 'density' column")
-    order = np.argsort(values)
-    v = np.asarray(values, dtype=float)[order]
-    if np.any(np.diff(v) == 0.0):
-        raise InputError("duplicate values in a density file are ambiguous")
-    w = None if weights is None else np.asarray(weights, dtype=float)[order]
-    z = np.asarray(dens, dtype=float)[order]
+    if not want_density:
+        return d
     # from_samples drops a zero-weight row; its density entry goes with it
-    return Density(from_samples(v, w), z if w is None else z[w > 0.0])
+    return Density(d, dens if weights is None else dens[weights > 0.0])
 
 
-def _parse_alpha(token: str) -> float:
-    try:
-        a = float(token)
-    except ValueError as exc:
-        raise SpecError(f"cannot parse alpha {token!r}") from exc
-    if math.isnan(a) or not 0.0 <= a <= 1.0:
-        raise SpecError("alpha must lie in [0,1]")
-    return a
+def _parse_real(token: str, what: str) -> float:
+    """A level or order token: 'inf' or a finite decimal literal, in any case
+    and padding.
 
-
-def _parse_order(token: str) -> float:
-    """An order token: 'inf' or a finite decimal literal.
-
-    Which orders a command accepts is the library's to say: ``RiskSpec`` and
-    ``dual_norm`` reject order 0, which the entropy takes.
+    Which values a command accepts is the library's to say: ``RiskSpec`` and
+    ``dual_norm`` check the level, and reject order 0, which the entropy takes.
     """
     tok = token.strip().lower()
     if tok == "inf":
         return math.inf
     try:
-        p = float(tok)
+        x = float(tok)
     except ValueError as exc:
-        raise SpecError(f"cannot parse order {token!r}") from exc
-    if not math.isfinite(p):
-        raise SpecError("order must be a finite real or 'inf'")
-    return p
+        raise SpecError(f"cannot parse {what} {token!r}") from exc
+    if not math.isfinite(x):
+        raise SpecError(f"{what} must be a finite real or 'inf'")
+    return x
 
 
 def _order_token(p: float):
     return "inf" if math.isinf(p) else p
 
 
-def _parse_pprime_grid(token: str) -> List[float]:
-    preset = _PRESET_PPRIME.get(token.strip().lower())
-    if preset is not None:
-        return list(preset)
+def _parse_pprime_grid(token: str) -> Sequence[float]:
+    if token.strip().lower() == "default":
+        return _DEFAULT_PPRIME
     parts = token.split(":")
     if len(parts) != 3:
         raise SpecError(f"malformed grid {token!r}: expected lo:hi:n or a preset name")
@@ -263,30 +247,41 @@ def _parse_pprime_grid(token: str) -> List[float]:
         raise SpecError(f"malformed grid {token!r}") from exc
     if not lo > 1.0:
         raise SpecError("grid lower end must exceed 1")
-    if n < 1 or (n > 1 and not hi > lo):
+    if n < 1 or (n > 1 and not lo < hi < math.inf):
         raise SpecError(f"malformed grid {token!r}")
-    if n == 1:
-        return [lo]
-    return list(np.linspace(lo, hi, n))
+    # Python floats, so that each prints as its repr
+    return [lo] if n == 1 else np.linspace(lo, hi, n).tolist()
+
+
+def _csv(header: List[str], rows) -> str:
+    """CSV text: floats as their repr, None as an empty field."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if x is None else repr(x) if isinstance(x, float) else x
+                         for x in row])
+    return out.getvalue()
 
 
 def _emit(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
+    """The one writer: ``text`` to stdout ('-') or to ``path``, ending in a
+    newline.  A write that fails, to stdout too (a full disk, a closed pipe),
+    is an input error."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if path == "-"
+              else open(path, "w", encoding="utf-8")) as fh:
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
+            fh.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write {'stdout' if path == '-' else path}: {exc}") from exc
 
 
-def cmd_risk(args: argparse.Namespace) -> int:
-    d = _read_distribution(args.input)
-    alphas = [_parse_alpha(t) for t in args.alpha]
-    orders = [_parse_order(t) for t in args.order]
+def cmd_risk(d: DiscreteDistribution, args: argparse.Namespace) -> str:
+    alphas = [_parse_real(t, "alpha") for t in args.alpha]
+    orders = [_parse_real(t, "order") for t in args.order]
     entries = []
     for a in alphas:
         for o in orders:
@@ -303,7 +298,10 @@ def cmd_risk(args: argparse.Namespace) -> int:
                     None if res.density is None else res.density.weights.tolist()
                 )
             entries.append(entry)
-    report = {
+    if args.format == "csv":
+        header = ["alpha", "order", "value", "t_star", "branch"]
+        return _csv(header, ([e[k] for k in header] for e in entries))
+    return json.dumps({
         "input": {
             "atoms": d.n_atoms,
             "essinf": essinf(d),
@@ -312,69 +310,44 @@ def cmd_risk(args: argparse.Namespace) -> int:
         },
         "entries": entries,
         "version": VERSION_STRING,
-    }
-    if args.format == "json":
-        print(json.dumps(report))
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["alpha", "order", "value", "t_star", "branch"])
-        for e in entries:
-            writer.writerow([repr(e["alpha"]), e["order"], repr(e["value"]),
-                             "" if e["t_star"] is None else repr(e["t_star"]), e["branch"]])
-        sys.stdout.write(out.getvalue())
-    return 0
+    })
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    d = _read_distribution(args.input)
-    a = _parse_alpha(args.alpha)
-    pprimes = _parse_pprime_grid(args.pprime)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["pprime", "p", "value", "t_star"])
-    for pp in sorted(pprimes):
+def cmd_sweep(d: DiscreteDistribution, args: argparse.Namespace) -> str:
+    a = _parse_real(args.alpha, "alpha")
+    rows = []
+    for pp in sorted(_parse_pprime_grid(args.pprime)):
         p = conjugate(pp)
         res = evar(d, RiskSpec(a, p))
-        writer.writerow([repr(float(pp)), _order_token(p), repr(res.value),
-                         "" if res.t_star is None else repr(res.t_star)])
+        rows.append([pp, _order_token(p), res.value, res.t_star])
     ref = evar(d, RiskSpec(a, 1.0))
-    writer.writerow(["inf", 1.0, repr(ref.value), repr(ref.t_star)])
-    writer.writerow(["", "", repr(esssup(d)), ""])
-    _emit(out.getvalue(), args.output)
-    return 0
+    rows.append(["inf", 1.0, ref.value, ref.t_star])
+    rows.append([None, None, esssup(d), None])
+    return _csv(["pprime", "p", "value", "t_star"], rows)
 
 
-def cmd_dualnorm(args: argparse.Namespace) -> int:
-    z = _read_density(args.input)
-    a = _parse_alpha(args.alpha)
-    p = _parse_order(args.order)
-    print(json.dumps({"dual_norm": dual_norm(z, a, p), "alpha": a, "order": _order_token(p),
-                      "version": VERSION_STRING}))
-    return 0
+def cmd_dualnorm(z: Density, args: argparse.Namespace) -> str:
+    a = _parse_real(args.alpha, "alpha")
+    p = _parse_real(args.order, "order")
+    return json.dumps({"dual_norm": dual_norm(z, a, p), "alpha": a, "order": _order_token(p),
+                       "version": VERSION_STRING})
 
 
-def cmd_kusuoka(args: argparse.Namespace) -> int:
-    d = _read_distribution(args.input)
-    a = _parse_alpha(args.alpha)
-    p = _parse_order(args.order)
-    m = kusuoka(d, RiskSpec(a, p))
-    print(json.dumps({
+def cmd_kusuoka(d: DiscreteDistribution, args: argparse.Namespace) -> str:
+    m = kusuoka(d, RiskSpec(_parse_real(args.alpha, "alpha"), _parse_real(args.order, "order")))
+    return json.dumps({
         "atoms": [[l, ms] for l, ms in m.atoms],
         "distortion": [[u, h] for u, h in m.distortion],
         "version": VERSION_STRING,
-    }))
-    return 0
+    })
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
-    z = _read_density(args.input)
+def cmd_entropy(z: Density, args: argparse.Namespace) -> str:
     entries = []
     for tok in args.q:
-        q = _parse_order(tok)
+        q = _parse_real(tok, "order")
         entries.append({"q": _order_token(q), "entropy": renyi_entropy(z, q)})
-    print(json.dumps({"entries": entries, "version": VERSION_STRING}))
-    return 0
+    return json.dumps({"entries": entries, "version": VERSION_STRING})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,40 +366,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    risk = sub.add_parser("risk", help="risk values for alpha/order combinations")
-    risk.add_argument("--input", required=True, help="CSV or JSON sample file")
+    def command(name, func, density, summary):
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("--input", required=True, help=(
+            "density file (value/weight/density)" if density else "CSV or JSON sample file"))
+        cmd.set_defaults(func=func, density=density, output="-")
+        return cmd
+
+    risk = command("risk", cmd_risk, False, "risk values for alpha/order combinations")
     risk.add_argument("--alpha", required=True, nargs="+", help="confidence levels in [0,1]")
     risk.add_argument("--order", required=True, nargs="+",
                       help="orders: decimal literals or 'inf'; 1 selects the tail mean")
     risk.add_argument("--emit-density", action="store_true",
                       help="include the attaining density weights")
     risk.add_argument("--format", choices=("json", "csv"), default="json")
-    risk.set_defaults(func=cmd_risk)
 
-    sweep = sub.add_parser("sweep", help="value curve over a conjugate-order grid")
-    sweep.add_argument("--input", required=True)
+    sweep = command("sweep", cmd_sweep, False, "value curve over a conjugate-order grid")
     sweep.add_argument("--alpha", required=True)
     sweep.add_argument("--pprime", required=True,
                        help="grid lo:hi:n with lo>1, or preset 'default'")
     sweep.add_argument("--output", default="-", help="CSV path, '-' for stdout")
-    sweep.set_defaults(func=cmd_sweep)
 
-    dualnorm = sub.add_parser("dualnorm", help="dual norm of a density file")
-    dualnorm.add_argument("--input", required=True, help="density file (value/weight/density)")
+    dualnorm = command("dualnorm", cmd_dualnorm, True, "dual norm of a density file")
     dualnorm.add_argument("--alpha", required=True)
     dualnorm.add_argument("--order", required=True)
-    dualnorm.set_defaults(func=cmd_dualnorm)
 
-    kus = sub.add_parser("kusuoka", help="mixing measure over tail levels")
-    kus.add_argument("--input", required=True)
+    kus = command("kusuoka", cmd_kusuoka, False, "mixing measure over tail levels")
     kus.add_argument("--alpha", required=True)
     kus.add_argument("--order", required=True)
-    kus.set_defaults(func=cmd_kusuoka)
 
-    ent = sub.add_parser("entropy", help="Renyi entropies of a density file")
-    ent.add_argument("--input", required=True, help="density file (value/weight/density)")
+    ent = command("entropy", cmd_entropy, True, "Renyi entropies of a density file")
     ent.add_argument("--q", required=True, nargs="+", help="orders, 'inf' allowed")
-    ent.set_defaults(func=cmd_entropy)
 
     return parser
 
@@ -438,13 +408,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # the input is freed before the report is written
+        text = args.func(_read_input(args.input, args.density), args)
+        _emit(text, args.output)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SpecError, ValueError) as exc:  # the library's ValueError is a bad request
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

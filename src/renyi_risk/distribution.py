@@ -146,33 +146,6 @@ def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> float:
     return m + math.log(float(e.sum())) if e.size else m
 
 
-def power_mean(d: DiscreteDistribution, p: float, shift: float, mode: str = "plus_part") -> float:
-    """Weighted p-mean of the shifted values, evaluated in log space.
-
-    ``plus_part`` uses (Y - shift)_+, dropping atoms at zero (p > 0 only);
-    ``full`` uses (shift - Y) and requires every gap strictly positive.
-    Log-space evaluation keeps |p| up to several hundred overflow-safe.
-    """
-    if p == 0.0 or math.isnan(p) or math.isinf(p):
-        raise ValueError("p must be a nonzero finite real")
-    if mode not in ("plus_part", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    # the atoms where the shifted value is positive
-    logp = np.log(d.probs)
-    if mode == "full":
-        i = int(np.searchsorted(d.values, shift, side="left"))
-        logp, x = logp[:i], shift - d.values[:i]
-    else:
-        i = int(np.searchsorted(d.values, shift, side="right"))
-        logp, x = logp[i:], d.values[i:] - shift
-    if x.size < d.n_atoms:
-        if mode == "full":
-            raise ValueError("full mode needs the shift above every value")
-        if p < 0.0:
-            raise ValueError("nonpositive argument raised to a negative power")
-    return math.exp(_log_moments(logp, np.log(x), p) / p)
-
-
 def lp_norm(d: DiscreteDistribution, p: float) -> float:
     """(E |Y|^p)^(1/p); p is any nonzero real, +inf gives esssup |Y|."""
     if p == 0.0 or math.isnan(p):

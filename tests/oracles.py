@@ -467,6 +467,31 @@ def lattice_rows(parts: int, total: int, cap: int):
             yield (x, *rest)
 
 
+def is_sorted_lattice(grid: np.ndarray, total: int) -> bool:
+    """Whether ``grid`` holds every vector of its width with entries in
+    [0, total] summing to ``total``, each once, in lexicographic order.
+
+    No enumeration: the rows number C(total + parts - 1, parts - 1), each
+    lies in the set, and each is lexicographically above the one before, so
+    they are distinct, all of the set, and sorted.  Checked in blocks of
+    2^20 rows, with differences in int16 (entries up to 16383).
+    """
+    n, parts = grid.shape
+    if n != math.comb(total + parts - 1, parts - 1) or total >= 1 << 14:
+        return False
+    for start in range(0, n, 1 << 20):
+        rows = grid[start : start + (1 << 20) + 1].astype(np.int16)  # one row of overlap
+        if rows.min() < 0 or rows.max() > total:
+            return False
+        if not (rows.sum(axis=1, dtype=np.int64) == total).all():
+            return False
+        step = np.diff(rows, axis=0)
+        lead = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
+        if not (lead > 0).all():  # the first nonzero step is up; none is all zero
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=2)
 def lattice_reference(parts: int, total: int, cap: int) -> np.ndarray:
     """``lattice_rows`` as a read-only int64 array, cached for the oracle

@@ -262,6 +262,12 @@ class TestSweep:
                                   "--pprime", "a:b"])
         assert code == 3
 
+    def test_infinite_grid_end_exits_3_without_a_warning(self, capsys, sample_csv):
+        # np.linspace warned and the sweep failed on order nan
+        code, out, err = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
+                                      "--pprime", "1.5:inf:3"])
+        assert (code, out, err) == (3, "", "error: malformed grid '1.5:inf:3'\n")
+
     def test_grid_must_start_above_one(self, capsys, sample_csv):
         code, _, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
                                   "--pprime", "0.5:3:4"])
@@ -422,6 +428,83 @@ class TestEntropyCommand:
                         encoding="utf-8")
         code, _, err = run(capsys, ["entropy", "--input", str(path), "--q", "2"])
         assert (code, err) == (2, "error: duplicate values in a density file are ambiguous\n")
+
+
+class TestOneWriter:
+    """``main`` reads the input and writes the report in one place each, so a
+    file with no probability mass and output that cannot be written exit 2
+    under every command."""
+
+    @pytest.fixture
+    def commands(self, sample_csv, density_csv):
+        return {
+            "risk": ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "2"],
+            "sweep": ["sweep", "--input", sample_csv, "--alpha", "0.5", "--pprime", "default"],
+            "kusuoka": ["kusuoka", "--input", sample_csv, "--alpha", "0.5", "--order", "2"],
+            "dualnorm": ["dualnorm", "--input", density_csv, "--alpha", "0.5", "--order", "2"],
+            "entropy": ["entropy", "--input", density_csv, "--q", "2"],
+        }
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize("command", ["risk", "sweep", "kusuoka", "dualnorm", "entropy"])
+    def test_file_with_no_mass_exits_2(self, capsys, commands, tmp_path, command, suffix):
+        # dualnorm and entropy exited 3: from_samples raised outside the input check
+        path = tmp_path / ("z" + suffix)
+        path.write_text('{"atoms": [[0, 0], [1, 0]], "density": [1.0, 1.0]}' if suffix == ".json"
+                        else "value,weight,density\n0,0,1.0\n1,0,1.0\n", encoding="utf-8")
+        argv = list(commands[command])
+        argv[argv.index("--input") + 1] = str(path)
+        assert run(capsys, argv) == (2, "", "error: probabilities must have positive sum\n")
+
+    @pytest.mark.parametrize("command", ["risk", "sweep", "kusuoka", "dualnorm", "entropy"])
+    def test_failing_stdout_exits_2(self, capsys, monkeypatch, commands, command):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(commands[command])  # raised OSError out of main
+        assert (code, capsys.readouterr().err) == (
+            2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["risk", "sweep", "kusuoka", "dualnorm", "entropy"])
+    def test_stdout_on_a_full_device_exits_2_without_traceback(self, commands, command):
+        # exited 1 with a traceback, and again at interpreter exit
+        src = Path(__file__).resolve().parent.parent / "src"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "renyi_risk.cli", *commands[command]],
+                                  env=dict(os.environ, PYTHONPATH=str(src)), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+    def test_sweep_grid_prints_plain_floats(self, capsys, sample_csv):
+        # lo:hi:n points printed through repr stay Python floats, never np.float64(...)
+        code, out, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
+                                    "--pprime", "1.5:20:7"])
+        d = from_samples([0, 1, 4], [3, 1, 1])
+        pprimes = ["1.5", "4.583333333333334", "7.666666666666667", "10.75",
+                   "13.833333333333334", "16.916666666666668", "20.0"]
+        lines = ["pprime,p,value,t_star"]
+        for pp in pprimes:
+            p = float(pp) / (float(pp) - 1.0)
+            res = evar(d, RiskSpec(0.5, p))
+            lines.append(f"{pp},{p!r},{res.value!r},{res.t_star!r}")
+        ref = evar(d, RiskSpec(0.5, 1.0))
+        lines += [f"inf,1.0,{ref.value!r},{ref.t_star!r}", ",,4.0,"]
+        assert (code, out) == (0, "".join(line + "\r\n" for line in lines))
+        assert lines[1].startswith("1.5,3.0,")
+
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_sweep_reference_row_without_t_star_leaves_it_empty(self, capsys, sample_csv,
+                                                                alpha):
+        # the tail-mean row printed None where every other row leaves it empty
+        code, out, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", alpha,
+                                    "--pprime", "default"])
+        assert code == 0
+        avar_row = list(csv.reader(io.StringIO(out)))[-2]
+        assert avar_row[0] == "inf" and avar_row[3] == ""
 
 
 class TestOrderTokens:

@@ -1,4 +1,4 @@
-"""Construction, quantile and power-mean primitives."""
+"""Construction, quantile and norm primitives."""
 
 import math
 
@@ -13,7 +13,6 @@ from renyi_risk import (
     expectation,
     from_samples,
     lp_norm,
-    power_mean,
     var_level,
 )
 
@@ -116,42 +115,6 @@ class TestVarLevel:
         assert essinf(d) <= var_level(d, alpha) <= esssup(d)
 
 
-class TestPowerMean:
-    def test_plus_part_quadratic(self):
-        d = from_samples([0, 2])
-        assert power_mean(d, 2.0, 0.0, "plus_part") == pytest.approx(math.sqrt(2), rel=1e-14)
-
-    def test_full_single_atom(self):
-        d = from_samples([1])
-        assert power_mean(d, -1.0, 3.0, "full") == pytest.approx(2.0, rel=1e-14)
-
-    def test_full_two_atom_negative_order(self):
-        d = from_samples([0, 1])
-        expected = (0.5 * 2.0 ** -2 + 0.5 * 1.0 ** -2) ** -0.5
-        assert power_mean(d, -2.0, 2.0, "full") == pytest.approx(expected, rel=1e-14)
-
-    def test_full_requires_positive_gaps(self):
-        d = from_samples([0, 1])
-        with pytest.raises(ValueError):
-            power_mean(d, -1.0, 1.0, "full")
-
-    def test_plus_part_negative_power_at_zero_rejected(self):
-        d = from_samples([0, 1])
-        with pytest.raises(ValueError):
-            power_mean(d, -1.0, 0.5, "plus_part")
-
-    def test_plus_part_above_esssup_is_zero(self):
-        d = from_samples([0, 1])
-        assert power_mean(d, 2.0, 5.0, "plus_part") == 0.0
-
-    def test_matches_direct_powers(self):
-        rng = np.random.default_rng(11)
-        d = from_samples(rng.uniform(0, 10, 5))
-        for p in (1.5, 2.0, 7.0):
-            direct = float(np.dot(d.probs, np.maximum(d.values - 1.0, 0) ** p)) ** (1 / p)
-            assert power_mean(d, p, 1.0, "plus_part") == pytest.approx(direct, rel=1e-12)
-
-
 class TestLpNorm:
     def test_indicator_norm(self):
         d = from_samples([0.0, 1.0], weights=[0.75, 0.25])
@@ -160,6 +123,32 @@ class TestLpNorm:
     def test_sup_norm(self):
         d = from_samples([-4.0, 1.0], weights=[0.5, 0.5])
         assert lp_norm(d, math.inf) == 4.0
+
+    def test_zero_atom_drops_out_at_positive_order(self):
+        d = from_samples([0, 2])
+        assert lp_norm(d, 2.0) == pytest.approx(math.sqrt(2), rel=1e-14)
+
+    def test_single_atom_at_negative_order(self):
+        assert lp_norm(from_samples([2]), -1.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_two_atoms_at_negative_order(self):
+        d = from_samples([2, 1])
+        expected = (0.5 * 2.0 ** -2 + 0.5 * 1.0 ** -2) ** -0.5
+        assert lp_norm(d, -2.0) == pytest.approx(expected, rel=1e-14)
+
+    def test_negative_order_rejects_a_zero_atom(self):
+        with pytest.raises(ValueError, match="strictly nonzero"):
+            lp_norm(from_samples([0, 1]), -1.0)
+
+    def test_all_zero_values_give_zero(self):
+        assert lp_norm(from_samples([0]), 2.0) == 0.0
+
+    def test_matches_direct_powers(self):
+        rng = np.random.default_rng(11)
+        d = from_samples(rng.uniform(0, 10, 5))
+        for p in (1.5, 2.0, 7.0, -0.5, -3.0):
+            direct = float(np.dot(d.probs, d.values ** p)) ** (1 / p)
+            assert lp_norm(d, p) == pytest.approx(direct, rel=1e-12)
 
 
 class TestCanonicalization:

@@ -32,6 +32,7 @@ from renyi_risk import (
 from renyi_risk.duality import _CHUNK, _REACH, _first_nonnegative_steps, _lattice
 from oracles import (
     dual_norm_grid,
+    is_sorted_lattice,
     kusuoka_evaluate_loop,
     kusuoka_reference,
     lattice_rows,
@@ -238,12 +239,23 @@ class TestSupOracle:
     def test_lattice_matches_the_plain_python_builder(self, parts, total):
         grid = _lattice(parts, total, total)
         assert grid.shape == (math.comb(total + parts - 1, parts - 1), parts)
-        # compared in blocks, so the 10.8M-row grid needs no int64 copy
-        rows = itertools.chain.from_iterable(lattice_rows(parts, total, total))
-        for start in range(0, grid.shape[0], 1 << 20):
-            block = grid[start : start + (1 << 20)].ravel()
-            assert np.array_equal(block, np.fromiter(rows, np.int64, count=block.size))
-        assert next(rows, None) is None
+        assert is_sorted_lattice(grid, total)
+        # the walk took 13 s on the 10.8M rows at (4, 400), which the
+        # characterization above checks row by row in well under a second
+        if grid.shape[0] <= 1 << 20:
+            rows = itertools.chain.from_iterable(lattice_rows(parts, total, total))
+            assert np.array_equal(grid.ravel(), np.fromiter(rows, np.int64, count=grid.size))
+            assert next(rows, None) is None
+
+    @pytest.mark.parametrize("where", [0, 1000, 5000])
+    def test_sorted_lattice_check_rejects_a_swap_a_duplicate_and_a_stray_row(self, where):
+        grid = _lattice(3, 100, 100)
+        assert is_sorted_lattice(grid, 100)
+        swapped, duplicated, stray = grid.copy(), grid.copy(), grid.copy()
+        swapped[[where, where + 1]] = swapped[[where + 1, where]]
+        duplicated[where + 1] = duplicated[where]
+        stray[where] = [101, -1, 0]
+        assert not any(is_sorted_lattice(g, 100) for g in (swapped, duplicated, stray))
 
     @pytest.mark.parametrize("cap, dtype", [(1, np.int8), (127, np.int8), (128, np.int16),
                                             (1000, np.int16), (32767, np.int16),
