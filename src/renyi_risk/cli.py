@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from typing import List, Optional, Sequence, Tuple, Union
@@ -212,21 +213,19 @@ def _read_input(path: str, want_density: bool) -> Union[DiscreteDistribution, De
 
 
 def _parse_real(token: str, what: str) -> float:
-    """A level or order token: 'inf' or a finite decimal literal, in any case
-    and padding.
+    """A level or order token, read as ``float`` reads it.
 
     Which values a command accepts is the library's to say: ``RiskSpec`` and
-    ``dual_norm`` check the level, and reject order 0, which the entropy takes.
+    ``dual_norm`` check the level, nan included, and reject order 0, which the
+    entropy takes.  An order is also 'inf' (in any case and padding) or
+    finite, which rules out nan and literals that overflow.
     """
-    tok = token.strip().lower()
-    if tok == "inf":
-        return math.inf
     try:
-        x = float(tok)
+        x = float(token)
     except ValueError as exc:
         raise SpecError(f"cannot parse {what} {token!r}") from exc
-    if not math.isfinite(x):
-        raise SpecError(f"{what} must be a finite real or 'inf'")
+    if what == "order" and not math.isfinite(x) and token.strip().lower() != "inf":
+        raise SpecError("order must be a finite real or 'inf'")
     return x
 
 
@@ -276,7 +275,25 @@ def _emit(text: str, path: str) -> None:
                 fh.write("\n")
             fh.flush()
     except OSError as exc:
+        if path == "-":
+            _discard_stdout()
         raise InputError(f"cannot write {'stdout' if path == '-' else path}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device.
+
+    A failed flush leaves its bytes in stdout's buffer, and the interpreter
+    flushes that buffer again at exit: to a full disk it fails once more,
+    with a second message and exit status 120.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # an in-memory stream has no buffer to drop
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def cmd_risk(d: DiscreteDistribution, args: argparse.Namespace) -> str:

@@ -133,9 +133,11 @@ class TestRisk:
         assert len(rows) == 2
 
     def test_invalid_alpha_exits_3(self, capsys, sample_csv):
-        code, _, err = run(capsys, ["risk", "--input", sample_csv, "--alpha", "1.5", "--order", "2"])
-        assert code == 3
-        assert "alpha must lie in [0,1]" in err
+        # a nan level said "alpha must be a finite real or 'inf'", offering 'inf'
+        for token in ("1.5", "nan", "inf", "1e400"):
+            code, out, err = run(capsys, ["risk", "--input", sample_csv, "--alpha", token,
+                                          "--order", "2"])
+            assert (code, out, err) == (3, "", "error: alpha must lie in [0,1]\n"), token
 
     def test_zero_order_exits_3(self, capsys, sample_csv):
         code, _, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5", "--order", "0"])
@@ -248,6 +250,31 @@ class TestSweep:
         avar_row = list(csv.reader(io.StringIO(out)))[-2]
         direct = evar(from_samples(np.arange(10_000.0)), RiskSpec(0.9990999999999064, 1.0))
         assert avar_row[:3] == ["inf", "1.0", repr(direct.value)]
+
+    @pytest.mark.parametrize("alpha, grid, pprimes", [
+        # lo:hi:n points stay Python floats, never np.float64(...)
+        ("0.5", "1.5:20:7", ["1.5", "4.583333333333334", "7.666666666666667", "10.75",
+                             "13.833333333333334", "16.916666666666668", "20.0"]),
+        # no t* at the ends: an empty field, as in every other row, never None
+        ("0", "2:2:1", ["2.0"]),
+        ("1", "2:2:1", ["2.0"]),
+    ])
+    def test_output_byte_for_byte(self, capsys, sample_csv, alpha, grid, pprimes):
+        code, out, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", alpha,
+                                    "--pprime", grid])
+        d = from_samples([0, 1, 4], [3, 1, 1])
+
+        def row(pp, p, res):
+            return f"{pp},{p},{res.value!r},{'' if res.t_star is None else repr(res.t_star)}"
+
+        lines = ["pprime,p,value,t_star"]
+        for pp in pprimes:
+            p = float(pp) / (float(pp) - 1.0)
+            lines.append(row(pp, repr(p), evar(d, RiskSpec(float(alpha), p))))
+        ref = evar(d, RiskSpec(float(alpha), 1.0))
+        lines += [row("inf", "1.0", ref), ",,4.0,"]
+        assert (code, out) == (0, "".join(line + "\r\n" for line in lines))
+        assert (ref.t_star is None) == (alpha != "0.5")
 
     def test_unwritable_output_exits_2(self, capsys, sample_csv, tmp_path):
         target = tmp_path / "missing" / "s.csv"
@@ -468,43 +495,22 @@ class TestOneWriter:
             2, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["risk", "sweep", "kusuoka", "dualnorm", "entropy"])
-    def test_stdout_on_a_full_device_exits_2_without_traceback(self, commands, command):
-        # exited 1 with a traceback, and again at interpreter exit
-        src = Path(__file__).resolve().parent.parent / "src"
+    def test_stdout_on_a_full_device_exits_2_without_traceback(self, commands, command,
+                                                               unbuffered):
+        # exited 1 with a traceback; buffered stdout (Python's default off a
+        # terminal) then failed again at interpreter exit, with status 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "renyi_risk.cli", *commands[command]],
-                                  env=dict(os.environ, PYTHONPATH=str(src)), stdout=full,
-                                  stderr=subprocess.PIPE, text=True, timeout=120)
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
         assert (proc.returncode, proc.stderr) == (
             2, "error: cannot write stdout: [Errno 28] No space left on device\n")
-
-    def test_sweep_grid_prints_plain_floats(self, capsys, sample_csv):
-        # lo:hi:n points printed through repr stay Python floats, never np.float64(...)
-        code, out, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
-                                    "--pprime", "1.5:20:7"])
-        d = from_samples([0, 1, 4], [3, 1, 1])
-        pprimes = ["1.5", "4.583333333333334", "7.666666666666667", "10.75",
-                   "13.833333333333334", "16.916666666666668", "20.0"]
-        lines = ["pprime,p,value,t_star"]
-        for pp in pprimes:
-            p = float(pp) / (float(pp) - 1.0)
-            res = evar(d, RiskSpec(0.5, p))
-            lines.append(f"{pp},{p!r},{res.value!r},{res.t_star!r}")
-        ref = evar(d, RiskSpec(0.5, 1.0))
-        lines += [f"inf,1.0,{ref.value!r},{ref.t_star!r}", ",,4.0,"]
-        assert (code, out) == (0, "".join(line + "\r\n" for line in lines))
-        assert lines[1].startswith("1.5,3.0,")
-
-    @pytest.mark.parametrize("alpha", ["0", "1"])
-    def test_sweep_reference_row_without_t_star_leaves_it_empty(self, capsys, sample_csv,
-                                                                alpha):
-        # the tail-mean row printed None where every other row leaves it empty
-        code, out, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", alpha,
-                                    "--pprime", "default"])
-        assert code == 0
-        avar_row = list(csv.reader(io.StringIO(out)))[-2]
-        assert avar_row[0] == "inf" and avar_row[3] == ""
 
 
 class TestOrderTokens:
