@@ -127,7 +127,7 @@ def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
     The exponentials overwrite ``terms``, which the caller owns.  No term,
     or every term -inf, gives m = -inf and no exponentials.
     """
-    m = float(terms.max()) if terms.size else -math.inf
+    m = float(np.maximum.reduce(terms)) if terms.size else -math.inf
     if m == -math.inf:
         return m, terms[:0]
     np.subtract(terms, m, out=terms)

@@ -228,54 +228,60 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     # theta and theta/|p| stay below e^700, so every term below is finite;
     # past that h is taken at its limit, top
     s_max = 700.0 + min(0.0, math.log(abs(p)))
-    # one scratch block for every evaluation: theta y / p (theta y at +inf),
+    # three scratch rows for every evaluation: theta y / p (theta y at +inf),
     # then the terms log P + phi, then theta y / (p u)
-    scratch = np.empty((3, d.n_atoms))
+    xs, terms, us = np.empty((3, d.n_atoms))
+    cut = finite and p > 0.0  # p > 1 drops the atoms with u <= 0
+    multiply, add, divide, log1p = np.multiply, np.add, np.divide, np.log1p
+    # the last evaluation's first atom with u > 0, L, and log E_w[1/u]
+    # (-E_w[theta y] at +inf), which the density reads after the solve
+    i, L, g = 0, 0.0, 0.0
+    clamped = False  # h at s_max is taken the first time the bracket passes it
 
-    def moments(theta: float) -> Tuple[int, float, float]:
-        # (first atom with u > 0, L, log E_w[1/u]), or -E_w[theta y] at +inf
-        x = np.multiply(theta / p if finite else theta, y, out=scratch[0])
-        i = int(np.searchsorted(x, -1.0, side="right")) if finite and p > 0.0 else 0
-        x, a, u = x[i:], scratch[1, i:], scratch[2, i:]
-        phi = np.multiply(p, np.log1p(x, out=a), out=a) if finite else x
-        top_a, e = _exp_shifted(np.add(logp[i:], phi, out=a))
+    def neg_h(s: float) -> float:
+        nonlocal i, L, g, clamped
+        past = s > s_max
+        if past:
+            if clamped:
+                return -top
+            clamped, s = True, s_max
+        theta = math.exp(s)
+        x = multiply(theta / p if finite else theta, y, out=xs)
+        i = int(x.searchsorted(-1.0, side="right")) if cut else 0
+        x, a, u, lp = x[i:], terms[i:], us[i:], logp[i:]
+        phi = multiply(p, log1p(x, out=a), out=a) if finite else x
+        top_a, e = _exp_shifted(add(lp, phi, out=a))
         total = float(e.sum())
         L = top_a + math.log(total)
         if not finite:
-            return i, L, -float(np.dot(e, x)) / total
-        # E_w[x/u] + E_w[1/u] = 1: sum whichever is below 1/2, so neither cancels
-        mean = float(np.dot(e, np.divide(x, np.add(x, 1.0, out=u), out=u))) / total
-        if mean < 0.5:
-            return i, L, math.log1p(-mean)
-        inv = np.divide(1.0, np.add(x, 1.0, out=u), out=u)
-        return i, L, math.log(float(np.dot(e, inv)) / total)
-
-    def h_at(L: float, g: float) -> float:
-        return log_beta + L + (p * g if finite else g)
-
-    at_clamp = []  # h at s_max, taken the first time the bracket passes it
-
-    def h(s: float) -> float:
-        if s <= s_max:
-            return h_at(*moments(math.exp(s))[1:])
-        if not at_clamp:
-            at_clamp.append(h_at(*moments(math.exp(s_max))[1:]))
-            if at_clamp[0] > 0.0:
+            g = -float(e.dot(x)) / total
+        else:
+            # E_w[x/u] + E_w[1/u] = 1: sum whichever is below 1/2, so neither cancels
+            mean = float(e.dot(divide(x, add(x, 1.0, out=u), out=u))) / total
+            if mean < 0.5:
+                g = math.log1p(-mean)
+            else:
+                g = math.log(float(e.dot(divide(1.0, add(x, 1.0, out=u), out=u))) / total)
+        h = log_beta + L + (p * g if finite else g)
+        if past:
+            if h > 0.0:
                 raise _PastClamp
-        return top
+            return -top
+        return -h
 
     try:
-        s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, DEFAULT_TOL)
+        s, iterations = find_root(neg_h, 1.0, 3.0, DEFAULT_TOL)
     except _PastClamp:
         # steps could only close on the jump from h(s_max) > 0 to top
         s, iterations = s_max, 0
-    theta = math.exp(min(s, s_max))
-    i, L, g = moments(theta)
+    s = min(s, s_max)
+    residual = abs(neg_h(s))
+    theta = math.exp(s)
     c = log_beta + L
     r = c / p
     value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))
     # the density u^(p-1) / E u^(p-1), with log E u^(p-1) = L + log E_w[1/u]
-    x = scratch[0, i:]
+    x = xs[i:]
     if finite:
         e = np.multiply(p - 1.0, np.log1p(x, out=x), out=x)
         np.subtract(e, L + g, out=e)
@@ -287,7 +293,7 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     w[i:] = np.exp(e, out=e)
     return RiskResult(
         m + spread * value, t_star if math.isfinite(t_star) else None, Density(d, w), branch,
-        iterations, abs(h_at(L, g)),
+        iterations, residual,
     )
 
 

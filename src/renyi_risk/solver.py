@@ -21,38 +21,47 @@ def find_root(
 ) -> Tuple[float, int]:
     """Sign change of a nondecreasing ``g``; returns ``(root, steps)``.
 
-    The wrong-signed end is moved away from the other one, doubling the
-    width each time, until g(lo) < 0 <= g(hi).  Each step then evaluates g
-    once inside the bracket and keeps that sign pattern.  The point is the
-    inverse quadratic interpolant through both ends and the end replaced
-    last, else the secant through the ends, with the value at an end kept
-    twice in a row halved (the Illinois rule), so neither end sticks.  It
-    is held at least half the stopping width from either end, so that an
-    approach from one side still closes the bracket.  The midpoint is taken
-    instead when an end value is not finite, or when the last two steps
-    did not halve the width together.  Last, the point is projected onto
-    the interval around the midpoint that keeps the width on a bisection
-    schedule with ``_SLACK`` spare steps (the ITP method of Oliveira and
-    Takahashi, 2021), so with w0 the width after growth there are at most
-    ceil(log2(w0 / tol)) + 8 steps.  The search stops once the width is at
-    most ``tol * (1 + |lo| + |hi|)`` (or the floats between the ends run
-    out) and returns the midpoint and the number of steps, which is the
-    number of evaluations of g after bracketing.  Raises ``SolverError``
+    Growth evaluates g(lo) first.  While it is nonnegative, that point
+    becomes hi and lo moves twice as far from the starting hi; the starting
+    hi is never evaluated.  Otherwise, while g(hi) is negative, that point
+    becomes lo and hi moves twice as far from the starting lo.  So each
+    doubling costs one evaluation, and the bracket handed on, with g(lo) < 0
+    <= g(hi), spans the last doubling's outer half only.  Each step then
+    evaluates g once inside the bracket and keeps that sign pattern.  The
+    point is the inverse quadratic interpolant through both ends and the end
+    replaced last, else the secant through the ends, with the value at an
+    end kept twice in a row halved (the Illinois rule), so neither end
+    sticks.  It is held at least half the stopping width from either end, so
+    that an approach from one side still closes the bracket.  The midpoint
+    is taken instead when an end value is not finite, or when the last two
+    steps did not halve the width together.  Last, the point is projected
+    onto the interval around the midpoint that keeps the width on a
+    bisection schedule with ``_SLACK`` spare steps (the ITP method of
+    Oliveira and Takahashi, 2021), so with w0 the width after growth there
+    are at most ceil(log2(w0 / tol)) + 8 steps.  The search stops once the
+    width is at most ``tol * (1 + |lo| + |hi|)`` (or the floats between the
+    ends run out) and returns the midpoint and the number of steps, which is
+    the number of evaluations of g after bracketing.  Raises ``SolverError``
     when either the expansion or the iteration cap is hit.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     expansions = 0
-    while (flo := g(lo)) >= 0.0:
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
-        lo = hi - 2.0 * (hi - lo)
-    while (fhi := g(hi)) < 0.0:
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
-        hi = lo + 2.0 * (hi - lo)
+    if (flo := g(lo)) >= 0.0:
+        far = hi
+        while flo >= 0.0:
+            expansions += 1
+            if expansions > _MAX_EXPANSIONS:
+                raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
+            hi, fhi, lo = lo, flo, far - 2.0 * (far - lo)
+            flo = g(lo)
+    else:
+        far = lo
+        while (fhi := g(hi)) < 0.0:
+            expansions += 1
+            if expansions > _MAX_EXPANSIONS:
+                raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
+            lo, flo, hi = hi, fhi, far + 2.0 * (hi - far)
     w0 = hi - lo
     slo, shi = flo, fhi  # the end values the secant uses, Illinois-halved
     c = fc = None  # the end replaced last

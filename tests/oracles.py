@@ -240,8 +240,9 @@ def dual_norm_grid(d: DiscreteDistribution, weights, alpha: float, p: float,
 
 
 def bisect_root(g, lo: float, hi: float, tol: float):
-    """Reference for ``solver.find_root``: the same bracket growth and stop
-    rule, then plain bisection.  Returns ``(root, steps)``."""
+    """Reference for ``solver.find_root``: bracket growth that moves the
+    wrong-signed end away from the other, the same stop rule, then plain
+    bisection.  Returns ``(root, steps)``."""
     while g(lo) >= 0.0:
         lo = hi - 2.0 * (hi - lo)
     while g(hi) < 0.0:

@@ -119,10 +119,14 @@ class TestRisk:
         code, out, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5",
                                       "--order", "-0.5", "-0.1", "--emit-density"])
         assert code == 0, err
+        # the raw weights sum to 1 + 1e-12, so E Z is taken under the
+        # normalized ones
+        weights = [0.5, 0.5, 1e-12]
+        total = math.fsum(weights)
         for entry in json.loads(out)["entries"]:
             assert entry["branch"] == "negative_order"
-            mean = math.fsum(p * z for p, z in zip([0.5, 0.5, 1e-12], entry["density"]))
-            assert abs(mean - 1.0) <= 1e-12
+            mean = math.fsum(w / total * z for w, z in zip(weights, entry["density"]))
+            assert abs(mean - 1.0) <= 1e-13
 
     def test_csv_format(self, capsys, sample_csv):
         code, out, _ = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5",

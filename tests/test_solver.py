@@ -106,8 +106,35 @@ class TestBisect:
 
         r, _ = find_root(g, lo, hi, 1e-12)
         assert r == pytest.approx(root, rel=1e-11)
-        # only the end on the root's side moved; the other bounds every evaluation
-        assert min(calls) == lo if root > hi else max(calls) == hi
+        # only the end on the root's side moved; the other starting end bounds
+        # every evaluation (past lo, hi is never evaluated)
+        assert min(calls) == lo if root > hi else max(calls) == lo
+
+    @pytest.mark.parametrize("lo, hi, root", [
+        (1.0, 3.0, -50.0), (1.0, 3.0, 1.0), (1.0, 3.0, 2.0), (1.0, 3.0, 3.5), (1.0, 3.0, 700.0),
+        (-1.0, 0.0, -1e4), (0.0, 1.0, 37.25),
+    ])
+    def test_growth_evaluates_each_point_once(self, lo, hi, root):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return math.atan(t - root)
+
+        _, steps = find_root(g, lo, hi, 1e-12)
+        # one evaluation per doubling, each twice as far from the end that
+        # stays; once g(lo) >= 0 the starting hi is never evaluated
+        growth = [lo]
+        if lo >= root:
+            while growth[-1] >= root:
+                growth.append(hi - 2.0 * (hi - growth[-1]))
+        else:
+            growth.append(hi)
+            while growth[-1] < root:
+                growth.append(lo + 2.0 * (growth[-1] - lo))
+        assert calls[: len(calls) - steps] == growth
+        assert len(set(calls)) == len(calls)
+        assert (hi in calls) == (lo < root)
 
     def test_expansion_cap(self):
         # 2^400 reaches 1e120, so a root at 1e150 is out of reach but one at 1e100 is not
@@ -124,11 +151,13 @@ class TestBisect:
         # the final bracket holds the root and is at most tol (1 + |lo| + |hi|)
         # wide, so the midpoint is within half of that
         assert abs(r - root) <= 0.5 * tol * (1.0 + 2.0 * abs(r) + 2.0 * tol)
-        # the bracket bisected is the grown one: the far end doubles past the root
-        while hi < root:
-            hi = lo + 2.0 * (hi - lo)
+        # the bracket bisected is the grown one: the last doubling's outer
+        # half, between the two evaluations either side of the root
+        first_lo, first_hi = lo, hi
         while lo >= root:
-            lo = hi - 2.0 * (hi - lo)
+            lo, hi = first_hi - 2.0 * (first_hi - lo), lo
+        while hi < root:
+            lo, hi = hi, first_lo + 2.0 * (hi - first_lo)
         assert steps <= math.ceil(math.log2((hi - lo) / tol)) + 1
 
 
