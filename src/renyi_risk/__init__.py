@@ -30,7 +30,6 @@ from .evar import (
     risk_level_bound,
 )
 from .duality import (
-    DegenerateBranchError,
     KusuokaMeasure,
     alt_dual_check,
     dual_norm,

@@ -27,7 +27,7 @@ from .distribution import (
     from_samples,
 )
 from .entropy import Density, renyi_entropy
-from .evar import RiskSpec, _top_atom_test, conjugate, evar, evar_power
+from .evar import RiskSpec, conjugate, evar, evar_power
 from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
@@ -43,10 +43,6 @@ _REACH = {1: 0, 2: 20, 3: 20, 4: 20, 5: 12, 6: 7}
 #: shows in the value (1e-11 leaves it up to 1.3e-10 off); the solve runs to
 #: float resolution.
 _LEVEL_TOL = 1e-16
-
-
-class DegenerateBranchError(RuntimeError):
-    """The risk solve ended on a boundary branch; no interior witness exists."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -292,18 +288,17 @@ def _sign(x: np.ndarray) -> np.ndarray:
 def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
     """Per-atom functional Z' attaining E YZ' = risk(|Y|) * dual_norm(Z').
 
-    It is sign(Y) times the attaining density of the risk of |Y|, read off at
-    each atom's |Y|.  Both sides of the equality are 1-homogeneous in Z', so
-    any positive multiple attains it too.  Requires the risk solve of |Y| to
-    reach an interior optimizer; boundary branches (the shared top-atom
-    pre-test, or alpha = 1) raise ``DegenerateBranchError``.
+    It is sign(Y) times ``evar_power``'s attaining density of the risk of
+    |Y|, read off at each atom's |Y|, for every alpha in (0, 1) and every
+    finite p > 1 or p < 0.  On the boundary branch, beta P(|Y| = esssup |Y|)
+    >= 1, that density is the normalized indicator of the top atom of |Y|.
+    Both sides of the equality are 1-homogeneous in Z', so any positive
+    multiple attains it too.
     """
     a, p = spec.alpha, spec.order
     if math.isinf(p) or not (p > 1.0 or p < 0.0):
         raise ValueError("witness defined for finite p > 1 or p < 0")
     dabs = from_samples(np.abs(d.values), d.probs)
-    if a == 1.0 or _top_atom_test(dabs, a)[0] >= 0.0:
-        raise DegenerateBranchError("risk of |Y| is attained on the top atom; no interior witness")
     weights = evar_power(dabs, a, p).density.weights
     return _sign(d.values) * weights[np.searchsorted(dabs.values, np.abs(d.values))]
 

@@ -196,12 +196,13 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     log beta at theta = 0 to ``top`` < 0 as theta grows, so ``find_root``
     finds its root in s = log theta, which keeps relative resolution in
     theta at both ends.  It starts from [1, 3], where the root lies for most
-    samples at levels 0.5 to 0.99.  Past a clamp s_max, where theta and
-    theta/|p| would overflow, h is taken at its limit ``top``; when h is
-    still positive at s_max (tiny |p|, whose root lies beyond e^700) the
-    solve stops there with no steps.  The value is (c/theta) expm1(c/p) /
-    (c/p) with c = log beta + L, the scalar objective at t'.  Order +inf is
-    the same code with phi(z) = z (the limit as |p| grows): u = 1, the
+    samples at levels 0.5 to 0.99.  h is evaluated at min(s, s_max), with
+    the clamp s_max where theta and theta/|p| would overflow, so it is
+    continuous and constant past s_max.  When it is still positive there
+    (tiny |p|, whose root lies beyond e^700) the solve stops at s_max with
+    no steps.  The value is (c/theta) expm1(c/p) / (c/p) with
+    c = log beta + L, the scalar objective at t'.  Order +inf is the same
+    code with phi(z) = z (the limit as |p| grows): u = 1, the
     density is the exponential tilt e^(theta y - L) and the value
     (log beta + L)/theta.
 
@@ -226,7 +227,7 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
 
     m, spread, y = _unit_space(d)
     # theta and theta/|p| stay below e^700, so every term below is finite;
-    # past that h is taken at its limit, top
+    # h is evaluated at min(s, s_max), so it is constant past the clamp
     s_max = 700.0 + min(0.0, math.log(abs(p)))
     # three scratch rows for every evaluation: theta y / p (theta y at +inf),
     # then the terms log P + phi, then theta y / (p u)
@@ -236,16 +237,10 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     # the last evaluation's first atom with u > 0, L, and log E_w[1/u]
     # (-E_w[theta y] at +inf), which the density reads after the solve
     i, L, g = 0, 0.0, 0.0
-    clamped = False  # h at s_max is taken the first time the bracket passes it
 
     def neg_h(s: float) -> float:
-        nonlocal i, L, g, clamped
-        past = s > s_max
-        if past:
-            if clamped:
-                return -top
-            clamped, s = True, s_max
-        theta = math.exp(s)
+        nonlocal i, L, g
+        theta = math.exp(min(s, s_max))
         x = multiply(theta / p if finite else theta, y, out=xs)
         i = int(x.searchsorted(-1.0, side="right")) if cut else 0
         x, a, u, lp = x[i:], terms[i:], us[i:], logp[i:]
@@ -263,16 +258,14 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
             else:
                 g = math.log(float(e.dot(divide(1.0, add(x, 1.0, out=u), out=u))) / total)
         h = log_beta + L + (p * g if finite else g)
-        if past:
-            if h > 0.0:
-                raise _PastClamp
-            return -top
+        if s > s_max and h > 0.0:
+            raise _PastClamp
         return -h
 
     try:
         s, iterations = find_root(neg_h, 1.0, 3.0, DEFAULT_TOL)
     except _PastClamp:
-        # steps could only close on the jump from h(s_max) > 0 to top
+        # h is constant and positive past s_max: no step can close on a root
         s, iterations = s_max, 0
     s = min(s, s_max)
     residual = abs(neg_h(s))
@@ -361,15 +354,15 @@ def risk_level_bound(alpha: float, alpha_prime: float, p: float) -> float:
 def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float) -> float:
     """Exact conjugate-order derivative of the p > 1 risk value at its optimizer.
 
-    Requires strictly positive, nonconstant atoms.  Always nonpositive: the
-    value is nonincreasing in the conjugate order.
+    Requires strictly positive atoms.  Always nonpositive: the value is
+    nonincreasing in the conjugate order.  On the boundary branch, a
+    constant variable among them, the value is esssup at every order and
+    the derivative is 0.0.
     """
     if math.isnan(pprime) or math.isinf(pprime) or not pprime > 1.0:
         raise ValueError("conjugate order must be a finite real above 1")
     if essinf(d) <= 0.0:
         raise ValueError("atoms must be strictly positive")
-    if d.n_atoms == 1:
-        raise ValueError("constant variable: the value does not depend on the order")
     p = pprime / (pprime - 1.0)
     res = evar_power(d, alpha, p)
     w = res.density.weights

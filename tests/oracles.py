@@ -260,10 +260,6 @@ def bisect_root(g, lo: float, hi: float, tol: float):
     return 0.5 * (lo + hi), steps
 
 
-def central_diff(fun, x: float, h: float) -> float:
-    return (fun(x + h) - fun(x - h)) / (2.0 * h)
-
-
 def rand_dist(rng: np.random.Generator, n: int, lo: float = 0.0, hi: float = 10.0,
               concentration: float = 2.0, max_top: float | None = None) -> DiscreteDistribution:
     """Random distribution with distinct sorted values and floored probabilities.
@@ -403,16 +399,11 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     def h_at(L: float, g: float) -> float:
         return log_beta + L + (p * g if finite else g)
 
-    at_clamp = []
-
     def h(s: float) -> float:
-        if s <= s_max:
-            return h_at(*moments(math.exp(s)))
-        if not at_clamp:
-            at_clamp.append(h_at(*moments(math.exp(s_max))))
-            if at_clamp[0] > 0.0:
-                raise _PastClamp
-        return top
+        value = h_at(*moments(math.exp(min(s, s_max))))
+        if s > s_max and value > 0.0:
+            raise _PastClamp
+        return value
 
     try:
         s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)

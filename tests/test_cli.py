@@ -112,6 +112,37 @@ class TestRisk:
         code, _, err = run(capsys, ["risk", "--input", str(path), "--alpha", "0.5", "--order", "2"])
         assert (code, err) == (2, f"error: line 1: {where} is not a number\n")
 
+    @pytest.mark.parametrize("command,text,message", [
+        (["risk", "--alpha", "0.5", "--order", "2"], '{"atoms": [[0, 1],',
+         "line 1: Expecting value"),
+        (["risk", "--alpha", "0.5", "--order", "2"], '{"atoms":\n [[0, 1]],\n }',
+         "line 3: Expecting property name enclosed in double quotes"),
+        (["risk", "--alpha", "0.5", "--order", "2"], '[[0, 1]]',
+         "line 1: expected an object with a nonempty 'atoms' list"),
+        (["kusuoka", "--alpha", "0.5", "--order", "2"], '{"atoms": []}',
+         "line 1: expected an object with a nonempty 'atoms' list"),
+        (["risk", "--alpha", "0.5", "--order", "2"], '{"atoms": [[0, 0.5], [1, 0.2, 0.3]]}',
+         "line 1: atoms[1] is not a [value, prob] pair"),
+        (["risk", "--alpha", "0.5", "--order", "2"], '{"atoms": [5]}',
+         "line 1: atoms[0] is not a [value, prob] pair"),
+        (["risk", "--alpha", "0.5", "--order", "2"], '{"atoms": [[0, 0.5], [NaN, 0.5]]}',
+         "line 1: atoms[1] has a non-finite entry"),
+        (["sweep", "--alpha", "0.5", "--pprime", "2:3:2"], '{"atoms": [[0, Infinity]]}',
+         "line 1: atoms[0] has a non-finite entry"),
+        (["risk", "--alpha", "0.5", "--order", "2"], '{"atoms": [[0, 1.5], [1, -0.5]]}',
+         "line 1: atoms[1] has a negative probability"),
+        (["entropy", "--q", "2"], '{"atoms": [[0, 0.5], [1, 0.5]], "density": [1.0]}',
+         "line 1: density files need a 'density' list matching atoms"),
+        (["dualnorm", "--alpha", "0.5", "--order", "2"], '{"atoms": [[0, 0.5], [1, 0.5]]}',
+         "line 1: density files need a 'density' list matching atoms"),
+    ], ids=["truncated", "line_3", "not_an_object", "no_atoms", "triple", "scalar",
+            "nan_value", "infinite_prob", "negative_prob", "short_density", "no_density"])
+    def test_malformed_json_exits_2(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "y.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, [command[0], "--input", str(path), *command[1:]])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_negative_orders_with_a_light_top_atom(self, capsys, tmp_path):
         # exited 3 with "density mean ... is not 1"
         path = tmp_path / "y.csv"
@@ -292,6 +323,9 @@ class TestSweep:
         code, _, _ = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
                                   "--pprime", "a:b"])
         assert code == 3
+        code, out, err = run(capsys, ["sweep", "--input", sample_csv, "--alpha", "0.5",
+                                      "--pprime", "1.5:3:x"])
+        assert (code, out, err) == (3, "", "error: malformed grid '1.5:3:x'\n")
 
     def test_infinite_grid_end_exits_3_without_a_warning(self, capsys, sample_csv):
         # np.linspace warned and the sweep failed on order nan

@@ -35,6 +35,14 @@ class TestFromSamples:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             from_samples([])
+        with pytest.raises(ValueError, match="need at least one atom"):
+            DiscreteDistribution(np.array([]), np.array([]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="weights must match values in length"):
+            from_samples([1.0, 2.0], weights=[1.0])
+        with pytest.raises(ValueError, match="values and probs must have equal length"):
+            DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -139,6 +147,14 @@ class TestLpNorm:
     def test_negative_order_rejects_a_zero_atom(self):
         with pytest.raises(ValueError, match="strictly nonzero"):
             lp_norm(from_samples([0, 1]), -1.0)
+
+    def test_invalid_orders_rejected(self):
+        d = from_samples([1, 2])
+        for p in (0.0, math.nan):
+            with pytest.raises(ValueError, match="p must be nonzero"):
+                lp_norm(d, p)
+        with pytest.raises(ValueError, match=r"p must be nonzero real or \+inf"):
+            lp_norm(d, -math.inf)
 
     def test_all_zero_values_give_zero(self):
         assert lp_norm(from_samples([0]), 2.0) == 0.0

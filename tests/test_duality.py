@@ -9,7 +9,6 @@ import pytest
 
 from renyi_risk import (
     Density,
-    DegenerateBranchError,
     KusuokaMeasure,
     RiskSpec,
     alt_dual_check,
@@ -122,6 +121,9 @@ class TestSupOracle:
         d2 = from_samples([0, 1])
         with pytest.raises(ValueError):
             sup_oracle(d2, RiskSpec(0.5, 2.0), 9)
+        # 8.4e12 grid rows: refused before anything is allocated
+        with pytest.raises(ValueError, match="combinatorial blow-up"):
+            sup_oracle(from_samples(range(6)), RiskSpec(0.5, 2.0), 1000)
 
     def test_resolution_must_be_an_integer(self):
         d = from_samples([0.0, 1.0, 3.0], weights=[0.5, 0.3, 0.2])
@@ -152,6 +154,8 @@ class TestSupOracle:
         for p in (1.0, 0.5):
             with pytest.raises(ValueError):
                 sup_oracle(d, RiskSpec(0.5, p), 100)
+        with pytest.raises(ValueError, match="alpha must be below 1"):
+            sup_oracle(d, RiskSpec(1.0, 2.0), 100)
 
     @pytest.mark.parametrize("n, resolution", [(2, 400), (3, 1000), (4, 60), (5, 20), (6, 10)])
     def test_matches_the_one_pass_reference(self, n, resolution):
@@ -396,6 +400,14 @@ class TestDualNorm:
             with pytest.raises(ValueError):
                 dual_norm(z, 0.5, p)
 
+    def test_functional_preconditions(self):
+        d = from_samples([0, 1])
+        with pytest.raises(ValueError, match="weights must match the distribution's atoms"):
+            dual_norm_raw(d, np.ones(3), 0.5, 2.0)
+        # the zero functional has dual norm 0 at both signs of the order
+        for p in (2.0, -2.0):
+            assert dual_norm_raw(d, np.zeros(2), 0.5, p) == 0.0
+
 
 #: Values of ``dual_norm_raw`` at alpha 0.3 on the atoms [0, 1, 2.5, 4, 7]
 #: with probabilities [0.3, 0.25, 0.2, 0.15, 0.1], as computed by the former
@@ -560,8 +572,41 @@ class TestHahnBanachWitnesses:
 
     def test_constant_variable_is_degenerate(self):
         d = from_samples([3.0])
-        with pytest.raises(DegenerateBranchError):
-            hb_density_for(d, RiskSpec(0.5, 2.0))
+        assert hb_density_for(d, RiskSpec(0.5, 2.0)).tolist() == [1.0]
+
+    def test_boundary_branch_pairs_with_the_top_atom_indicator(self):
+        # beta P(|Y| = esssup |Y|) >= 1: the witness is sign(Y) times the
+        # normalized top-atom indicator of |Y|, and it attains the pairing
+        # equality to rounding, whatever the signs
+        rng = np.random.default_rng(19)
+        cases = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            values = rng.choice([-1.0, 1.0], n) * rng.integers(0, 4, n) * 10.0 ** rng.uniform(-3, 3)
+            d = from_samples(values, rng.dirichlet(np.ones(n)))
+            dabs = from_samples(np.abs(d.values), d.probs)
+            top = np.abs(d.values) == esssup(dabs)
+            alpha = float(rng.uniform(1.0 - math.fsum(d.probs[top].tolist()), 1.0))
+            indicator = np.where(d.values < 0.0, -1.0, 1.0) * top / float(dabs.probs[-1])
+            for p in (1.5, 2.0, 10.0, 1e6, -0.5, -2.0, -1e6):
+                spec = RiskSpec(alpha, p)
+                zprime = hb_density_for(d, spec)
+                assert zprime.tolist() == indicator.tolist()
+                lhs = float(np.dot(d.probs * d.values, zprime))
+                rhs = evar(dabs, spec).value * dual_norm_raw(d, zprime, alpha, p)
+                assert abs(lhs - rhs) <= 1e-15 * abs(rhs), (d, alpha, p)
+                cases += 1
+        assert cases == 280
+
+    @pytest.mark.parametrize("alpha, p, message", [
+        (0.0, 2.0, r"alpha must lie in \(0,1\)"), (1.0, -2.0, r"alpha must lie in \(0,1\)"),
+        (0.5, 0.5, "witness defined"), (0.5, 1.0, "witness defined"),
+        (0.5, math.inf, "witness defined"),
+    ])
+    def test_requests_outside_the_dual_norm_domain_rejected(self, alpha, p, message):
+        # the domain of dual_norm, which is evar_power's at finite orders
+        with pytest.raises(ValueError, match=message):
+            hb_density_for(from_samples([0.0, 1.0]), RiskSpec(alpha, p))
 
     def test_witness_for_constant_density(self):
         d = from_samples([0.0, 1.0, 2.0])
@@ -714,6 +759,10 @@ class TestKusuoka:
         assert kusuoka_evaluate(at_alpha, d) == pytest.approx(avar(d, 0.25).value, abs=1e-12)
 
     def test_measure_invariants_enforced(self):
+        with pytest.raises(ValueError, match="pair up"):  # unequal lengths
+            KusuokaMeasure(np.array([1.0, 0.5]), np.array([1.0]))
+        with pytest.raises(ValueError, match="pair up"):  # no level at all
+            KusuokaMeasure(np.array([]), np.array([]))
         with pytest.raises(ValueError):  # mass not 1
             KusuokaMeasure(np.array([1.0]), np.array([0.5]))
         with pytest.raises(ValueError):  # distortion decreasing

@@ -44,6 +44,12 @@ class TestDensityInvariants:
         with pytest.raises(ValueError):
             Density(d, np.array([1.0]))
 
+    def test_non_finite_weights_rejected(self):
+        d = from_samples([0, 1])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                Density(d, np.array([bad, 1.0]))
+
 
 class TestEntropyBranches:
     def test_constant_density_is_zero_at_every_order(self):
@@ -121,6 +127,12 @@ class TestDivergences:
         d = from_samples([0, 1])
         with pytest.raises(ValueError):
             hellinger_divergence(Density(d, np.ones(2)), 1.0)
+
+    def test_hellinger_rejects_non_finite_orders(self):
+        z = Density(from_samples([0, 1]), np.ones(2))
+        for q in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="order must be a finite real"):
+                hellinger_divergence(z, q)
 
 
 class TestOrderMonotonicity:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renyi_risk import (
-    DegenerateBranchError,
     Density,
     RiskSpec,
     avar,
@@ -60,6 +59,11 @@ class TestConjugate:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             conjugate(0.0)
+
+    def test_non_real_orders_rejected(self):
+        for p in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="invalid order"):
+                conjugate(p)
 
 
 class TestRiskSpec:
@@ -120,6 +124,11 @@ class TestAvar:
     def test_level_zero_is_mean(self):
         d = from_samples([0, 1])
         assert avar(d, 0.0).value == pytest.approx(0.5, abs=1e-14)
+
+    def test_levels_outside_the_range_rejected(self):
+        for alpha in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\)"):
+                avar(from_samples([0, 1]), alpha)
 
     def test_two_atom_median_level(self):
         d = from_samples([0, 1])
@@ -297,6 +306,40 @@ class TestNegativeOrder:
         assert np.allclose(r.density.weights, [9.792340943536091e-305, 2.0], rtol=1e-12, atol=0.0)
         assert r.residual == pytest.approx(residual, rel=1e-12)
 
+    def test_roots_between_the_last_doubling_and_the_clamp(self, monkeypatch):
+        # bracket growth from [1, 3] passes s = 513 and then the clamp s_max,
+        # so these roots lie in a bracket whose upper part is clamped.  h is
+        # taken at min(s, s_max) and is continuous there; when it jumped to its
+        # limit past s_max, the same 48 solves took 456 steps in all
+        module = importlib.import_module("renyi_risk.evar")
+        find_root, roots = module.find_root, []
+
+        def recorded(*args):
+            root = find_root(*args)
+            roots.append(root[0])
+            return root
+
+        monkeypatch.setattr(module, "find_root", recorded)
+        window, steps = 0, 0
+        for atoms in ([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 4.0]):
+            d = from_samples(atoms)
+            for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
+                for p in (-np.logspace(-3, -1, 81)).tolist():
+                    roots.clear()
+                    r = evar_power(d, alpha, p)
+                    s_max = 700.0 + math.log(-p)
+                    if not (roots and 513.0 < roots[0] <= s_max):
+                        continue
+                    window += 1
+                    steps += r.iterations
+                    # the value's offset below esssup, of order |p|/theta, rounds away
+                    assert r.value == esssup(d)
+                    assert r.iterations > 0
+                    assert r.residual <= 1e-14
+                    assert abs(math.fsum((d.probs * r.density.weights).tolist()) - 1.0) <= 1e-15
+        assert window == 48
+        assert steps < 456
+
     @pytest.mark.parametrize("p", [-0.1, -0.5, -1.0, -2.0])
     def test_light_top_atom_keeps_a_unit_mean(self, p):
         # E_w[theta y / (p u)] nears 1 here, and log1p of its negative lost
@@ -323,6 +366,12 @@ class TestNegativeOrder:
             with pytest.raises(ValueError, match="order must be"):
                 evar_power(d, 0.5, p)
 
+    def test_power_solver_rejects_levels_without_a_budget(self):
+        d = from_samples([0.0, 1.0, 2.0])
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\)"):
+                evar_power(d, alpha, 2.0)
+
 
 class TestTopAtomPretest:
     def test_orders_agree_on_the_boundary_branch_at_ties(self):
@@ -344,11 +393,11 @@ class TestTopAtomPretest:
                 assert expectation(d) <= r.value <= esssup(d)
                 if exits[0]:
                     assert r.density.weights[0] == 0.0
+            z = hb_density_for(d, RiskSpec(alpha, 2.0))
             if exits[0]:
-                with pytest.raises(DegenerateBranchError):
-                    hb_density_for(d, RiskSpec(alpha, 2.0))
+                assert z.tolist() == [0.0, 1.0 / float(d.probs[-1])]
             else:
-                assert hb_density_for(d, RiskSpec(alpha, 2.0))[-1] > 0.0
+                assert z[-1] > 0.0
 
 
 class TestShannon:
@@ -725,6 +774,9 @@ class TestNormBounds:
         for p in (0.5, 1.0, 0.0):
             with pytest.raises(ValueError):
                 norm_equivalence_bounds(0.5, p)
+        for alpha in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\)"):
+                norm_equivalence_bounds(alpha, 2.0)
 
     def test_sandwich_on_random_distributions(self):
         rng = np.random.default_rng(10)
@@ -767,6 +819,9 @@ class TestRiskLevelBound:
             risk_level_bound(0.4, 0.5, 2.0)
         with pytest.raises(ValueError):
             risk_level_bound(0.5, 0.4, 1.0)
+        for levels in ((math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="levels must be real"):
+                risk_level_bound(*levels, 2.0)
 
 
 class TestDerivative:
@@ -792,8 +847,9 @@ class TestDerivative:
         assert fd == pytest.approx(0.0, abs=1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            evar_derivative_pprime(from_samples([2.0]), 0.5, 2.0)
+        # a constant variable takes the boundary branch, where the value is
+        # the atom at every order
+        assert evar_derivative_pprime(from_samples([2.0]), 0.5, 2.0) == 0.0
         with pytest.raises(ValueError):
             evar_derivative_pprime(from_samples([0.0, 1.0]), 0.5, 2.0)
         with pytest.raises(ValueError):

@@ -141,6 +141,16 @@ class TestScratchKernelParity:
             assert_same_solve(evar_power(d, alpha, -1e-3),
                               evar_theta_alloc(d, alpha, -1e-3, DEFAULT_TOL))
 
+    def test_roots_near_the_clamp(self):
+        # small |p| puts roots on both sides of s_max; those below it lie in a
+        # bracket whose upper part evaluates h at the clamp
+        for atoms in ([0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 4.0]):
+            d = from_samples(atoms)
+            for alpha in (0.3, 0.4, 0.5, 0.6):
+                for p in (-np.logspace(-3, -1, 81)).tolist():
+                    assert_same_solve(evar_power(d, alpha, p),
+                                      evar_theta_alloc(d, alpha, p, DEFAULT_TOL))
+
     @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are read on Linux")
     def test_large_solve_reuses_its_scratch(self):
         # each evaluation of the allocating twin maps fresh ~1.6 MB

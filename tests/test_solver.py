@@ -160,6 +160,20 @@ class TestBisect:
             lo, hi = hi, first_lo + 2.0 * (hi - first_lo)
         assert steps <= math.ceil(math.log2((hi - lo) / tol)) + 1
 
+    @pytest.mark.parametrize("g, lo, hi, root, expected_steps", [
+        (lambda t: t - 1.0, 0.0, 3.0, 1.0, 63),
+        (lambda t: math.tanh(t - 0.3), -1.0, 2.0, 0.3, 8),
+    ], ids=["linear", "tanh"])
+    def test_stops_when_the_floats_between_the_ends_run_out(self, g, lo, hi, root,
+                                                             expected_steps):
+        # no width of 1e-300 (1 + |lo| + |hi|) fits between neighbouring floats
+        # near the root, so the search ends when the midpoint equals an end
+        tol = 1e-300
+        r, steps = find_root(g, lo, hi, tol)
+        assert abs(r - root) <= math.ulp(root)
+        assert steps == expected_steps
+        assert steps <= math.ceil(math.log2((hi - lo) / tol)) + 8
+
 
 def _adversarial(r):
     """Monotone functions with a sign change at r that defeat plain interpolation."""
