@@ -31,7 +31,6 @@ from .evar import (
 )
 from .duality import (
     KusuokaMeasure,
-    alt_dual_check,
     dual_norm,
     dual_norm_raw,
     hb_density_for,

@@ -355,6 +355,7 @@ def cmd_kusuoka(d: DiscreteDistribution, args: argparse.Namespace) -> str:
     return json.dumps({
         "atoms": [[l, ms] for l, ms in m.atoms],
         "distortion": [[u, h] for u, h in m.distortion],
+        "tails": m.tails.tolist(),
         "version": VERSION_STRING,
     })
 

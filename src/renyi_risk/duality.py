@@ -316,29 +316,6 @@ def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
     return _sign(z.weights) * _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
 
 
-def alt_dual_check(d: DiscreteDistribution, spec: RiskSpec, trials: int,
-                   seed: int = 0) -> bool:
-    """Spot-check the alternative dual representation over unit dual-ball densities.
-
-    Samples random densities, keeps those with dual norm at most 1 (within
-    1e-9) and verifies their pairing never beats the risk value; also checks
-    the attaining density itself sits in the unit dual ball (within 1e-6).
-    """
-    res = evar(d, spec)
-    ok = True
-    if res.density is not None:
-        ok = ok and dual_norm(res.density, spec.alpha, spec.order) <= 1.0 + 1e-6
-    rng = np.random.default_rng(seed)
-    n = d.n_atoms
-    payoff = d.probs * d.values
-    for _ in range(trials):
-        q = rng.dirichlet(np.ones(n))
-        z = Density(d, q / d.probs)
-        if dual_norm(z, spec.alpha, spec.order) <= 1.0 + 1e-9:
-            ok = ok and float(np.dot(payoff, z.weights)) <= res.value + 1e-6
-    return bool(ok)
-
-
 @dataclass(frozen=True)
 class KusuokaMeasure:
     """Discrete mixing measure over tail levels, stored as its distortion profile.

@@ -10,6 +10,9 @@ import numpy as np
 from .distribution import DiscreteDistribution, _log_moments
 
 MEAN_TOL = 1e-10
+#: Bound on |q - 1| and on |q - 1| max |log Z| below which ``renyi_entropy``
+#: takes its form that is exact as q -> 1.
+_NEAR_ONE = 0.25
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,15 @@ class Density:
 def renyi_entropy(z: Density, q: float) -> float:
     """Entropy of order q; q is any real or +inf.
 
-    Orders 0, 1 and +inf are dispatched exactly by value, everything else
-    uses log E Z^q / (q - 1) from the log-moment kernel.  The convention
-    0 log 0 = 0 applies at q = 1; zero weights count as exact zeros at
-    q = 0.  Negative orders require a strictly positive density.
+    Orders 0, 1 and +inf are dispatched exactly by value.  Near 1, where
+    |q - 1| and |q - 1| max |log Z| are below ``_NEAR_ONE``, it is
+    log1p(E_t[expm1((q - 1) log Z)]) / (q - 1) - log E Z, with t the
+    weights P Z / E Z: the entropy of Z / E Z, which keeps its precision
+    as q -> 1, where log E Z^q / (q - 1) loses eps / |q - 1| and divides
+    the rounding of E Z by q - 1.  Everything else is log E Z^q / (q - 1)
+    from the log-moment kernel.  The convention 0 log 0 = 0 applies at
+    q = 1; zero weights count as exact zeros at q = 0.  Negative orders
+    require a strictly positive density.
     """
     if math.isnan(q) or (math.isinf(q) and q < 0):
         raise ValueError("order must be a real number or +inf")
@@ -58,7 +66,13 @@ def renyi_entropy(z: Density, q: float) -> float:
         return float(np.dot(p[pos] * wp, np.log(wp)))
     if math.isinf(q):
         return float(np.log(w.max()))
-    return _log_moments(np.log(p[pos]), np.log(w[pos]), q) / (q - 1.0)
+    k = q - 1.0
+    logw = np.log(w[pos])
+    if abs(k) < _NEAR_ONE and abs(k) * float(np.abs(logw).max()) < _NEAR_ONE:
+        pz = p[pos] * w[pos]
+        total = float(pz.sum())
+        return math.log1p(float(pz.dot(np.expm1(k * logw))) / total) / k - math.log(total)
+    return _log_moments(np.log(p[pos]), logw, q) / k
 
 
 def hellinger_divergence(z: Density, q: float) -> float:

@@ -354,10 +354,15 @@ def risk_level_bound(alpha: float, alpha_prime: float, p: float) -> float:
 def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float) -> float:
     """Exact conjugate-order derivative of the p > 1 risk value at its optimizer.
 
-    Requires strictly positive atoms.  Always nonpositive: the value is
-    nonincreasing in the conjugate order.  On the boundary branch, a
-    constant variable among them, the value is esssup at every order and
-    the derivative is 0.0.
+    It is (value - t*) (log beta - E_t[log Z]) / p', with Z the attaining
+    density and t the escort distribution, P Z^p' / E Z^p', whose weights
+    come from one shifted exp pass, so no power of beta or Z overflows at
+    any p'.  Where Z meets the budget, E Z^p' = beta^(p' - 1), this is the
+    derivative of the value in p', and it is nonpositive, as the value is
+    nonincreasing in the conjugate order; near p = 1, where the solve's
+    densities still miss the budget, it can come out positive.  Requires
+    strictly positive atoms.  On the boundary branch, a constant variable
+    among them, the value is esssup at every order and the derivative is 0.0.
     """
     if math.isnan(pprime) or math.isinf(pprime) or not pprime > 1.0:
         raise ValueError("conjugate order must be a finite real above 1")
@@ -373,6 +378,5 @@ def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float)
         return 0.0
     pos = w > 0.0
     logw = np.log(w[pos])
-    ez_log = float(np.sum(np.exp(np.log(d.probs[pos]) + pprime * logw) * logw))
-    bracket = log_beta / pprime - ez_log / (pprime * math.exp((pprime - 1.0) * log_beta))
-    return scale * bracket
+    _, e = _exp_shifted(np.log(d.probs[pos]) + pprime * logw)
+    return scale * (log_beta - float(e.dot(logw)) / float(e.sum())) / pprime

@@ -1,30 +1,27 @@
-"""Independent brute-force oracles used to pin expected values in tests.
+"""Independent references used to pin expected values in tests.
 
-Everything here computes by direct enumeration, dense grids or finite
-differences with plain numpy powers, deliberately avoiding the library's
-log-space code paths.  Three exceptions are kept as references: the
-allocating log-moment kernel and the solve in theta built the same way,
-exact twins of the library's solve that writes into caller-owned scratch;
-the finite-order solve in t and the Shannon tilt that the solve in theta
-replaced, for values; and the supremum oracle in one pass, for its chunked
-scan that tests the budget only on improving rows.  The tail mean and the
-Kusuoka measure are also pinned by exact sums (``fractions``, ``math.fsum``),
-the Kusuoka integral by one ``avar`` per level, and the p < 0 value by a
-``decimal`` search.
+Most compute by enumeration, dense grids or plain numpy powers, away from
+the library's log-space code paths.  The risk value of every order is pinned
+by ``evar_decimal`` and Renyi entropies by ``renyi_entropy_decimal``, at 60
+digits from the atoms and probabilities alone; the tail mean and the Kusuoka
+measure by exact sums, the Kusuoka integral by one ``avar`` per level.  Two
+twins of library code are kept for their bits, not their values: the solve
+in theta on allocating arrays, and the supremum oracle in one pass.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from renyi_risk import DiscreteDistribution, RiskSpec, avar, conjugate, expectation, from_samples
-from renyi_risk.evar import _top_atom_test, _unit_space
+from renyi_risk.evar import _PastClamp, _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
 
@@ -87,95 +84,191 @@ def kusuoka_evaluate_loop(m, d: DiscreteDistribution) -> float:
     return float(sum(mass * avar(d, float(lv)).value for lv, mass in zip(m.levels, m.masses)))
 
 
-def evar_negative_decimal(d: DiscreteDistribution, alpha: float, p: float,
-                          digits: int = 60) -> float:
-    """The p < 0 value min over t > esssup of t - beta^(1/p) (E (t - Y)^p)^(1/p)
-    in ``decimal`` arithmetic at ``digits`` digits, on the stored floats.
+PREC = 60
+DecimalRisk = collections.namedtuple(
+    "DecimalRisk", "value t_star atom offset density entropy gap evaluations")
 
-    The objective is convex in t (the power mean of order p < 1 is concave),
-    so a golden-section search in s = log((t - esssup)/spread) over
-    [-100, 30] finds its minimum; the value is rounded once at the end.
-    """
+
+def _entropy(probs, z, logz, q):
+    """Renyi entropy of order q of Z / E Z from P, Z and log Z (``Decimal``)."""
+    mean = sum(p * x for p, x in zip(probs, z))
+    if q == 1:
+        return sum(p * x * lx for p, x, lx in zip(probs, z, logz)) / mean - mean.ln()
+    m = max(q * x for x in logz)
+    log_moment = m + sum(p * (q * x - m).exp() for p, x in zip(probs, logz)).ln()
+    return (log_moment - q * mean.ln()) / (q - 1)
+
+
+def renyi_entropy_decimal(probs, weights, orders) -> list:
+    """Renyi entropies of the density normalized by its mean, Z / E Z, at
+    each finite order, at ``PREC`` digits; zero weights drop out."""
     with localcontext() as ctx:
-        ctx.prec = digits
-        v = [Decimal(x) for x in d.values.tolist()]
-        probs = [Decimal(x) for x in d.probs.tolist()]
-        P, top, spread = Decimal(p), v[-1], v[-1] - v[0]
-        scale = (1 / (1 - Decimal(alpha))) ** (1 / P)
+        ctx.prec = PREC
+        P, z = zip(*[(Decimal(p), Decimal(w)) for p, w in zip(probs, weights) if w > 0.0])
+        logz = [w.ln() for w in z]
+        return [_entropy(P, z, logz, Decimal(q)) for q in orders]
 
-        def f(s: Decimal) -> Decimal:
-            t = top + spread * s.exp()
-            return t - scale * sum(q * (t - x) ** P for q, x in zip(probs, v)) ** (1 / P)
 
-        g = (Decimal(5).sqrt() - 1) / 2
-        lo, hi = Decimal(-100), Decimal(30)
-        a, b = hi - g * (hi - lo), lo + g * (hi - lo)
-        fa, fb = f(a), f(b)
-        for _ in range(200):
-            if fa < fb:
-                hi, b, fb = b, a, fa
-                a = hi - g * (hi - lo)
-                fa = f(a)
-            else:
-                lo, a, fa = a, b, fb
-                b = lo + g * (hi - lo)
-                fb = f(b)
-        return float(min(fa, fb))
+def _root(h, x, step, tol, ftol, cap=None):
+    """A root of the nondecreasing h: steps of step, 2 step, ... from x toward
+    it until h changes sign (upward never past cap = (x, h(x)), h >= 0), then
+    false position with Anderson-Bjorck weights, bisecting when two steps
+    have not halved the bracket, to |h| <= ftol or a bracket within tol of
+    its ends.  Returns the evaluated point of least |h|."""
+    seen = []
+
+    def f(x):
+        seen.append((abs(fx := h(x)), x))
+        return x, fx
+
+    lo = hi = f(x)
+    while lo[1] >= 0:
+        hi, lo, step = lo, f(lo[0] - step), 2 * step
+    while hi[1] < 0:
+        up = hi[0] + step
+        lo, hi, step = hi, cap if cap and up >= cap[0] else f(up), 2 * step
+    (a, fa), (b, fb), side, widths = lo, hi, 0, []
+    while min(seen)[0] > ftol and b - a > tol * (1 + abs(a) + abs(b)):
+        widths.append(b - a)
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b or (len(widths) > 2 and widths[-1] > widths[-3] / 2):
+            x = (a + b) / 2
+        x, fx = f(x)
+        if fx < 0:
+            if side < 0:  # a moved twice in a row: weigh b's value down
+                fb = fb * m if (m := 1 - fx / fa) > 0 else fb / 2
+            a, fa, side = x, fx, -1
+        else:
+            if side > 0:
+                fa = fa * m if (m := 1 - fx / fb) > 0 else fa / 2
+            b, fb, side = x, fx, 1
+    return min(seen)[1]
+
+
+def _solve(y, probs, log_beta, p, exp, ln, start, tol, ftol):
+    """The root of h on the standardized atoms y (esssup 0, spread 1), in
+    ``float`` for a start or in ``Decimal``: ``(k, sigma, parts, count)``.
+
+    Finite p: h = log beta + p log E g^(p-1) - (p-1) log E g^p with g the
+    gaps |y - t| that count: above t = y_k - e^sigma for p > 1, in the cell
+    below atom k found by bisection over the atoms; every atom for p < 0,
+    t = e^sigma.  At +inf (p None), h = theta E_theta[y] - log E e^(theta y)
+    - log beta, theta = e^sigma.  h is nondecreasing in sigma.  A ``start``
+    (k, sigma) is probed first; a wrong one only costs evaluations.
+    """
+    n, memo, num = len(y), {}, type(log_beta)
+
+    def h(k, sigma):
+        # the log terms a: (p - 1) log g over the gaps, atom k's e^sigma; theta y at +inf
+        if p is None:
+            idx, gaps, a = list(range(n)), y, [exp(sigma) * x for x in y]
+        else:
+            idx = list(range(k + 1, n)) if p > 0 else list(range(n - 1))
+            gaps = [abs(y[i] - y[k]) for i in idx]
+            if sigma is not None:
+                delta = exp(sigma)
+                idx, gaps = [k] + idx, [delta] + [g + delta for g in gaps]
+            lg = [ln(g) for g in gaps] if sigma is None else [sigma] + [ln(g) for g in gaps[1:]]
+            a = [(p - 1) * x for x in lg]
+        m = max(a)
+        e = [probs[i] * exp(x - m) for i, x in zip(idx, a)]
+        s1, s2 = sum(e), sum(w * g for w, g in zip(e, gaps))
+        fx = (exp(sigma) * s2 / s1 - m - ln(s1) - log_beta if p is None
+              else log_beta + m + p * ln(s1) - (p - 1) * ln(s2))
+        memo[k, sigma] = fx, (idx, a, m, e, s1, s2)
+        return fx
+
+    k, cap = n - 1, None
+    if p is not None and p > 0:
+        lo, hi = -1, n - 1  # h >= 0 as t falls below y_lo, h < 0 at t = y_hi
+        probes = [start[0] - 1, start[0]] if start else []
+        while hi - lo > 1:
+            j = probes.pop(0) if probes else (lo + hi) // 2
+            if lo < j < hi:
+                lo, hi = (j, hi) if h(j, None) >= 0 else (lo, j)
+        k, cap = hi, (ln(y[hi] - y[hi - 1]), memo[hi - 1, None][0]) if hi > 0 else None
+    if start and start[0] == k:
+        x, step = num(start[1]), num(1 + abs(start[1])) / 10 ** 10
+    elif p is None:
+        x, step = num(0), 1
+    else:
+        x = cap[0] if cap else ln(abs(p)) if abs(p) > 1 else num(0)
+        step = max(1, 1 / (abs(p - 1) if p > 0 else abs(p)))
+    sigma = _root(lambda s: h(k, s), x, step, tol, ftol, cap)
+    return k, sigma, memo[k, sigma][1], len(memo)
+
+
+def evar_decimal(d: DiscreteDistribution, alpha: float, p) -> DecimalRisk:
+    """The risk value of order p > 1 or p < 0 (|p| <= 1e15, as h cancels
+    about log10 |p| of the digits), or +inf, at ``PREC`` digits from
+    ``d.values`` and ``d.probs`` alone.
+
+    beta P(Y = esssup) >= 1 is the boundary branch: esssup, attained by the
+    top atom's indicator.  Otherwise t + beta^(1/p) ||(Y - t)_+||_p (p > 1),
+    t - beta^(1/p) ||t - Y||_p (p < 0) or (log E e^(theta Y) + log beta)/theta
+    (+inf) is minimized at the root of its stationarity, in floats for a
+    start, then in ``Decimal``.  t_star (the tilt at +inf) is also ``atom`` -
+    ``offset`` (p > 1) or esssup + ``offset`` (p < 0), which holds gaps far
+    below 1e-600.  With the density g^(p-1) / E g^(p-1) (the tilt at +inf)
+    come its conjugate-order entropy, the primal-dual gap value - E[YZ] and
+    the count of 60-digit evaluations of h.
+    """
+    if not (math.isinf(p) or abs(p) <= 1e15):
+        raise ValueError("60 digits hold the finite orders up to |p| = 1e15")
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = PREC, MAX_EMAX, MIN_EMIN
+        v, P = ([Decimal(x) for x in a.tolist()] for a in (d.values, d.probs))
+        n, top, finite = len(v), v[-1], not math.isinf(p)
+        log_beta = -(1 - Decimal(alpha)).ln()
+        if P[-1] >= 1 - Decimal(alpha):
+            return DecimalRisk(top, top if finite else None, n - 1 if finite else None,
+                               0 * top if finite else None, [0 * top] * (n - 1) + [1 / P[-1]],
+                               -P[-1].ln(), 0 * top, 0)
+        spread = top - v[0]
+        y = [(x - top) / spread for x in v]
+        try:
+            start = _solve([float(x) for x in y], d.probs.tolist(), float(log_beta),
+                           float(p) if finite else None, math.exp, math.log, None, 1e-14, 0.0)[:2]
+        except (ArithmeticError, ValueError):
+            start = None
+        pd = Decimal(p) if finite else None
+        k, sigma, (idx, a, m, e, s1, s2), count = _solve(
+            y, P, log_beta, pd, Decimal.exp, Decimal.ln, start, Decimal("1e-58"),
+            log_beta * Decimal("1e-50"))
+        if finite:
+            t = y[k] - sigma.exp() if p > 0 else sigma.exp()
+            value = t + (1 if p > 0 else -1) * ((log_beta + m + s2.ln()) / pd).exp()
+            t_star, offset, order = top + spread * t, spread * sigma.exp(), pd / (pd - 1)
+        else:
+            value = (m + s1.ln() + log_beta) / sigma.exp()
+            t_star, k, offset, order = sigma.exp() / spread, None, None, Decimal(1)
+        z = [0 * top] * n
+        for i, w in zip(idx, e):
+            z[i] = w / (P[i] * s1)
+        pair = sum(w * y[i] for i, w in zip(idx, e)) / s1
+        entropy = _entropy([P[i] for i in idx], [z[i] for i in idx],
+                           [x - m - s1.ln() for x in a], order)
+        return DecimalRisk(top + spread * value, t_star, k, offset, z, entropy,
+                           spread * (value - pair), count)
 
 
 def objective_high(d: DiscreteDistribution, alpha: float, p: float, t: float) -> float:
-    """t + (1/(1-alpha))^(1/p) * (E (Y-t)_+^p)^(1/p), direct powers."""
-    plus = np.maximum(d.values - t, 0.0)
-    moment = float(np.dot(d.probs, plus ** p))
+    """t + (1/(1-alpha))^(1/p) * (E (Y-t)_+^p)^(1/p), direct powers and a
+    compensated sum."""
+    moment = math.fsum((d.probs * np.maximum(d.values - t, 0.0) ** p).tolist())
     return t + (1.0 / (1.0 - alpha)) ** (1.0 / p) * moment ** (1.0 / p)
 
 
 def objective_neg(d: DiscreteDistribution, alpha: float, p: float, t: float) -> float:
-    """t - (1/(1-alpha))^(1/p) * (E (t-Y)^p)^(1/p) for t above every atom."""
-    gap = t - d.values
-    moment = float(np.dot(d.probs, gap ** p))
+    """t - (1/(1-alpha))^(1/p) * (E (t-Y)^p)^(1/p) for t above every atom,
+    direct powers and a compensated sum."""
+    moment = math.fsum((d.probs * (t - d.values) ** p).tolist())
     return t - (1.0 / (1.0 - alpha)) ** (1.0 / p) * moment ** (1.0 / p)
 
 
 def grid_min(f, lo: float, hi: float, num: int = 200001) -> float:
     ts = np.linspace(lo, hi, num)
     return min(f(float(t)) for t in ts)
-
-
-def chernoff_shannon_oracle(d: DiscreteDistribution, alpha: float) -> float:
-    """min over z > 0 of (log E e^(zY) + log(1/(1-alpha))) / z.
-
-    Log-spaced scan plus golden-section polish; independent of the tilting
-    solve it cross-checks.
-    """
-    log_beta = -math.log1p(-alpha)
-    logp = np.log(d.probs)
-    v = d.values
-    spread = max(float(v[-1] - v[0]), 1e-9)
-
-    def g(z: float) -> float:
-        s = logp + z * v
-        smax = s.max()
-        lam = smax + math.log(np.exp(s - smax).sum())
-        return (lam + log_beta) / z
-
-    zs = np.exp(np.linspace(math.log(1e-4 / spread), math.log(1e6 / spread), 4001))
-    vals = np.array([g(float(z)) for z in zs])
-    k = int(np.argmin(vals))
-    lo, hi = float(zs[max(k - 1, 0)]), float(zs[min(k + 1, zs.size - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    while hi - lo > 1e-13 * (1.0 + abs(lo)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = g(x2)
-    return min(f1, f2, float(vals[k]))
 
 
 def dual_norm_grid(d: DiscreteDistribution, weights, alpha: float, p: float,
@@ -252,10 +345,7 @@ def bisect_root(g, lo: float, hi: float, tol: float):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
         steps += 1
     return 0.5 * (lo + hi), steps
 
@@ -272,97 +362,10 @@ def rand_dist(rng: np.random.Generator, n: int, lo: float = 0.0, hi: float = 10.
         if np.any(np.diff(v) < 1e-6):
             continue
         p = rng.dirichlet(np.ones(n) * concentration)
-        if p.min() < 1e-3:
-            continue
-        if max_top is not None and p[-1] >= max_top:
+        if p.min() < 1e-3 or (max_top is not None and p[-1] >= max_top):
             continue
         return from_samples(v, p)
     raise RuntimeError("could not draw a distribution with the requested shape")
-
-
-def log_gaps_alloc(values, logp, t: float, gap: bool = False):
-    """Atoms where (Y - t)_+ is positive, or (t - Y)_+ when ``gap``: their
-    log-probabilities and the log of that positive part, freshly allocated."""
-    if gap:
-        i = int(np.searchsorted(values, t, side="left"))
-        return logp[:i], np.log(t - values[:i])
-    i = int(np.searchsorted(values, t, side="right"))
-    return logp[i:], np.log(values[i:] - t)
-
-
-def exp_shifted_alloc(terms):
-    """The allocating ``distribution._exp_shifted``: ``terms`` is left intact."""
-    m = float(terms.max()) if terms.size else -math.inf
-    return m, (terms[:0] if m == -math.inf else np.exp(terms - m))
-
-
-def log_moments_alloc(logp, logx, k: float):
-    """The allocating ``distribution._log_moments``, term for term."""
-    m, e = exp_shifted_alloc(logp + k * logx)
-    return m + math.log(float(e.sum())) if e.size else m
-
-
-def evar_power_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
-    """The finite-order solve in t that preceded the solve in theta, kept as
-    a reference for values: ``(value, t_star, iterations, density weights)``
-    for an interior solve, or None when the top-atom pre-test takes the
-    boundary branch.  It brackets t' on [-2, 0] (p > 1) or [0, 1] (p < 0)
-    and roots -log(1 - derivative) from the log-moments of orders p and
-    p - 1."""
-    gap = p < 0.0
-    top, log_beta, logp = _top_atom_test(d, alpha)
-    if top >= 0.0:
-        return None
-    m, s, y = _unit_space(d)
-
-    def moments(t: float):
-        logp_t, logx = log_gaps_alloc(y, logp, t, gap=gap)
-        return logx, log_moments_alloc(logp_t, logx, p), log_moments_alloc(logp_t, logx, p - 1.0)
-
-    def fprime(t: float) -> float:
-        if gap and t <= 0.0:
-            return -top / p
-        _, lk, lk1 = moments(t)
-        if lk == -math.inf:
-            return math.inf
-        return -(log_beta / p + (1.0 / p - 1.0) * lk + lk1)
-
-    t, iterations = find_root(fprime, *((0.0, 1.0) if gap else (-2.0, 0.0)), tol)
-    logx, lk, lk1 = moments(t)
-    norm = math.exp(log_beta / p + lk / p)
-    value = min(0.0, t - norm if gap else t + norm)
-    w = np.zeros(d.n_atoms)
-    w[d.n_atoms - logx.size:] = np.exp((p - 1.0) * logx - lk1)
-    return m + s * value, m + s * t, iterations, w
-
-
-def evar_shannon_alloc(d: DiscreteDistribution, alpha: float, theta_tol: float):
-    """The Shannon solve by exponential tilting that preceded the solve in
-    theta, kept as a reference for values: ``(value, t_star, iterations,
-    density weights)`` for an interior solve, or None when the top-atom
-    pre-test takes the boundary branch.  It roots the tilt's entropy-budget
-    gap in theta and reads the value as the tilted mean."""
-    top, log_beta, logp = _top_atom_test(d, alpha)
-    if top >= 0.0:
-        return None
-    m, s, y = _unit_space(d)
-
-    def tilt(theta: float):
-        top_a, e = exp_shifted_alloc(logp + theta * y)
-        total = float(e.sum())
-        return top_a + math.log(total), float(np.dot(e, y)) / total
-
-    def budget_gap(theta: float) -> float:
-        lam, mean = tilt(theta)
-        return theta * mean - lam - log_beta
-
-    theta, iterations = find_root(budget_gap, 0.0, 1.0, theta_tol)
-    lam, value = tilt(theta)
-    return m + s * value, theta / s, iterations, np.exp(theta * y - lam)
-
-
-class _PastClamp(Exception):
-    """h is still positive at the clamp s_max."""
 
 
 def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
@@ -386,7 +389,9 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     def moments(theta: float):
         # (L, log E_w[1/u]), or (L, -E_w[theta y]) at +inf
         i, x = scaled(theta)
-        top_a, e = exp_shifted_alloc(logp[i:] + (p * np.log1p(x) if finite else x))
+        terms = logp[i:] + (p * np.log1p(x) if finite else x)
+        top_a = float(terms.max())
+        e = np.exp(terms - top_a)
         total = float(e.sum())
         L = top_a + math.log(total)
         if not finite:
@@ -396,11 +401,9 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
             return L, math.log1p(-mean)
         return L, math.log(float(np.dot(e, 1.0 / (x + 1.0))) / total)
 
-    def h_at(L: float, g: float) -> float:
-        return log_beta + L + (p * g if finite else g)
-
     def h(s: float) -> float:
-        value = h_at(*moments(math.exp(min(s, s_max))))
+        L, g = moments(math.exp(min(s, s_max)))
+        value = log_beta + L + (p * g if finite else g)
         if s > s_max and value > 0.0:
             raise _PastClamp
         return value
@@ -415,12 +418,8 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     r = c / p
     value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))
     i, x = scaled(theta)
-    if finite:
-        e = (p - 1.0) * np.log1p(x) - (L + g)
-        t_star = m - spread * (p / theta)
-    else:
-        e = x - L
-        t_star = theta / spread
+    e = (p - 1.0) * np.log1p(x) - (L + g) if finite else x - L
+    t_star = m - spread * (p / theta) if finite else theta / spread
     w = np.zeros(d.n_atoms)
     w[i:] = np.exp(e)
     return m + spread * value, t_star if math.isfinite(t_star) else None, iterations, w

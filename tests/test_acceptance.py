@@ -12,7 +12,6 @@ import numpy as np
 from renyi_risk import (
     Density,
     RiskSpec,
-    alt_dual_check,
     avar,
     conjugate,
     dual_norm,
@@ -212,7 +211,12 @@ def test_c10_hahn_banach_and_alternative_dual():
             r = evar(d, spec)
             assert dual_norm(r.density, a, p) <= 1.0 + 1e-6
             if i % 5 == 0:
-                assert alt_dual_check(d, spec, trials=10, seed=i)
+                # weak duality over random densities inside the unit dual ball
+                trials = np.random.default_rng(i)
+                for _ in range(10):
+                    z = Density(d, trials.dirichlet(np.ones(d.n_atoms)) / d.probs)
+                    if dual_norm(z, a, p) <= 1.0 + 1e-9:
+                        assert float(np.dot(d.probs * d.values, z.weights)) <= r.value + 1e-6
     report(10, "pairing equalities at rel 1e-6 and unit dual ball for attaining densities, both regimes")
 
 

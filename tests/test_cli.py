@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyi_risk import RiskSpec, dual_norm, evar, from_samples
+from renyi_risk import KusuokaMeasure, RiskSpec, dual_norm, evar, from_samples, kusuoka
 from renyi_risk import cli
 from renyi_risk.cli import main
 
@@ -424,6 +424,22 @@ class TestKusuokaCommand:
         atoms = json.loads(out)["atoms"]
         assert abs(math.fsum(m for _, m in atoms) - 1.0) <= 1e-12
         assert (atoms[-1][0] == 1.0) == (order != "1")
+
+    def test_tails_rebuild_the_measure(self, capsys, tmp_path):
+        # two tails below level resolution: atoms and distortion both show
+        # the level 1.0 twice, and only the tails tell them apart
+        path = tmp_path / "y.csv"
+        path.write_text("value,weight\n0,0.5\n1,0.5\n2,1e-17\n3,1e-17\n", encoding="utf-8")
+        code, out, err = run(capsys, ["kusuoka", "--input", str(path),
+                                      "--alpha", "0.5", "--order", "-2"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert [u for u, _ in payload["distortion"][-2:]] == [1.0, 1.0]
+        rebuilt = KusuokaMeasure(payload["tails"], [h for _, h in payload["distortion"]])
+        want = kusuoka(from_samples([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, 1e-17, 1e-17]),
+                       RiskSpec(0.5, -2.0))
+        assert rebuilt.tails.tolist() == want.tails.tolist() == [1.0, 0.5, 2e-17, 1e-17]
+        assert rebuilt.heights.tolist() == want.heights.tolist()
 
     def test_rejects_regimes_without_density(self, capsys, sample_csv):
         code, _, _ = run(capsys, ["kusuoka", "--input", sample_csv,

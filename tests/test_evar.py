@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,12 +29,12 @@ from renyi_risk import (
     var_level,
 )
 from oracles import (
+    PREC,
     avar_exact,
     avar_grid_oracle,
     bisect_root,
-    chernoff_shannon_oracle,
     conjugate_entropy,
-    evar_negative_decimal,
+    evar_decimal,
     objective_neg,
     rand_dist,
 )
@@ -348,7 +350,7 @@ class TestNegativeOrder:
         r = evar(d, RiskSpec(0.5, p))
         assert r.branch == "negative_order"
         assert_solution(d, 0.5, p, r)
-        assert abs(r.value - evar_negative_decimal(d, 0.5, p)) <= 2e-15 * 2.0
+        assert abs(r.value - float(evar_decimal(d, 0.5, p).value)) <= 2e-15 * 2.0
 
     def test_light_top_atoms_across_random_samples(self):
         # three of these samples raised "density mean ... is not 1"
@@ -409,14 +411,15 @@ class TestShannon:
     def test_chernoff_cross_check(self):
         d = from_samples([0.0, 1.0])
         r = evar_power(d, 0.5, math.inf)
-        assert r.value == pytest.approx(chernoff_shannon_oracle(d, 0.5), abs=1e-8)
+        assert abs(r.value - float(evar_decimal(d, 0.5, math.inf).value)) <= 1e-15
 
     def test_chernoff_cross_check_interior(self):
         rng = np.random.default_rng(6)
         for _ in range(6):
             d = rand_dist(rng, 5, max_top=0.3)
             r = evar_power(d, 0.6, math.inf)
-            assert r.value == pytest.approx(chernoff_shannon_oracle(d, 0.6), abs=1e-8)
+            spread = esssup(d) - essinf(d)
+            assert abs(r.value - float(evar_decimal(d, 0.6, math.inf).value)) <= 1e-15 * spread
             assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-10)
             kl = renyi_entropy(r.density, 1.0)
             assert kl <= LOG(1 / 0.4) + 1e-8
@@ -473,6 +476,78 @@ class TestShannon:
             assert len(passes) == len(evaluations) + 1, p
             # p < 0 and +inf keep every atom, p > 1 only those with u > 0
             assert set(passes) == {50} or (p > 1.0 and max(passes) <= 50), p
+
+
+#: Every regime of the reference: p > 1 from 1.5 to 1e6, +inf, p < 0 from -1e6 to -0.01.
+REFERENCE_ORDERS = (1.5, 2.0, 10.0, 1e6, math.inf, -1e6, -2.0, -0.01)
+
+
+def reference_cases():
+    """200 seeded (distribution, level, order) cases: 2-50 lognormal atoms
+    with Dirichlet weights, levels 0.5, 0.95 and 0.99 and every order of
+    ``REFERENCE_ORDERS``, leaving out top atoms within 4 ulps of the
+    boundary beta P(top) = 1."""
+    rng = np.random.default_rng(7)
+    cases = []
+    while len(cases) < 200:
+        n = int(rng.integers(2, 51))
+        d = from_samples(rng.lognormal(size=n), rng.dirichlet(np.ones(n)))
+        alpha, p = (0.5, 0.95, 0.99)[len(cases) % 3], REFERENCE_ORDERS[len(cases) % 8]
+        if abs(float(d.probs[-1]) - (1.0 - alpha)) > 4 * math.ulp(1.0 - alpha):
+            cases.append((d, alpha, p))
+    return cases
+
+
+def assert_certified(d, alpha, ref):
+    """The reference's own 60-digit certificate: a primal-dual gap within
+    1e-40 of the spread and a density within 1e-40 of the budget relative to
+    log beta (below it on the boundary branch, where the gap is 0)."""
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        log_beta = -(1 - Decimal(alpha)).ln()
+        bound = Decimal(10) ** -40
+        assert abs(ref.gap) <= bound * Decimal(esssup(d) - essinf(d))
+        if ref.evaluations:
+            assert abs(ref.entropy - log_beta) <= bound * log_beta
+        else:
+            assert ref.value == Decimal(esssup(d)) and ref.entropy <= log_beta
+
+
+class TestDecimalReference:
+    """``evar`` against ``oracles.evar_decimal``, which reads only the atoms
+    and probabilities and holds the optimizer at 60 digits as a distance
+    from an atom, and that reference's own certificate."""
+
+    def test_agrees_on_seeded_cases(self):
+        evaluations = []
+        for d, alpha, p in reference_cases():
+            r, ref = evar(d, RiskSpec(alpha, p)), evar_decimal(d, alpha, p)
+            assert (r.iterations == 0) == (ref.evaluations == 0), (d.n_atoms, alpha, p)
+            assert abs(r.value - float(ref.value)) <= 1e-15 * (esssup(d) - essinf(d)), (
+                d.n_atoms, alpha, p)
+            assert_certified(d, alpha, ref)
+            if ref.evaluations:
+                evaluations.append(ref.evaluations)
+        # a start from a float solve leaves a few 60-digit evaluations per case
+        assert np.mean(evaluations) <= 15
+
+    @pytest.mark.parametrize("p", [1.0001, 1.01, 1.1])
+    def test_certifies_itself_near_order_one(self, p):
+        # the two reproducers where the solve in theta misses the budget
+        lognormal = from_samples(np.random.default_rng(0).lognormal(size=50))
+        for d, alpha in ((from_samples([0.0, 1.0, 4.0], [0.5, 0.3, 0.2]), 0.5), (lognormal, 0.95)):
+            assert_certified(d, alpha, evar_decimal(d, alpha, p))
+
+    def test_optimizer_below_the_lowest_atom(self):
+        # t* lies below atom 0 by 10^-1.60, 9.2e-17, 1.5e-263 and 10^-3630.6:
+        # a double near the atom cannot hold it
+        d = from_samples([0.0, 1.0, 4.0], [0.5, 0.3, 0.2])
+        for p, offset in ((1.5, "0.0250438505709"), (1.1, "9.18329661552e-17"),
+                          (1.01, "1.52014433143e-263"), (1.001, "2.37267486323e-3631")):
+            ref = evar_decimal(d, 0.5, p)
+            assert ref.atom == 0
+            assert abs(ref.offset / Decimal(offset) - 1) <= Decimal("1e-6"), p
+            assert_certified(d, 0.5, ref)
 
 
 #: Orders of huge magnitude: the conjugate order rounds to 1 from 1e16 on.
@@ -845,6 +920,30 @@ class TestDerivative:
               - evar(d, RiskSpec(0.5, conjugate(2.0 - h))).value) / (2 * h)
         assert exact == pytest.approx(0.0, abs=1e-12)
         assert fd == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_a_decimal_central_difference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            d = rand_dist(rng, 4, lo=0.5, max_top=0.4)
+            pp = float(rng.uniform(1.3, 5.0))
+            with localcontext() as ctx:
+                ctx.prec = PREC
+                h = Decimal(10) ** -15
+
+                def value(q):
+                    return evar_decimal(d, 0.5, q / (q - 1)).value
+
+                slope = (value(Decimal(pp) + h) - value(Decimal(pp) - h)) / (2 * h)
+            exact = evar_derivative_pprime(d, 0.5, pp)
+            assert abs(exact - float(slope)) <= 1e-12 * abs(float(slope)), pp
+
+    def test_finite_without_warnings_at_huge_conjugate_orders(self):
+        # beta^(p' - 1) overflowed past p' = 237.93 at alpha 0.95
+        d = from_samples(np.random.default_rng(0).lognormal(size=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pp in (238.0, 1e3, 1e6):
+                assert math.isfinite(evar_derivative_pprime(d, 0.95, pp))
 
     def test_preconditions(self):
         # a constant variable takes the boundary branch, where the value is

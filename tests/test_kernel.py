@@ -1,6 +1,6 @@
 """The log-moment kernel: agreement with direct power sums, edge cases, the
-scratch-writing solve against its allocating twin and against the solves it
-replaced, no scipy."""
+scratch-writing solve against its allocating twin, against the 60-digit
+reference and against float certificates at scale, no scipy."""
 
 import math
 import os
@@ -15,7 +15,8 @@ from renyi_risk import esssup, essinf, evar_power, from_samples
 from renyi_risk.distribution import _log_moments
 from renyi_risk.evar import DEFAULT_TOL
 
-from oracles import evar_power_alloc, evar_shannon_alloc, evar_theta_alloc
+from oracles import (conjugate_entropy, evar_decimal, evar_theta_alloc, objective_high,
+                     objective_neg)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -176,29 +177,52 @@ class TestScratchKernelParity:
         assert scratch < allocating / 5, (scratch, allocating)
 
 
-class TestAgreementWithTheSolvesInT:
-    """The solve in theta returns the values of the solve in t (finite
-    orders) and of the Shannon tilt (+inf) that it replaced.  Those run at
-    their own stopping rules, 1e-11 in t'; the tilt at 1e-15 in theta,
-    because it reads the value off the tilted mean, whose error is first
-    order in theta."""
+def chernoff_objective(d, alpha, theta):
+    """(log E e^(theta Y) + log beta) / theta, with theta (Y - esssup) in the
+    powers and a compensated sum."""
+    m = esssup(d)
+    lam = math.log(math.fsum((d.probs * np.exp(theta * (d.values - m))).tolist()))
+    return m + (lam - math.log1p(-alpha)) / theta
 
-    @pytest.mark.parametrize("n,alphas", [(3, (0.5, 0.95, 0.99)), (1000, (0.5, 0.95, 0.99)),
-                                          (200_000, (0.95,))])
-    def test_values_agree_within_the_spread(self, n, alphas):
+
+class TestAgreementWithTheReference:
+    """The solve in theta against ``evar_decimal`` on 3 atoms, and against
+    float certificates of its own answer on 1000 and 200 000 atoms, where
+    60-digit sums over every atom at every step cost too much."""
+
+    def test_values_agree_within_the_spread(self):
+        for d in kernel_samples(3):
+            spread = esssup(d) - essinf(d)
+            for alpha in (0.5, 0.95, 0.99):
+                for p in ORDERS:
+                    result, reference = evar_power(d, alpha, p), evar_decimal(d, alpha, p)
+                    assert (result.iterations == 0) == (reference.evaluations == 0)
+                    assert abs(result.value - float(reference.value)) <= 1e-15 * spread, (alpha, p)
+
+    @pytest.mark.parametrize("n,alphas", [(1000, (0.5, 0.95, 0.99)), (200_000, (0.95,))])
+    def test_certificates_at_scale(self, n, alphas):
+        # the primal objective at the returned t*, in plain powers, the
+        # pairing E[YZ] and the density's conjugate-order entropy
         for d in kernel_samples(n):
             spread = esssup(d) - essinf(d)
             for alpha in alphas:
+                log_beta = -math.log1p(-alpha)
                 for p in ORDERS:
-                    result = evar_power(d, alpha, p)
-                    if math.isinf(p):
-                        reference, bound = evar_shannon_alloc(d, alpha, 1e-15), 1e-12
-                    else:
-                        reference, bound = evar_power_alloc(d, alpha, p, 1e-11), 1e-15
-                    if reference is None:
-                        assert result.iterations == 0
+                    r = evar_power(d, alpha, p)
+                    if r.iterations == 0:  # the boundary branch
+                        assert r.value == esssup(d)
                         continue
-                    assert abs(result.value - reference[0]) <= bound * spread, (n, alpha, p)
+                    if math.isinf(p):
+                        primal = chernoff_objective(d, alpha, r.t_star)
+                    elif p > 1.0:
+                        primal = objective_high(d, alpha, p, r.t_star)
+                    else:
+                        primal = objective_neg(d, alpha, p, r.t_star)
+                    pairing = math.fsum((d.probs * d.values * r.density.weights).tolist())
+                    entropy = conjugate_entropy(d, r.density.weights, p)
+                    assert abs(primal - r.value) <= 1e-15 * spread, (n, alpha, p)
+                    assert abs(pairing - r.value) <= 3e-14 * spread, (n, alpha, p)
+                    assert abs(entropy - log_beta) <= 1e-12, (n, alpha, p)
 
 
 def run_python(program):
