@@ -27,7 +27,7 @@ def random_instance(rng, n):
 def main() -> int:
     rng = np.random.default_rng(7)
     resolutions = (100, 200, 400)
-    orders = (1.5, 2.0, 3.0, -1.0, -3.0)
+    orders = (1.001, 1.5, 2.0, 3.0, -1.0, -3.0)
     print(f"{'resolution':>10} {'order':>6} {'instances':>9} {'max gap':>12} {'mean gap':>12} {'secs':>7}")
     for resolution in resolutions:
         for p in orders:

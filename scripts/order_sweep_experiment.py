@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from renyi_risk import RiskSpec, avar, conjugate, esssup, evar, from_samples
+from renyi_risk import RiskSpec, conjugate, esssup, evar, from_samples
 
 
 def demo_losses(seed: int = 42, n: int = 400) -> tuple[np.ndarray, np.ndarray]:
@@ -34,7 +34,7 @@ def main() -> int:
     # the Shannon member at p' = 1
     pprimes = [1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0]
     for alpha in (0.5, 0.9, 0.99):
-        base = avar(d, alpha)
+        base = evar(d, RiskSpec(alpha, 1.0))
         writer.writerow([alpha, "inf", 1.0, base.value, base.t_star])
         for pp in sorted(pprimes, reverse=True):
             p = conjugate(pp)

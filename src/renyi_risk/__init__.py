@@ -21,11 +21,9 @@ from .evar import (
     BRANCHES,
     RiskResult,
     RiskSpec,
-    avar,
     conjugate,
     evar,
     evar_derivative_pprime,
-    evar_power,
     norm_equivalence_bounds,
     risk_level_bound,
 )

@@ -27,7 +27,7 @@ from .distribution import (
     from_samples,
 )
 from .entropy import Density, renyi_entropy
-from .evar import RiskSpec, conjugate, evar, evar_power
+from .evar import RiskSpec, evar
 from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
@@ -93,18 +93,26 @@ def _lattice(parts: int, total: int, cap: int) -> np.ndarray:
 
 def _feasible_mask(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
                    log_beta: float) -> np.ndarray:
-    """Entropy-budget feasibility of candidate measures q (rows, q_i = p_i Z_i)."""
+    """Entropy-budget feasibility of candidate measures q (rows, q_i = p_i Z_i).
+
+    At p' != 1 the budget E Z^p' <= beta^(p' - 1) (>= for p' < 1) is tested
+    as E (Z/beta)^p' against 1/beta, so neither beta^(p' - 1) nor
+    P^(1 - p'), which overflow near p = 1, is formed, and a power of Z/beta
+    that overflows puts its row outside the budget.  Overwrites Q.
+    """
     p = d.probs
     if pprime == 1.0:
         safe = np.where(Q > 0.0, Q, 1.0)
         terms = np.where(Q > 0.0, Q * (np.log(safe) - np.log(p)), 0.0)
         return terms.sum(axis=1) <= log_beta
-    coeff = p ** (1.0 - pprime)
-    s = (Q ** pprime) @ coeff
-    bound = math.exp((pprime - 1.0) * log_beta)
-    if pprime > 1.0:
-        return s <= bound
-    return s >= bound
+    inv_beta = math.exp(-log_beta)
+    # column by column: twice as fast as one broadcast over rows of 3-6 entries
+    for j, scale in enumerate((inv_beta / p).tolist()):
+        Q[:, j] *= scale
+    with np.errstate(over="ignore"):
+        Q **= pprime  # the operator, for numpy's square and sqrt fast paths
+    s = Q @ p
+    return s <= inv_beta if pprime > 1.0 else s >= inv_beta
 
 
 def _first_nonnegative_steps(origin: np.ndarray, shift: int, scale: float) -> np.ndarray:
@@ -191,13 +199,7 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
         raise ValueError("resolution must be an integer")
     if resolution < 10:
         raise ValueError("resolution must be at least 10")
-    a, p = spec.alpha, spec.order
-    if a >= 1.0:
-        raise ValueError("alpha must be below 1")
-    if not (p > 1.0 or p < 0.0):
-        raise ValueError("no entropy-budget regime for this order")
-    pprime, log_beta = conjugate(p), -math.log1p(-a)
-
+    log_beta, pprime = spec.budget()
     best = _scan(d, pprime, log_beta, (expectation(d), d.probs.copy()),
                  _lattice(n, resolution, resolution), resolution)
     k = _REACH[n]
@@ -224,12 +226,10 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     p < 0, zero wherever Z is; in the E|Z| case it is the constant, in both
     regimes.  Both sides of the pairing equality are 1-homogeneous in Y',
     so it is returned in units of max |Z| and divided by |p' - 1|, which
-    keeps it finite near p' = 1 and gives (log x - log u*)_+ at p' = 1.
+    keeps it finite near p' = 1 and gives (log x - log u*)_+ at p' = 1
+    (p = +inf).
     """
-    if math.isnan(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if math.isinf(p) or not (p > 1.0 or p < 0.0):
-        raise ValueError("dual norm defined for finite p > 1 or p < 0")
+    log_beta, pprime = RiskSpec(alpha, p).budget()
     w = np.abs(np.asarray(weights, dtype=float).ravel())
     if w.shape != d.values.shape:
         raise ValueError("weights must match the distribution's atoms")
@@ -238,7 +238,6 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     if w_max == 0.0:  # the zero functional
         return 0.0, np.ones(w.size)
     x = w / w_max
-    pprime, log_beta = conjugate(p), -math.log1p(-alpha)
 
     def slack(u: float) -> float:
         if u >= 1.0:  # the constant density, of entropy 0
@@ -268,7 +267,8 @@ def dual_norm(z: Density, alpha: float, p: float) -> float:
     max(|Z|, u) / E max(|Z|, u) meets the entropy budget is the one root
     of a slack that is nondecreasing in u, found by one ``find_root``
     solve, and u* = min |Z| (the value E|Z|) where |Z| / E|Z| already
-    meets it.  Memory and time per evaluation are linear in the atoms.
+    meets it.  Every (alpha, p) with an entropy budget has one, +inf
+    included.  Memory and time per evaluation are linear in the atoms.
     """
     return _dual_norm_parts(z.dist, z.weights, alpha, p)[0]
 
@@ -288,18 +288,16 @@ def _sign(x: np.ndarray) -> np.ndarray:
 def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
     """Per-atom functional Z' attaining E YZ' = risk(|Y|) * dual_norm(Z').
 
-    It is sign(Y) times ``evar_power``'s attaining density of the risk of
-    |Y|, read off at each atom's |Y|, for every alpha in (0, 1) and every
-    finite p > 1 or p < 0.  On the boundary branch, beta P(|Y| = esssup |Y|)
+    It is sign(Y) times ``evar``'s attaining density of the risk of |Y|,
+    read off at each atom's |Y|, for every request with an entropy budget
+    (``RiskSpec.budget``).  On the boundary branch, beta P(|Y| = esssup |Y|)
     >= 1, that density is the normalized indicator of the top atom of |Y|.
     Both sides of the equality are 1-homogeneous in Z', so any positive
     multiple attains it too.
     """
-    a, p = spec.alpha, spec.order
-    if math.isinf(p) or not (p > 1.0 or p < 0.0):
-        raise ValueError("witness defined for finite p > 1 or p < 0")
+    spec.budget()  # outside the budget evar answers in closed form, with no witness
     dabs = from_samples(np.abs(d.values), d.probs)
-    weights = evar_power(dabs, a, p).density.weights
+    weights = evar(dabs, spec).density.weights
     return _sign(d.values) * weights[np.searchsorted(dabs.values, np.abs(d.values))]
 
 
@@ -310,8 +308,8 @@ def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
     like Z, so both come from one computation: with x = |Z| / max |Z|,
     (x^(p'-1) - u*^(p'-1))_+ for p > 1 and (u*^(p'-1) - x^(p'-1))_+ for
     p < 0, divided by |p' - 1|, zero wherever Z is.  Where the dual norm is
-    E|Z| it is the signed constant, in both regimes.  Every finite p > 1 or
-    p < 0 has one.
+    E|Z| it is the signed constant, in both regimes.  Every (alpha, p) with
+    an entropy budget has one; at p = +inf it is (log x - log u*)_+.
     """
     return _sign(z.weights) * _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
 

@@ -2,9 +2,9 @@
 
 Each order regime of the family admits an equivalent one-dimensional convex
 minimization whose optimizer also produces the density attaining the defining
-supremum.  ``evar`` dispatches on (confidence level, order); the regime
-solvers are exposed for direct use and for cross-checking against the
-brute-force supremum oracle.
+supremum.  ``evar`` dispatches on (confidence level, order) and is the one
+entry to the regime solvers; ``RiskSpec.budget`` decides which requests
+have an entropy budget, for the solve and for every supremum-side check.
 """
 
 from __future__ import annotations
@@ -75,6 +75,18 @@ class RiskSpec:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "order", o)
 
+    def budget(self) -> Tuple[float, float]:
+        """The entropy budget ``(log beta, p')``: log(1/(1 - alpha)) and the conjugate order.
+
+        The one place that decides which requests have one: 0 < alpha < 1 and
+        an order above 1, below 0 or +inf (p' = 1, Shannon); ``evar`` answers
+        every other request in closed form.
+        """
+        a, p = self.alpha, self.order
+        if not (0.0 < a < 1.0 and (p > 1.0 or p < 0.0)):
+            raise ValueError("no entropy budget: needs 0 < alpha < 1 and order > 1, < 0 or inf")
+        return -math.log1p(-a), conjugate(p)
+
 
 @dataclass(frozen=True)
 class RiskResult:
@@ -104,23 +116,14 @@ class _PastClamp(Exception):
     """h is still positive at the clamp: the root in s lies past s_max."""
 
 
-def _log_beta(alpha: float) -> float:
-    # log(1/(1-alpha)), the entropy budget
-    return -math.log1p(-alpha)
-
-
-def _ones_density(d: DiscreteDistribution) -> Density:
-    return Density(d, np.ones(d.n_atoms))
-
-
 def _argmax_density(d: DiscreteDistribution) -> Density:
     w = np.zeros(d.n_atoms)
     w[-1] = 1.0 / float(d.probs[-1])
     return Density(d, w)
 
 
-def _top_atom_test(d: DiscreteDistribution, alpha: float) -> Tuple[float, float, np.ndarray]:
-    """The one top-atom pre-test: ``(top, log_beta, log probs)``.
+def _top_atom_test(d: DiscreteDistribution, log_beta: float) -> Tuple[float, np.ndarray]:
+    """The one top-atom pre-test: ``(top, log probs)``.
 
     top = log(beta P(Y = esssup)) with beta = 1/(1 - alpha).  At top >= 0
     every entropy-budget regime takes its boundary branch: the supremum is
@@ -128,9 +131,8 @@ def _top_atom_test(d: DiscreteDistribution, alpha: float) -> Tuple[float, float,
     is read off the log-probabilities the solvers use, so no order, and no
     witness, decides a tie differently.
     """
-    log_beta = _log_beta(alpha)
     logp = np.log(d.probs)
-    return log_beta + float(logp[-1]), log_beta, logp
+    return log_beta + float(logp[-1]), logp
 
 
 def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray]:
@@ -146,15 +148,13 @@ def _unit_space(d: DiscreteDistribution) -> Tuple[float, float, np.ndarray]:
     return m, s, (d.values - m) / s
 
 
-def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
+def _avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     """Average value-at-risk: the mean of the worst (1 - alpha) tail.
 
     Closed form from the sorted tail.  The reported optimizer is the
     left-continuous lower quantile, and the attaining density splits mass at
     the quantile atom so that exactly the tail probability is reweighted.
     """
-    if math.isnan(alpha) or not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0,1)")
     beta = 1.0 / (1.0 - alpha)
     v, p = d.values, d.probs
     # the lower quantile and the tail above it, from the sums var_level uses
@@ -173,7 +173,7 @@ def avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     return RiskResult(value, t, Density(d, w), "avar", 0, 0.0)
 
 
-def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
+def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     """Every entropy-budget order: finite p > 1, p < 0, and p = +inf (Shannon).
 
     The finite orders minimize t + beta^(1/p) ||(Y - t)_+||_p (p > 1) or
@@ -212,14 +212,12 @@ def evar_power(d: DiscreteDistribution, alpha: float, p: float) -> RiskResult:
     ``residual`` is |h| at the returned theta, the density's distance from
     the entropy budget.
     """
-    if math.isnan(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if not (p > 1.0 or p < 0.0) or p == -math.inf:
-        raise ValueError("order must be a real above 1 or below 0, or +inf")
+    p = spec.order
+    log_beta, _ = spec.budget()
     finite = not math.isinf(p)
     branch = "higher_order" if p > 1.0 else "negative_order"
     branch = branch if finite else "shannon"
-    top, log_beta, logp = _top_atom_test(d, alpha)
+    top, logp = _top_atom_test(d, log_beta)
     if top >= 0.0:
         M = esssup(d)
         branch = "degenerate_negative_order" if p < 0.0 else branch
@@ -296,11 +294,11 @@ def evar(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     Dispatch: alpha = 1 gives the essential supremum; orders in (0, 1)
     collapse to the essential supremum at every level (including alpha = 0);
     alpha = 0 otherwise gives the expectation; order 1 is the average
-    value-at-risk; every other order (above 1, below 0, or +inf) goes to
-    ``evar_power``.  The attaining density is returned whenever one exists
-    in closed form.  ``t_star`` is the scalar optimizer, except on the
-    "shannon" branch, where it is the tilt parameter, and it is None where
-    no finite one exists: on the "esssup_level1" and "expectation" branches,
+    value-at-risk; every other order (above 1, below 0, or +inf) has an
+    entropy budget (``RiskSpec.budget``) and one solve.  The attaining
+    density is returned whenever one exists in closed form.  ``t_star`` is
+    the scalar optimizer, except on the "shannon" branch, where it is the
+    tilt parameter, and it is None where no finite one exists: on the "esssup_level1" and "expectation" branches,
     at p = +inf on the boundary branch, and at finite |p| so large that
     m - spread p/theta overflows.
     """
@@ -311,10 +309,11 @@ def evar(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
         M = esssup(d)
         return RiskResult(M, M, None, "esssup_collapse", 0, 0.0)
     if a == 0.0:
-        return RiskResult(expectation(d), None, _ones_density(d), "expectation", 0, 0.0)
+        return RiskResult(expectation(d), None, Density(d, np.ones(d.n_atoms)), "expectation",
+                          0, 0.0)
     if p == 1.0:
-        return avar(d, a)
-    return evar_power(d, a, p)
+        return _avar(d, a)
+    return _evar_power(d, spec)
 
 
 def norm_equivalence_bounds(alpha: float, p: float) -> Tuple[float, float]:
@@ -368,10 +367,10 @@ def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float)
         raise ValueError("conjugate order must be a finite real above 1")
     if essinf(d) <= 0.0:
         raise ValueError("atoms must be strictly positive")
-    p = pprime / (pprime - 1.0)
-    res = evar_power(d, alpha, p)
+    spec = RiskSpec(alpha, pprime / (pprime - 1.0))
+    log_beta, _ = spec.budget()
+    res = evar(d, spec)
     w = res.density.weights
-    log_beta = _log_beta(alpha)
     # value - t* is beta^(1/p) ||(Y - t*)_+||_p, and 0 on the boundary branch
     scale = res.value - res.t_star
     if scale == 0.0:

@@ -4,7 +4,7 @@ Most compute by enumeration, dense grids or plain numpy powers, away from
 the library's log-space code paths.  The risk value of every order is pinned
 by ``evar_decimal`` and Renyi entropies by ``renyi_entropy_decimal``, at 60
 digits from the atoms and probabilities alone; the tail mean and the Kusuoka
-measure by exact sums, the Kusuoka integral by one ``avar`` per level.  Two
+measure by exact sums, the Kusuoka integral by one tail mean per level.  Two
 twins of library code are kept for their bits, not their values: the solve
 in theta on allocating arrays, and the supremum oracle in one pass.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from renyi_risk import DiscreteDistribution, RiskSpec, avar, conjugate, expectation, from_samples
+from renyi_risk import DiscreteDistribution, RiskSpec, evar, expectation, from_samples
 from renyi_risk.evar import _PastClamp, _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
@@ -79,9 +79,10 @@ def kusuoka_reference(weights: np.ndarray, probs: np.ndarray):
 
 
 def kusuoka_evaluate_loop(m, d: DiscreteDistribution) -> float:
-    """The Kusuoka integral level by level: one ``avar`` per atom of the
-    mixing measure, weighted by its mass.  O(levels x atoms)."""
-    return float(sum(mass * avar(d, float(lv)).value for lv, mass in zip(m.levels, m.masses)))
+    """The Kusuoka integral level by level: one tail mean (order 1) per atom
+    of the mixing measure, weighted by its mass.  O(levels x atoms)."""
+    return float(sum(mass * evar(d, RiskSpec(float(lv), 1.0)).value
+                     for lv, mass in zip(m.levels, m.masses)))
 
 
 PREC = 60
@@ -369,11 +370,12 @@ def rand_dist(rng: np.random.Generator, n: int, lo: float = 0.0, hi: float = 10.
 
 
 def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float):
-    """``evar.evar_power``'s solve in s = log theta on freshly allocated
+    """``evar._evar_power``'s solve in s = log theta on freshly allocated
     arrays, term for term, for every order (finite p > 1, p < 0, +inf):
     ``(value, t_star, iterations, density weights)`` for an interior solve,
     or None when the top-atom pre-test takes the boundary branch."""
-    top, log_beta, logp = _top_atom_test(d, alpha)
+    log_beta, _ = RiskSpec(alpha, p).budget()
+    top, logp = _top_atom_test(d, log_beta)
     if top >= 0.0:
         return None
     m, spread, y = _unit_space(d)
@@ -507,14 +509,16 @@ def budget_mask_reference(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
                           log_beta: float) -> np.ndarray:
     """Rows q (q_i = p_i Z_i) whose density Z = q / p is inside the entropy
     budget: E Z log Z <= log beta at p' = 1, else E Z^p' <= beta^(p' - 1)
-    for p' > 1 and >= for p' < 1, each row's moment a sum over its atoms."""
+    for p' > 1 and >= for p' < 1, tested as E (Z/beta)^p' against 1/beta,
+    each row's moment a sum over its atoms."""
     p = d.probs
     if pprime == 1.0:
         safe = np.where(Q > 0.0, Q, 1.0)
         return (np.where(Q > 0.0, Q * np.log(safe / p), 0.0)).sum(axis=1) <= log_beta
-    moment = (p * (Q / p) ** pprime).sum(axis=1)
-    bound = math.exp(log_beta * (pprime - 1.0))
-    return moment <= bound if pprime > 1.0 else moment >= bound
+    inv_beta = math.exp(-log_beta)
+    with np.errstate(over="ignore"):
+        moment = (p * (Q * (inv_beta / p)) ** pprime).sum(axis=1)
+    return moment <= inv_beta if pprime > 1.0 else moment >= inv_beta
 
 
 def refine_reference(d: DiscreteDistribution, q0: np.ndarray, val0: float, pprime: float,
@@ -540,8 +544,7 @@ def sup_oracle_reference(d: DiscreteDistribution, spec: RiskSpec, resolution: in
     """``sup_oracle`` without chunks or pruning: the whole simplex grid as one
     float array, the budget tested on every row, one argmax, then
     ``refine_reference``.  Returns (value, q) with q_i = p_i Z_i."""
-    pprime = conjugate(spec.order)
-    log_beta = -math.log1p(-spec.alpha)
+    log_beta, pprime = spec.budget()
     grid = lattice_reference(d.n_atoms, resolution, resolution)
     Q = grid.astype(np.float64) / resolution
     Q = Q[budget_mask_reference(Q, d, pprime, log_beta)]

@@ -12,7 +12,6 @@ import numpy as np
 from renyi_risk import (
     Density,
     RiskSpec,
-    avar,
     conjugate,
     dual_norm,
     dual_norm_raw,
@@ -131,7 +130,7 @@ def test_c05_monotonicity_chain():
 
 def test_c06_limits():
     d = from_samples([0.0, 1.0, 2.0, 3.0, 4.0])
-    target = avar(d, 0.5).value
+    target = evar(d, RiskSpec(0.5, 1.0)).value
     down = [abs(evar(d, RiskSpec(0.5, 1.0 + h)).value - target) for h in (1e-1, 1e-2, 1e-3)]
     assert down[0] > down[1] > down[2]
     top = esssup(d)

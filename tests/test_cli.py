@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyi_risk import KusuokaMeasure, RiskSpec, dual_norm, evar, from_samples, kusuoka
+from renyi_risk import Density, KusuokaMeasure, RiskSpec, dual_norm, evar, from_samples, kusuoka
 from renyi_risk import cli
 from renyi_risk.cli import main
 
@@ -353,8 +353,7 @@ class TestDualnormCommand:
                                   "--alpha", "0.5", "--order", "1"])
         assert code == 3
 
-    @pytest.mark.parametrize("alpha, order", [("0.5", "inf"), ("0.5", "0.5"),
-                                              ("0", "2"), ("1", "-1")])
+    @pytest.mark.parametrize("alpha, order", [("0.5", "0.5"), ("0", "2"), ("1", "-1")])
     def test_levels_and_orders_outside_the_regimes_exit_3(self, capsys, density_csv,
                                                           alpha, order):
         code, out, err = run(capsys, ["dualnorm", "--input", density_csv,
@@ -384,6 +383,19 @@ class TestDualnormCommand:
                                     "--alpha", "0.5", "--order", "1.001"])
         assert code == 0
         assert json.loads(out)["dual_norm"] == pytest.approx(1.4986275652075494, rel=1e-12)
+
+    def test_shannon_order_exits_0_with_the_library_value(self, capsys, tmp_path):
+        # p = +inf has an entropy budget (p' = 1) like every order above 1
+        path = tmp_path / "z.csv"
+        path.write_text("value,weight,density\n0,0.4,0.5\n1,0.4,0.5\n2,0.2,3.0\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, ["dualnorm", "--input", str(path),
+                                      "--alpha", "0.5", "--order", "inf"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        z = Density(from_samples([0.0, 1.0, 2.0], [0.4, 0.4, 0.2]), np.array([0.5, 0.5, 3.0]))
+        assert report["order"] == "inf"
+        assert report["dual_norm"] == dual_norm(z, 0.5, math.inf)
 
     def test_invalid_density_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "z.csv"

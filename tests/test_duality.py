@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from renyi_risk import (
     Density,
     KusuokaMeasure,
     RiskSpec,
-    avar,
     conjugate,
     dual_norm,
     dual_norm_raw,
@@ -80,10 +80,13 @@ class TestSupOracle:
         assert z.weights.tolist() == [1.0]
 
     def test_level_zero_only_admits_the_constant_density(self):
+        # so there is nothing to search: the oracle rejects alpha 0, whose
+        # value evar gives in closed form, and its level range is (0, 1) as
+        # in the dual norms
         d = from_samples([0.0, 1.0, 4.0], weights=[0.5, 0.3, 0.2])
-        val, z = sup_oracle(d, RiskSpec(0.0, 2.0), 200)
-        assert val == pytest.approx(expectation(d), abs=1e-12)
-        assert np.allclose(z.weights, 1.0)
+        with pytest.raises(ValueError, match="no entropy budget"):
+            sup_oracle(d, RiskSpec(0.0, 2.0), 200)
+        assert evar(d, RiskSpec(0.0, 2.0)).value == pytest.approx(expectation(d), abs=1e-12)
 
     def test_two_atom_agreement_with_scalar_route(self):
         d = from_samples([0.0, 1.0], weights=[0.6, 0.4])
@@ -112,6 +115,20 @@ class TestSupOracle:
                 val, z = sup_oracle(d, spec, 150)
                 assert val <= evar(d, spec).value + 1e-9
                 assert pair(d, z.weights) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.001, 1.0001])
+    def test_orders_next_to_one(self, p):
+        # p' = 1001 and 10001: beta^(p' - 1) and P^(1 - p') overflowed, and
+        # the oracle returned the mean 1.1 (p 1.001) or raised (p 1.0001)
+        d = from_samples([0.0, 1.0, 4.0], weights=[0.5, 0.3, 0.2])
+        spec = RiskSpec(0.5, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, z = sup_oracle(d, spec, 200)
+        risk = evar(d, spec).value
+        assert val <= risk
+        assert risk - val <= 1e-3
+        assert pair(d, z.weights) == pytest.approx(val, abs=1e-12)
 
     def test_atom_cap_and_resolution_floor(self):
         d7 = from_samples(range(7))
@@ -150,11 +167,9 @@ class TestSupOracle:
 
     def test_rejects_regimes_without_entropy_budget(self):
         d = from_samples([0, 1])
-        for p in (1.0, 0.5):
-            with pytest.raises(ValueError):
-                sup_oracle(d, RiskSpec(0.5, p), 100)
-        with pytest.raises(ValueError, match="alpha must be below 1"):
-            sup_oracle(d, RiskSpec(1.0, 2.0), 100)
+        for alpha, p in ((0.5, 1.0), (0.5, 0.5), (1.0, 2.0)):
+            with pytest.raises(ValueError, match="no entropy budget"):
+                sup_oracle(d, RiskSpec(alpha, p), 100)
 
     @pytest.mark.parametrize("n, resolution", [(2, 400), (3, 1000), (4, 60), (5, 20), (6, 10)])
     def test_matches_the_one_pass_reference(self, n, resolution):
@@ -186,7 +201,7 @@ class TestSupOracle:
         d = from_samples([0.0, 1.0, 2.0], weights=[0.3, 0.3, 0.4])
         spec = RiskSpec(0.7, 2.0)
         q0 = np.array([0.0, 0.0, 1.0])
-        pprime, log_beta = conjugate(2.0), -math.log1p(-0.7)
+        log_beta, pprime = spec.budget()
         assert refine_reference(d, q0, 2.0, pprime, log_beta, 50) == (2.0, q0)
         val, z = sup_oracle(d, spec, 50)
         ref_val, ref_q = sup_oracle_reference(d, spec, 50)
@@ -402,10 +417,11 @@ class TestDualNorm:
         assert 40.0 * (1.0 - 1e-6) <= value <= 40.0
 
     def test_invalid_orders_rejected(self):
+        # order +inf has the Shannon budget (TestShannonOrder)
         d = from_samples([0, 1])
         z = Density(d, np.ones(2))
-        for p in (1.0, 0.5, math.inf):
-            with pytest.raises(ValueError):
+        for p in (1.0, 0.5):
+            with pytest.raises(ValueError, match="no entropy budget"):
                 dual_norm(z, 0.5, p)
 
     def test_functional_preconditions(self):
@@ -606,14 +622,10 @@ class TestHahnBanachWitnesses:
                 cases += 1
         assert cases == 280
 
-    @pytest.mark.parametrize("alpha, p, message", [
-        (0.0, 2.0, r"alpha must lie in \(0,1\)"), (1.0, -2.0, r"alpha must lie in \(0,1\)"),
-        (0.5, 0.5, "witness defined"), (0.5, 1.0, "witness defined"),
-        (0.5, math.inf, "witness defined"),
-    ])
-    def test_requests_outside_the_dual_norm_domain_rejected(self, alpha, p, message):
-        # the domain of dual_norm, which is evar_power's at finite orders
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize("alpha, p", [(0.0, 2.0), (1.0, -2.0), (0.5, 0.5), (0.5, 1.0)])
+    def test_requests_outside_the_dual_norm_domain_rejected(self, alpha, p):
+        # the domain of dual_norm, RiskSpec.budget(); order +inf is inside it
+        with pytest.raises(ValueError, match="no entropy budget"):
             hb_density_for(from_samples([0.0, 1.0]), RiskSpec(alpha, p))
 
     def test_witness_for_constant_density(self):
@@ -661,6 +673,50 @@ class TestHahnBanachWitnesses:
             dy = from_samples(np.abs(y), d.probs)
             rhs = evar(dy, RiskSpec(0.5, -1.0)).value * dual_norm(z, 0.5, -1.0)
             assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def signed_lognormal_cases():
+    """300 seeded (distribution, level) cases: 1-39 signed lognormal atoms,
+    Dirichlet(0.5) probabilities, the levels 0.1, 0.5, 0.9 and 0.99 in turn."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for k in range(300):
+        n = int(rng.integers(1, 40))
+        y = rng.choice([-1.0, 1.0], n) * rng.lognormal(size=n)
+        d = from_samples(y, rng.dirichlet(np.full(n, 0.5)))
+        cases.append((d, (0.1, 0.5, 0.9, 0.99)[k % 4]))
+    return cases
+
+
+class TestShannonOrder:
+    """p = +inf, conjugate order 1: the dual norms and witnesses take the
+    Shannon budget like every other order with one."""
+
+    def test_attaining_density_has_unit_dual_norm(self, signed_lognormal_cases):
+        for d, alpha in signed_lognormal_cases:
+            z = evar(d, RiskSpec(alpha, math.inf)).density
+            assert abs(dual_norm(z, alpha, math.inf) - 1.0) <= 1e-12, (d, alpha)
+
+    def test_witness_pairings(self, signed_lognormal_cases):
+        for d, alpha in signed_lognormal_cases:
+            spec = RiskSpec(alpha, math.inf)
+            zprime = hb_density_for(d, spec)
+            risk = evar(from_samples(np.abs(d.values), d.probs), spec).value
+            rhs = risk * dual_norm_raw(d, zprime, alpha, math.inf)
+            assert abs(pair(d, zprime) - rhs) <= 1e-12 * abs(rhs), (d, alpha)
+            z = evar(d, spec).density
+            y = hb_witness_for(z, alpha, math.inf)
+            risk = evar(from_samples(np.abs(y), d.probs), spec).value
+            rhs = risk * dual_norm(z, alpha, math.inf)
+            assert abs(pair_with(y, d, z) - rhs) <= 1e-12 * abs(rhs), (d, alpha)
+
+    @pytest.mark.parametrize("p", [1e12, -1e12])
+    def test_orders_next_to_inf_meet_its_dual_norm(self, signed_lognormal_cases, p):
+        for d, alpha in signed_lognormal_cases:
+            z = evar(d, RiskSpec(alpha, math.inf)).density
+            limit = dual_norm(z, alpha, math.inf)
+            assert abs(dual_norm(z, alpha, p) - limit) <= 1e-11, (d, alpha)
 
 
 class TestAlternativeDual:
@@ -772,7 +828,8 @@ class TestKusuoka:
         at_zero = KusuokaMeasure(np.array([1.0]), np.array([1.0]))
         assert kusuoka_evaluate(at_zero, d) == pytest.approx(expectation(d), abs=1e-12)
         at_alpha = KusuokaMeasure(np.array([1.0, 0.75]), np.array([0.0, 4.0 / 3.0]))
-        assert kusuoka_evaluate(at_alpha, d) == pytest.approx(avar(d, 0.25).value, abs=1e-12)
+        tail_mean = evar(d, RiskSpec(0.25, 1.0)).value
+        assert kusuoka_evaluate(at_alpha, d) == pytest.approx(tail_mean, abs=1e-12)
 
     def test_measure_invariants_enforced(self):
         with pytest.raises(ValueError, match="pair up"):  # unequal lengths

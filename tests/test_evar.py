@@ -12,20 +12,22 @@ from hypothesis import given, settings, strategies as st
 from renyi_risk import (
     Density,
     RiskSpec,
-    avar,
     conjugate,
+    dual_norm,
+    dual_norm_raw,
     esssup,
     essinf,
     evar,
     evar_derivative_pprime,
-    evar_power,
     expectation,
     from_samples,
     hb_density_for,
+    hb_witness_for,
     lp_norm,
     norm_equivalence_bounds,
     renyi_entropy,
     risk_level_bound,
+    sup_oracle,
     var_level,
 )
 from oracles import (
@@ -70,10 +72,9 @@ class TestConjugate:
 
 class TestRiskSpec:
     def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\]"):
-            RiskSpec(1.5, 2.0)
-        with pytest.raises(ValueError):
-            RiskSpec(-0.1, 2.0)
+        for alpha in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\]"):
+                RiskSpec(alpha, 2.0)
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +85,27 @@ class TestRiskSpec:
             RiskSpec(0.5, float("nan"))
         with pytest.raises(ValueError):
             RiskSpec(0.5, -math.inf)
+
+    @pytest.mark.parametrize("alpha, order, pprime", [
+        (0.0, 2.0, None), (1.0, -2.0, None), (0.5, 0.5, None), (0.5, 1.0, None),
+        (1e-300, 1.5, 3.0), (0.5, 2.0, 2.0), (0.95, -1.0, 0.5), (0.99, math.inf, 1.0),
+        (1.0 - 2.0 ** -53, 1e300, 1.0), (0.3, -1e300, 1.0),
+    ])
+    def test_budget_is_the_one_domain(self, alpha, order, pprime):
+        # (log beta, p') where 0 < alpha < 1 and the order is above 1, below 0
+        # or +inf; outside it every budget reader raises the same error
+        spec = RiskSpec(alpha, order)
+        if pprime is not None:
+            assert spec.budget() == (-math.log1p(-alpha), pprime)
+            return
+        d = from_samples([-1.0, 0.5, 2.0])
+        z = Density(d, np.ones(3))
+        for call in (spec.budget, lambda: sup_oracle(d, spec, 10),
+                     lambda: dual_norm(z, alpha, order),
+                     lambda: dual_norm_raw(d, np.ones(3), alpha, order),
+                     lambda: hb_density_for(d, spec), lambda: hb_witness_for(z, alpha, order)):
+            with pytest.raises(ValueError, match="no entropy budget"):
+                call()
 
 
 class TestDispatch:
@@ -125,22 +147,17 @@ class TestDispatch:
 class TestAvar:
     def test_level_zero_is_mean(self):
         d = from_samples([0, 1])
-        assert avar(d, 0.0).value == pytest.approx(0.5, abs=1e-14)
-
-    def test_levels_outside_the_range_rejected(self):
-        for alpha in (-0.1, 1.0, math.nan):
-            with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\)"):
-                avar(from_samples([0, 1]), alpha)
+        assert evar(d, RiskSpec(0.0, 1.0)).value == pytest.approx(0.5, abs=1e-14)
 
     def test_two_atom_median_level(self):
         d = from_samples([0, 1])
-        r = avar(d, 0.5)
+        r = evar(d, RiskSpec(0.5, 1.0))
         assert r.value == pytest.approx(1.0, abs=1e-12)
         assert r.t_star == 0.0  # left quantile reported even when mass splits
 
     def test_three_atom_tail_sum_against_grid(self):
         d = from_samples([1, 2, 10], weights=[0.2, 0.3, 0.5])
-        closed = avar(d, 0.75).value
+        closed = evar(d, RiskSpec(0.75, 1.0)).value
         assert closed == pytest.approx(avar_grid_oracle(d, 0.75), abs=1e-6)
         assert closed == pytest.approx(10.0, abs=1e-12)
 
@@ -149,7 +166,7 @@ class TestAvar:
         for _ in range(10):
             d = rand_dist(rng, 5)
             a = float(rng.uniform(0.0, 0.95))
-            r = avar(d, a)
+            r = evar(d, RiskSpec(a, 1.0))
             assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-12)
             assert renyi_entropy(r.density, math.inf) <= LOG(1 / (1 - a)) + 1e-10
 
@@ -158,7 +175,7 @@ class TestAvar:
         for _ in range(8):
             d = rand_dist(rng, 5)
             a = float(rng.uniform(0.05, 0.9))
-            assert avar(d, a).value == pytest.approx(avar_grid_oracle(d, a), abs=1e-6)
+            assert evar(d, RiskSpec(a, 1.0)).value == pytest.approx(avar_grid_oracle(d, a), abs=1e-6)
 
     def test_density_exact_at_a_million_atoms(self):
         d = from_samples(np.random.default_rng(0).normal(size=1_000_000))
@@ -174,7 +191,7 @@ class TestAvar:
         # forward cdf and the tail above disagree in the last bits the density
         # still has unit mean and the value is the exact tail mean
         d = from_samples(np.arange(10_000.0))
-        r = avar(d, 0.9990999999999064)  # raised "density mean ... is not 1"
+        r = evar(d, RiskSpec(0.9990999999999064, 1.0))  # raised "density mean ... is not 1"
         assert abs(float(np.dot(d.probs, r.density.weights)) - 1.0) <= 1e-12
         assert r.value == pytest.approx(avar_exact(d, 0.9990999999999064), abs=1e-15 * 9999.0)
         rng = np.random.default_rng(11)
@@ -184,7 +201,7 @@ class TestAvar:
             spread = esssup(d) - essinf(d)
             for c in np.cumsum(d.probs)[rng.choice(n - 1, size=min(n - 1, 25), replace=False)]:
                 for a in (float(np.nextafter(c, 0.0)), float(c), float(np.nextafter(c, 1.0))):
-                    r = avar(d, a)
+                    r = evar(d, RiskSpec(a, 1.0))
                     assert abs(float(np.dot(d.probs, r.density.weights)) - 1.0) <= 1e-12
                     assert abs(r.value - avar_exact(d, a)) <= 1e-15 * spread
                     assert var_level(d, a) == r.t_star
@@ -196,12 +213,12 @@ class TestAvar:
              -2.629479231257925, 0.4594697713834348, 3.776772577642765],
             [0.22517393403127173, 0.13344033169230696, 0.05086574160632049,
              0.04110246275970173, 0.30098694201885506, 0.24843058789154404])
-        assert avar(d, 0.9).value == 3.776772577642765 == esssup(d)
+        assert evar(d, RiskSpec(0.9, 1.0)).value == 3.776772577642765 == esssup(d)
         rng = np.random.default_rng(1)
         for _ in range(2000):
             d = from_samples(rng.uniform(-5, 5, 6), rng.dirichlet(np.ones(6) * 2.0))
             for a in (0.5, 0.7, 0.9):
-                assert avar(d, a).value <= esssup(d)
+                assert evar(d, RiskSpec(a, 1.0)).value <= esssup(d)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -209,7 +226,7 @@ class TestAvar:
         rng = np.random.default_rng(seed)
         d = rand_dist(rng, 5)
         levels = [0.0, 0.2, 0.5, 0.8, 0.95]
-        vals = [avar(d, a).value for a in levels]
+        vals = [evar(d, RiskSpec(a, 1.0)).value for a in levels]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-12
         assert vals[0] == pytest.approx(expectation(d), abs=1e-12)
@@ -226,7 +243,7 @@ class TestHigherOrder:
 
     def test_indicator_density_meets_budget_with_equality(self):
         d = from_samples([0.0, 1.0], weights=[0.8, 0.2])
-        r = evar_power(d, 0.8, 2.0)
+        r = evar(d, RiskSpec(0.8, 2.0))
         assert abs(renyi_entropy(r.density, 2.0) - LOG(1 / 0.2)) <= 1e-8
 
     def test_interior_strong_duality_and_feasibility(self):
@@ -234,7 +251,7 @@ class TestHigherOrder:
         for _ in range(8):
             d = rand_dist(rng, 4, max_top=0.45)
             for p in (1.5, 2.0, 3.0):
-                r = evar_power(d, 0.5, p)
+                r = evar(d, RiskSpec(0.5, p))
                 pp = conjugate(p)
                 assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-8)
                 assert renyi_entropy(r.density, pp) <= LOG(2.0) + 1e-8
@@ -243,7 +260,7 @@ class TestHigherOrder:
     def test_kink_orders_match_value_from_both_sides(self):
         # p in (1,2) puts kinks at atom values; value must still match a scan
         d = from_samples([0.0, 1.0, 2.0], weights=[0.4, 0.4, 0.2])
-        r = evar_power(d, 0.5, 1.3)
+        r = evar(d, RiskSpec(0.5, 1.3))
         from oracles import grid_min, objective_high
         oracle = grid_min(lambda t: objective_high(d, 0.5, 1.3, t), -3.0, 2.0, 500001)
         assert r.value == pytest.approx(oracle, abs=1e-8)
@@ -259,7 +276,7 @@ class TestNegativeOrder:
 
     def test_interior_stationarity(self):
         d = from_samples([0.0, 1.0], weights=[0.9, 0.1])
-        r = evar_power(d, 0.5, -1.0)
+        r = evar(d, RiskSpec(0.5, -1.0))
         assert r.t_star > 1.0
         assert r.residual <= 1e-9
         ts = np.linspace(1.0 + 1e-6, 8.0, 400001)
@@ -271,7 +288,7 @@ class TestNegativeOrder:
         for _ in range(8):
             d = rand_dist(rng, 4, max_top=0.45)
             for p in (-1.0, -3.0):
-                r = evar_power(d, 0.5, p)
+                r = evar(d, RiskSpec(0.5, p))
                 pp = conjugate(p)
                 assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-8)
                 ez = float(np.dot(d.probs, r.density.weights ** pp))
@@ -302,7 +319,7 @@ class TestNegativeOrder:
     def test_tiny_order_stops_at_the_clamp_without_steps(self, alpha, residual):
         # the root of h lies past theta = e^700: the solve used to spend
         # 45 and 55 steps closing on the clamp, with these results
-        r = evar_power(from_samples([0.0, 1.0]), alpha, -1e-3)
+        r = evar(from_samples([0.0, 1.0]), RiskSpec(alpha, -1e-3))
         assert r.iterations == 0
         assert r.value == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(r.density.weights, [9.792340943536091e-305, 2.0], rtol=1e-12, atol=0.0)
@@ -328,7 +345,7 @@ class TestNegativeOrder:
             for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
                 for p in (-np.logspace(-3, -1, 81)).tolist():
                     roots.clear()
-                    r = evar_power(d, alpha, p)
+                    r = evar(d, RiskSpec(alpha, p))
                     s_max = 700.0 + math.log(-p)
                     if not (roots and 513.0 < roots[0] <= s_max):
                         continue
@@ -363,16 +380,25 @@ class TestNegativeOrder:
                     assert_solution(d, alpha, p, evar(d, RiskSpec(alpha, p)))
 
     def test_power_solver_rejects_orders_outside_its_regimes(self):
+        # the solve reads its budget from the spec, so orders in (0, 1] reach
+        # it only by a direct call, and RiskSpec rejects -inf and nan itself
+        solve = importlib.import_module("renyi_risk.evar")._evar_power
         d = from_samples([0.0, 1.0, 2.0])
-        for p in (0.5, 1.0, -math.inf, math.nan):
+        for p in (0.5, 1.0):
+            with pytest.raises(ValueError, match="no entropy budget"):
+                solve(d, RiskSpec(0.5, p))
+        for p in (-math.inf, math.nan):
             with pytest.raises(ValueError, match="order must be"):
-                evar_power(d, 0.5, p)
+                RiskSpec(0.5, p)
 
     def test_power_solver_rejects_levels_without_a_budget(self):
+        solve = importlib.import_module("renyi_risk.evar")._evar_power
         d = from_samples([0.0, 1.0, 2.0])
-        for alpha in (0.0, 1.0, math.nan):
-            with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\)"):
-                evar_power(d, alpha, 2.0)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError, match="no entropy budget"):
+                solve(d, RiskSpec(alpha, 2.0))
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\]"):
+            RiskSpec(math.nan, 2.0)
 
 
 class TestTopAtomPretest:
@@ -405,19 +431,19 @@ class TestTopAtomPretest:
 class TestShannon:
     def test_boundary_equality_activates_esssup(self):
         d = from_samples([0.0, 1.0], weights=[0.3, 0.7])
-        r = evar_power(d, 0.3, math.inf)
+        r = evar(d, RiskSpec(0.3, math.inf))
         assert r.value == 1.0
 
     def test_chernoff_cross_check(self):
         d = from_samples([0.0, 1.0])
-        r = evar_power(d, 0.5, math.inf)
+        r = evar(d, RiskSpec(0.5, math.inf))
         assert abs(r.value - float(evar_decimal(d, 0.5, math.inf).value)) <= 1e-15
 
     def test_chernoff_cross_check_interior(self):
         rng = np.random.default_rng(6)
         for _ in range(6):
             d = rand_dist(rng, 5, max_top=0.3)
-            r = evar_power(d, 0.6, math.inf)
+            r = evar(d, RiskSpec(0.6, math.inf))
             spread = esssup(d) - essinf(d)
             assert abs(r.value - float(evar_decimal(d, 0.6, math.inf).value)) <= 1e-15 * spread
             assert pair(d, r.density.weights) == pytest.approx(r.value, abs=1e-10)
@@ -436,7 +462,7 @@ class TestShannon:
             m, s = esssup(d), esssup(d) - essinf(d)
             y = (d.values - m) / s
             for alpha in (0.5, 0.95, 0.99):
-                r = evar_power(d, alpha, math.inf)
+                r = evar(d, RiskSpec(alpha, math.inf))
                 theta = r.t_star * s
                 a = np.log(d.probs) + theta * y
                 lam = float(a.max() + np.log(np.exp(a - a.max()).sum()))
@@ -471,7 +497,7 @@ class TestShannon:
         for p in (2.0, 10.0, math.inf, -1.0, -2.0, -0.5, 1e300, -1e300):
             passes.clear()
             evaluations.clear()
-            r = evar_power(d, 0.9, p)
+            r = evar(d, RiskSpec(0.9, p))
             assert r.iterations > 0
             assert len(passes) == len(evaluations) + 1, p
             # p < 0 and +inf keep every atom, p > 1 only those with u > 0
@@ -802,7 +828,7 @@ class TestOrderStructure:
 
     def test_limit_small_orders_from_above_one(self):
         d = from_samples([0.0, 1.0, 2.0, 3.0, 4.0])
-        target = avar(d, 0.5).value
+        target = evar(d, RiskSpec(0.5, 1.0)).value
         gaps = [abs(evar(d, RiskSpec(0.5, 1.0 + h)).value - target) for h in (1e-1, 1e-2, 1e-3)]
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -826,7 +852,7 @@ class TestOrderStructure:
         rng = np.random.default_rng(9)
         for _ in range(5):
             d = rand_dist(rng, 5, lo=0.5, max_top=0.45)
-            tstars = [evar_power(d, 0.5, conjugate(pp)).t_star
+            tstars = [evar(d, RiskSpec(0.5, conjugate(pp))).t_star
                       for pp in (1.5, 2.0, 3.0, 6.0, 12.0)]
             for lo, hi in zip(tstars, tstars[1:]):
                 assert hi >= lo - 1e-7

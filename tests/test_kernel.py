@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyi_risk import esssup, essinf, evar_power, from_samples
+from renyi_risk import RiskSpec, esssup, essinf, evar, from_samples
 from renyi_risk.distribution import _log_moments
 from renyi_risk.evar import DEFAULT_TOL
 
@@ -124,7 +124,7 @@ class TestScratchKernelParity:
             for alpha in alphas:
                 # p > 1 drops the atoms with u <= 0, p < 0 and +inf keep every atom
                 for p in ORDERS:
-                    assert_same_solve(evar_power(d, alpha, p),
+                    assert_same_solve(evar(d, RiskSpec(alpha, p)),
                                       evar_theta_alloc(d, alpha, p, DEFAULT_TOL))
 
     def test_no_active_atom_end(self):
@@ -132,14 +132,15 @@ class TestScratchKernelParity:
         # solve evaluates an end where no atom below the top one is active
         d = from_samples([0.0, 1.0], [0.9, 0.1])
         for alpha in (0.5, 0.8):
-            assert_same_solve(evar_power(d, alpha, 2.0), evar_theta_alloc(d, alpha, 2.0, DEFAULT_TOL))
+            assert_same_solve(evar(d, RiskSpec(alpha, 2.0)),
+                              evar_theta_alloc(d, alpha, 2.0, DEFAULT_TOL))
 
     def test_root_past_the_clamp(self):
         # at p = -1e-3 the root of h lies past theta = e^700: both stop at the
         # clamp with no steps
         d = from_samples([0.0, 1.0])
         for alpha in (0.3, 0.49):
-            assert_same_solve(evar_power(d, alpha, -1e-3),
+            assert_same_solve(evar(d, RiskSpec(alpha, -1e-3)),
                               evar_theta_alloc(d, alpha, -1e-3, DEFAULT_TOL))
 
     def test_roots_near_the_clamp(self):
@@ -149,7 +150,7 @@ class TestScratchKernelParity:
             d = from_samples(atoms)
             for alpha in (0.3, 0.4, 0.5, 0.6):
                 for p in (-np.logspace(-3, -1, 81)).tolist():
-                    assert_same_solve(evar_power(d, alpha, p),
+                    assert_same_solve(evar(d, RiskSpec(alpha, p)),
                                       evar_theta_alloc(d, alpha, p, DEFAULT_TOL))
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are read on Linux")
@@ -164,7 +165,7 @@ class TestScratchKernelParity:
                 "import resource, sys\n"
                 "import numpy as np\n"
                 f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
-                "from renyi_risk import evar_power, from_samples\n"
+                "from renyi_risk import RiskSpec, evar, from_samples\n"
                 "from renyi_risk.evar import DEFAULT_TOL\n"
                 "from oracles import evar_theta_alloc\n"
                 "d = from_samples(np.random.default_rng(0).lognormal(size=200_000))\n"
@@ -173,7 +174,7 @@ class TestScratchKernelParity:
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
 
         allocating = minor_faults("evar_theta_alloc(d, 0.95, -2.0, DEFAULT_TOL)")
-        scratch = minor_faults("evar_power(d, 0.95, -2.0)")
+        scratch = minor_faults("evar(d, RiskSpec(0.95, -2.0))")
         assert scratch < allocating / 5, (scratch, allocating)
 
 
@@ -195,7 +196,7 @@ class TestAgreementWithTheReference:
             spread = esssup(d) - essinf(d)
             for alpha in (0.5, 0.95, 0.99):
                 for p in ORDERS:
-                    result, reference = evar_power(d, alpha, p), evar_decimal(d, alpha, p)
+                    result, reference = evar(d, RiskSpec(alpha, p)), evar_decimal(d, alpha, p)
                     assert (result.iterations == 0) == (reference.evaluations == 0)
                     assert abs(result.value - float(reference.value)) <= 1e-15 * spread, (alpha, p)
 
@@ -208,7 +209,7 @@ class TestAgreementWithTheReference:
             for alpha in alphas:
                 log_beta = -math.log1p(-alpha)
                 for p in ORDERS:
-                    r = evar_power(d, alpha, p)
+                    r = evar(d, RiskSpec(alpha, p))
                     if r.iterations == 0:  # the boundary branch
                         assert r.value == esssup(d)
                         continue
