@@ -216,18 +216,21 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     budget, so the dual norm is E max(|Z|, u*), with u* the least level u at
     which max(|Z|, u) / E max(|Z|, u) meets the budget.  In units of
     max |Z|, x = |Z| / max |Z|, the solve roots the slack
-    log beta - H_p'(max(x, u) / E max(x, u)), H_p' being ``renyi_entropy``
+    log beta - H_p'(v / E v), v = max(x, u), H_p' being ``renyi_entropy``
     of order p'.  Raising the floor u gives a density majorized by the last
-    one, and H_p' is Schur-concave, so the slack is nondecreasing in u.  It
-    is constant below min x and equals log beta > 0 at u = 1.  Where it is
-    not negative at min x, u* = min x and the value is E|Z|; otherwise
-    ``find_root`` brackets u* on [min x, 1].  The attaining pairing is
-    (x^(p'-1) - u*^(p'-1))_+ for p > 1 and (u*^(p'-1) - x^(p'-1))_+ for
-    p < 0, zero wherever Z is; in the E|Z| case it is the constant, in both
-    regimes.  Both sides of the pairing equality are 1-homogeneous in Y',
-    so it is returned in units of max |Z| and divided by |p' - 1|, which
-    keeps it finite near p' = 1 and gives (log x - log u*)_+ at p' = 1
-    (p = +inf).
+    one, so the slack is nondecreasing in u, with the slope
+    p' P(x < u) (1/E v - u^(p'-1)/E v^p')/(p' - 1), and
+    P(x < u) (E[v log v]/E v - log u)/E v at p' = 1.  It is constant below
+    min x and equals log beta > 0 at u = 1.  Where it is not negative at
+    min x, u* = min x and the value is E|Z|; otherwise ``find_root``
+    brackets u* on [min x, 1] and runs to its width, with no stop at a
+    slack within rounding, as the value E v moves with u itself.  The
+    attaining pairing is (x^(p'-1) - u*^(p'-1))_+ for p > 1 and
+    (u*^(p'-1) - x^(p'-1))_+ for p < 0, zero wherever Z is; in the E|Z|
+    case it is the constant.  Both sides of the pairing equality are
+    1-homogeneous in Y', so it is returned in units of max |Z| and divided
+    by |p' - 1|, which keeps it finite near p' = 1 and gives
+    (log x - log u*)_+ at p' = 1 (p = +inf).
     """
     log_beta, pprime = RiskSpec(alpha, p).budget()
     w = np.abs(np.asarray(weights, dtype=float).ravel())
@@ -238,20 +241,27 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     if w_max == 0.0:  # the zero functional
         return 0.0, np.ones(w.size)
     x = w / w_max
+    e = pprime - 1.0
 
-    def slack(u: float) -> float:
+    def slack(u: float) -> Tuple[float, float]:
         if u >= 1.0:  # the constant density, of entropy 0
-            return log_beta
+            return log_beta, 0.0
         v = np.maximum(x, u)
-        return log_beta - renyi_entropy(Density(d, v / float(pr @ v)), pprime)
+        mean = float(pr @ v)
+        value = log_beta - renyi_entropy(Density(d, v / mean), pprime)
+        below = float(pr @ (x < u))
+        if below == 0.0:  # u <= min x, where the slack is constant
+            return value, 0.0
+        if e == 0.0:
+            return value, below / mean * (float(pr @ (v * np.log(v))) / mean - math.log(u))
+        return value, pprime * below * (1.0 / mean - u ** e / float(pr @ v ** pprime)) / e
 
     low = float(x.min())
-    if slack(low) >= 0.0:
+    if slack(low)[0] >= 0.0:
         return float(pr @ w), np.ones(w.size)
     u, _ = find_root(slack, low, 1.0, _LEVEL_TOL)
-    # (x^e - u^e) / e with e = p' - 1, positive exactly where x > u in both
-    # regimes, as x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
-    e = pprime - 1.0
+    # (x^e - u^e) / e, positive exactly where x > u in both regimes, as
+    # x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
     top = x > u
     gap = np.log(x[top] / u)
     y = np.zeros(x.size)
@@ -262,13 +272,11 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
 def dual_norm(z: Density, alpha: float, p: float) -> float:
     """Dual norm of a density against the risk-induced norm, as a water level.
 
-    The unit dual ball is the solid hull of the feasible densities, so the
-    dual norm is E max(|Z|, u*): the least level u* at which the density
-    max(|Z|, u) / E max(|Z|, u) meets the entropy budget is the one root
-    of a slack that is nondecreasing in u, found by one ``find_root``
-    solve, and u* = min |Z| (the value E|Z|) where |Z| / E|Z| already
-    meets it.  Every (alpha, p) with an entropy budget has one, +inf
-    included.  Memory and time per evaluation are linear in the atoms.
+    It is E max(|Z|, u*), with u* the least level at which the density
+    max(|Z|, u) / E max(|Z|, u) meets the entropy budget: min |Z| where
+    |Z| / E|Z| already does, else the root of one ``find_root`` solve.
+    Every (alpha, p) with an entropy budget has one, +inf included.  Memory
+    and time per evaluation are linear in the atoms.
     """
     return _dual_norm_parts(z.dist, z.weights, alpha, p)[0]
 
@@ -306,10 +314,9 @@ def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
 
     It is the pairing of the dual-norm solve at its water level u*, signed
     like Z, so both come from one computation: with x = |Z| / max |Z|,
-    (x^(p'-1) - u*^(p'-1))_+ for p > 1 and (u*^(p'-1) - x^(p'-1))_+ for
-    p < 0, divided by |p' - 1|, zero wherever Z is.  Where the dual norm is
-    E|Z| it is the signed constant, in both regimes.  Every (alpha, p) with
-    an entropy budget has one; at p = +inf it is (log x - log u*)_+.
+    |x^(p'-1) - u*^(p'-1)| / |p' - 1| where x > u*, else 0, and the signed
+    constant where the dual norm is E|Z|.  Every (alpha, p) with an entropy
+    budget has one; at p = +inf it is (log x - log u*)_+.
     """
     return _sign(z.weights) * _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
 

@@ -99,9 +99,9 @@ class RiskResult:
     magnitude near the float range (the optimizer moves out like -p/theta).
     ``residual`` is |h| at the solution, the distance of the attaining
     density's conjugate-order entropy from the budget log(1/(1-alpha)) (zero
-    for closed forms), ``iterations`` the number of evaluations of the scalar
-    solve's monotone function after bracketing, on every branch (zero for
-    closed forms and pre-test exits).
+    for closed forms), ``iterations`` the number of kernel passes of the
+    scalar solve: bracket growth, steps, and the final pass where one runs
+    (zero for closed forms and pre-test exits).
     """
 
     value: float
@@ -110,10 +110,6 @@ class RiskResult:
     branch: str
     iterations: int
     residual: float
-
-
-class _PastClamp(Exception):
-    """h is still positive at the clamp: the root in s lies past s_max."""
 
 
 def _argmax_density(d: DiscreteDistribution) -> Density:
@@ -184,27 +180,29 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
 
     Otherwise one solve serves every order.  On the standardized atoms y
     (esssup 0, spread 1) write t' = -p/theta with theta > 0 and
-    u = 1 + theta y / p, so that the gap |y - t'| is |t'| u; the factor |t'|
-    cancels from the stationarity and from the density.  With
-    phi(z) = p log1p(z/p), the log of u^p at z = theta y, let
-    L = log E e^phi(theta y) and w the weights P e^phi / E e^phi.  Then
+    u = 1 + x with x = theta y / p, so that the gap |y - t'| is |t'| u and
+    |t'| cancels.  With phi(z) = p log1p(z/p), the log of u^p at z = theta y,
+    let L = log E e^phi(theta y) and w the weights P e^phi / E e^phi.  Then
 
-        h = log beta + L + phi(-E_w[theta y / u]) = log beta + L + p log E_w[1/u]
+        h = log beta + L + phi(-E_w[theta y / u]) = log beta + L + p g,  g = log E_w[1/u],
 
     is p times the stationarity, and log beta - h is the conjugate-order
-    entropy of the density u^(p-1) / e^(L + log E_w[1/u]).  h falls from
-    log beta at theta = 0 to ``top`` < 0 as theta grows, so ``find_root``
-    finds its root in s = log theta, which keeps relative resolution in
-    theta at both ends.  It starts from [1, 3], where the root lies for most
-    samples at levels 0.5 to 0.99.  h is evaluated at min(s, s_max), with
-    the clamp s_max where theta and theta/|p| would overflow, so it is
-    continuous and constant past s_max.  When it is still positive there
-    (tiny |p|, whose root lies beyond e^700) the solve stops at s_max with
-    no steps.  The value is (c/theta) expm1(c/p) / (c/p) with
+    entropy of the density u^(p-1) / e^(L + g).  h falls from log beta at
+    theta = 0 to ``top`` < 0, and ``find_root`` roots -h in s = log theta
+    from [1, 3], with the slope p (p - 1) Var_w(x/u) e^-g that the same
+    pass gives (Var_w(theta y) at +inf).  -h is reported as 0 where |h| is
+    within 4 ulps of log beta + |L| + |p g|, its own rounding, which ends
+    the search there, except where h is exactly ``top``: past the last
+    kink, or once every other atom's weight underflows, its sign is exact
+    and the root lies before it.  h is evaluated at min(s, s_max), the
+    clamp where theta or theta/|p| would overflow, so it is constant past
+    s_max, and where it is still positive there (tiny |p|, whose root lies
+    beyond e^700) the solve stops at s_max.  The density and value come from the
+    last pass, which is re-run only where the root returned is not the
+    last point evaluated.  The value is (c/theta) expm1(c/p) / (c/p) with
     c = log beta + L, the scalar objective at t'.  Order +inf is the same
-    code with phi(z) = z (the limit as |p| grows): u = 1, the
-    density is the exponential tilt e^(theta y - L) and the value
-    (log beta + L)/theta.
+    code with phi(z) = z (the limit as |p| grows): u = 1, the density is
+    the exponential tilt e^(theta y - L) and the value (log beta + L)/theta.
 
     ``t_star`` is the optimizer m - spread p/theta for finite p, or None
     where that overflows (|p| near the float range); at p = +inf it is the
@@ -228,17 +226,19 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     # h is evaluated at min(s, s_max), so it is constant past the clamp
     s_max = 700.0 + min(0.0, math.log(abs(p)))
     # three scratch rows for every evaluation: theta y / p (theta y at +inf),
-    # then the terms log P + phi, then theta y / (p u)
+    # then the terms log P + phi and their exponentials, then theta y / (p u)
+    # or 1/u
     xs, terms, us = np.empty((3, d.n_atoms))
     cut = finite and p > 0.0  # p > 1 drops the atoms with u <= 0
     multiply, add, divide, log1p = np.multiply, np.add, np.divide, np.log1p
-    # the last evaluation's first atom with u > 0, L, and log E_w[1/u]
-    # (-E_w[theta y] at +inf), which the density reads after the solve
-    i, L, g = 0, 0.0, 0.0
+    # the last evaluation's point in s, its first atom with u > 0, L,
+    # log E_w[1/u] (-E_w[theta y] at +inf) and h, which the density reads
+    last, i, L, g, h = math.nan, 0, 0.0, 0.0, 0.0
 
-    def neg_h(s: float) -> float:
-        nonlocal i, L, g
-        theta = math.exp(min(s, s_max))
+    def neg_h(s: float) -> Tuple[float, float]:
+        nonlocal last, i, L, g, h
+        last = min(s, s_max)
+        theta = math.exp(last)
         x = multiply(theta / p if finite else theta, y, out=xs)
         i = int(x.searchsorted(-1.0, side="right")) if cut else 0
         x, a, u, lp = x[i:], terms[i:], us[i:], logp[i:]
@@ -247,26 +247,36 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
         total = float(e.sum())
         L = top_a + math.log(total)
         if not finite:
-            g = -float(e.dot(x)) / total
+            mean = float(e.dot(x)) / total
+            g, pg, r = -mean, -mean, x
         else:
             # E_w[x/u] + E_w[1/u] = 1: sum whichever is below 1/2, so neither cancels
-            mean = float(e.dot(divide(x, add(x, 1.0, out=u), out=u))) / total
+            r = divide(x, add(x, 1.0, out=u), out=u)
+            mean = float(e.dot(r)) / total
             if mean < 0.5:
-                g = math.log1p(-mean)
+                inv, g = 1.0 - mean, math.log1p(-mean)
             else:
-                g = math.log(float(e.dot(divide(1.0, add(x, 1.0, out=u), out=u))) / total)
-        h = log_beta + L + (p * g if finite else g)
-        if s > s_max and h > 0.0:
-            raise _PastClamp
-        return -h
+                r = divide(1.0, add(x, 1.0, out=u), out=u)
+                mean = inv = float(e.dot(r)) / total
+                g = math.log(inv)
+            pg = p * g
+        h = log_beta + L + pg
+        # the slope of -h, p (p - 1) Var_w(x/u) e^-g (Var_w(1/u) is the same),
+        # or Var_w(theta y) at +inf; the product overwrites the exponentials
+        var = float(multiply(e, r, out=e).dot(r)) / total - mean * mean
+        slope = (p - 1.0) * (p * var) / inv if finite else var
+        if s > s_max:  # h is constant there; still positive, the root lies past it
+            return (0.0 if h > 0.0 else -h), 0.0
+        # h is zero within its own rounding, unless it has reached its limit
+        # top, past the last kink, where its sign is exact
+        zero = h != top and abs(h) <= 4.0 * math.ulp(log_beta + abs(L) + abs(pg))
+        return (0.0 if zero else -h), slope
 
-    try:
-        s, iterations = find_root(neg_h, 1.0, 3.0, DEFAULT_TOL)
-    except _PastClamp:
-        # h is constant and positive past s_max: no step can close on a root
-        s, iterations = s_max, 0
+    s, evaluations = find_root(neg_h, 1.0, 3.0, DEFAULT_TOL)
     s = min(s, s_max)
-    residual = abs(neg_h(s))
+    if s != last:  # the root is not the last point evaluated
+        neg_h(s)
+        evaluations += 1
     theta = math.exp(s)
     c = log_beta + L
     r = c / p
@@ -284,7 +294,7 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     w[i:] = np.exp(e, out=e)
     return RiskResult(
         m + spread * value, t_star if math.isfinite(t_star) else None, Density(d, w), branch,
-        iterations, residual,
+        evaluations, abs(h),
     )
 
 

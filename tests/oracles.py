@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from renyi_risk import DiscreteDistribution, RiskSpec, evar, expectation, from_samples
-from renyi_risk.evar import _PastClamp, _top_atom_test, _unit_space
+from renyi_risk.evar import _top_atom_test, _unit_space
 from renyi_risk.solver import find_root
 
 
@@ -336,19 +336,24 @@ def dual_norm_grid(d: DiscreteDistribution, weights, alpha: float, p: float,
 def bisect_root(g, lo: float, hi: float, tol: float):
     """Reference for ``solver.find_root``: bracket growth that moves the
     wrong-signed end away from the other, the same stop rule, then plain
-    bisection.  Returns ``(root, steps)``."""
-    while g(lo) >= 0.0:
+    bisection.  Reads only the value of g's ``(value, slope)`` pair.
+    Returns ``(root, evaluations)``."""
+    evaluations = [0]
+
+    def value(t):
+        evaluations[0] += 1
+        return g(t)[0]
+
+    while value(lo) >= 0.0:
         lo = hi - 2.0 * (hi - lo)
-    while g(hi) < 0.0:
+    while value(hi) < 0.0:
         hi = lo + 2.0 * (hi - lo)
-    steps = 0
     while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
-        steps += 1
-    return 0.5 * (lo + hi), steps
+        lo, hi = (mid, hi) if value(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi), evaluations[0]
 
 
 def rand_dist(rng: np.random.Generator, n: int, lo: float = 0.0, hi: float = 10.0,
@@ -381,6 +386,9 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     m, spread, y = _unit_space(d)
     finite = not math.isinf(p)
     s_max = 700.0 + min(0.0, math.log(abs(p)))
+    # the last evaluation's point in s, L and log E_w[1/u] (-E_w[theta y]
+    # at +inf)
+    last, L, g = math.nan, 0.0, 0.0
 
     def scaled(theta: float):
         # theta y / p on the atoms with u = 1 + theta y / p > 0; theta y at +inf
@@ -389,7 +397,8 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
         return i, x[i:]
 
     def moments(theta: float):
-        # (L, log E_w[1/u]), or (L, -E_w[theta y]) at +inf
+        # (L, log E_w[1/u], the slope of -h in s), or (L, -E_w[theta y],
+        # Var_w(theta y)) at +inf
         i, x = scaled(theta)
         terms = logp[i:] + (p * np.log1p(x) if finite else x)
         top_a = float(terms.max())
@@ -397,25 +406,37 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
         total = float(e.sum())
         L = top_a + math.log(total)
         if not finite:
-            return L, -float(np.dot(e, x)) / total
-        mean = float(np.dot(e, x / (x + 1.0))) / total
+            mean = float(np.dot(e, x)) / total
+            return L, -mean, float(np.dot(e * x, x)) / total - mean * mean
+        r = x / (x + 1.0)
+        mean = float(np.dot(e, r)) / total
         if mean < 0.5:
-            return L, math.log1p(-mean)
-        return L, math.log(float(np.dot(e, 1.0 / (x + 1.0))) / total)
+            inv, g = 1.0 - mean, math.log1p(-mean)
+        else:
+            r = 1.0 / (x + 1.0)
+            mean = inv = float(np.dot(e, r)) / total
+            g = math.log(inv)
+        var = float(np.dot(e * r, r)) / total - mean * mean
+        return L, g, (p - 1.0) * (p * var) / inv
 
-    def h(s: float) -> float:
-        L, g = moments(math.exp(min(s, s_max)))
-        value = log_beta + L + (p * g if finite else g)
-        if s > s_max and value > 0.0:
-            raise _PastClamp
-        return value
+    def neg_h(s: float):
+        nonlocal last, L, g
+        last = min(s, s_max)
+        L, g, slope = moments(math.exp(last))
+        pg = p * g if finite else g
+        value = log_beta + L + pg
+        if s > s_max:
+            return (0.0 if value > 0.0 else -value), 0.0
+        if value != top and abs(value) <= 4.0 * math.ulp(log_beta + abs(L) + abs(pg)):
+            return 0.0, slope
+        return -value, slope
 
-    try:
-        s, iterations = find_root(lambda s: -h(s), 1.0, 3.0, tol)
-    except _PastClamp:
-        s, iterations = s_max, 0
-    theta = math.exp(min(s, s_max))
-    L, g = moments(theta)
+    s, iterations = find_root(neg_h, 1.0, 3.0, tol)
+    s = min(s, s_max)
+    if s != last:
+        neg_h(s)
+        iterations += 1
+    theta = math.exp(s)
     c = log_beta + L
     r = c / p
     value = min(0.0, c / theta * (math.expm1(r) / r if r != 0.0 else 1.0))

@@ -1,5 +1,6 @@
 """Supremum oracle, dual norms, extremal witnesses and the Kusuoka form."""
 
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -540,6 +541,62 @@ class TestDualNormSolve:
                 # flat to 1e-11 (attaining densities)
                 assert value >= ref / np.dot(d.probs, w) * (1.0 - 1e-12)
         assert checked >= 100
+
+    @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -0.5, -2.0])
+    def test_slack_slope_matches_central_differences(self, p, monkeypatch):
+        # the slope each slack evaluation returns for its Newton steps,
+        # against central differences of its value away from the atoms of
+        # x = |Z| / max |Z|, where P(x < u) jumps
+        module = importlib.import_module("renyi_risk.duality")
+        solve, slacks = module.find_root, []
+
+        def recorded(g, lo, hi, tol):
+            slacks.append(g)
+            return solve(g, lo, hi, tol)
+
+        monkeypatch.setattr(module, "find_root", recorded)
+        rng = np.random.default_rng(46)
+        checked = 0
+        for _ in range(6):
+            n = int(rng.integers(3, 20))
+            d = rand_dist(rng, n)
+            w = rng.lognormal(sigma=1.5, size=n)
+            slacks.clear()
+            dual_norm_raw(d, w, 0.1, p)  # a small budget, which few |Z| / E|Z| meet
+            if not slacks:  # the value is E|Z|, with no solve
+                continue
+            x, h = w / w.max(), 1e-6
+            for u in np.linspace(x.min(), 1.0, 13)[1:-1].tolist():
+                if np.min(np.abs(x - u)) < 1e-3:
+                    continue
+                slope = slacks[0](u)[1]
+                central = (slacks[0](u + h)[0] - slacks[0](u - h)[0]) / (2.0 * h)
+                assert slope == pytest.approx(central, rel=1e-6, abs=1e-9), (n, u)
+                checked += 1
+        assert checked >= 20
+
+    def test_root_in_rounding_noise_takes_few_evaluations(self, monkeypatch):
+        # the attaining density of 1e4 lognormal atoms meets the budget so
+        # closely that its slack at min |Z| rounds to a negative value, so
+        # the root lies in rounding noise at the low end of the bracket.
+        # The interpolating steps took 64 slack evaluations at orders 2 and
+        # 10; Newton steps from the end with the smaller slack take 20 and
+        # 15 (the bounds leave 2).  At inf and -2, 13 and 4.
+        module = importlib.import_module("renyi_risk.duality")
+        solve, evaluations = module.find_root, []
+
+        def counted(g, lo, hi, tol):
+            root = solve(g, lo, hi, tol)
+            evaluations.append(root[1])
+            return root
+
+        monkeypatch.setattr(module, "find_root", counted)
+        d = from_samples(np.random.default_rng(0).lognormal(size=10_000))
+        for p, bound in ((2.0, 22), (10.0, 17)):
+            evaluations.clear()
+            z = evar(d, RiskSpec(0.5, p)).density
+            assert dual_norm(z, 0.5, p) == pytest.approx(1.0, abs=1e-13)
+            assert len(evaluations) == 1 and evaluations[0] <= bound, p
 
     @pytest.mark.parametrize("weights, values", SCAN_VALUES)
     def test_matches_the_scan_it_replaced(self, weights, values):
