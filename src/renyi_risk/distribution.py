@@ -29,11 +29,12 @@ class DiscreteDistribution:
             raise ValueError("need at least one atom")
         if v.shape != p.shape:
             raise ValueError("values and probs must have equal length")
-        if not np.all(np.isfinite(v)):
+        # the extremes decide finiteness and sign (argmin and argmax stop at a nan)
+        if not (math.isfinite(v[v.argmin()]) and math.isfinite(v[v.argmax()])):
             raise ValueError("values must be finite")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        if not (p[p.argmin()] >= 0.0 and p[p.argmax()] < math.inf):
             raise ValueError("probabilities must be finite and nonnegative")
-        if not p.sum() > 0.0:
+        if not np.add.reduce(p) > 0.0:
             raise ValueError("probabilities must have positive sum")
         uniq, inverse = np.unique(v, return_inverse=True)
         merged = np.bincount(inverse, weights=p, minlength=uniq.size)
@@ -117,7 +118,7 @@ def _quantile_split(d: DiscreteDistribution, tail):
     probability is left to split.
     """
     above = _tail_sums(d.probs)[::-1]  # above[k]: the mass of the top k atoms
-    k = np.searchsorted(above[1:-1], tail, side="right")
+    k = above[1:-1].searchsorted(tail, side="right")
     return d.n_atoms - 1 - k, above[k]
 
 
@@ -125,9 +126,11 @@ def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
     """``(m, e^(terms - m))`` with m the largest term, the one exp pass of the
     kernel: no term overflows and log sum e^terms is m + log of the sum.
     The exponentials overwrite ``terms``, which the caller owns.  No term,
-    or every term -inf, gives m = -inf and no exponentials.
+    or every term -inf, gives m = -inf and no exponentials; a nan term, m = nan.
+    m is read at ``argmax``: on a tie of +0.0 and -0.0 it is the first, which
+    changes neither the exponentials nor m + log of their sum (at least 1).
     """
-    m = float(np.maximum.reduce(terms)) if terms.size else -math.inf
+    m = float(terms[terms.argmax()]) if terms.size else -math.inf
     if m == -math.inf:
         return m, terms[:0]
     np.subtract(terms, m, out=terms)
@@ -143,7 +146,7 @@ def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> float:
     overflow-safe.  No atom, or every term -inf, gives -inf.
     """
     m, e = _exp_shifted(logp + k * logx)
-    return m + math.log(float(e.sum())) if e.size else m
+    return m + math.log(float(np.add.reduce(e))) if e.size else m
 
 
 def lp_norm(d: DiscreteDistribution, p: float) -> float:

@@ -257,9 +257,11 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
         return value, pprime * below * (1.0 / mean - u ** e / float(pr @ v ** pprime)) / e
 
     low = float(x.min())
-    if slack(low)[0] >= 0.0:
+    first = slack(low)
+    if first[0] >= 0.0:
         return float(pr @ w), np.ones(w.size)
-    u, _ = find_root(slack, low, 1.0, _LEVEL_TOL)
+    # find_root evaluates low first: the pre-test's pair, not a second pass
+    u, _ = find_root(lambda v: first if v == low else slack(v), low, 1.0, _LEVEL_TOL)
     # (x^e - u^e) / e, positive exactly where x > u in both regimes, as
     # x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
     top = x > u

@@ -17,7 +17,11 @@ _NEAR_ONE = 0.25
 
 @dataclass(frozen=True)
 class Density:
-    """Nonnegative per-atom reweighting with unit mean under its base distribution."""
+    """Nonnegative per-atom reweighting with unit mean under its base distribution.
+
+    Checked in this order: one weight per atom, finite, nonnegative (-0.0
+    passes), mean 1 within ``MEAN_TOL``.  ``weights`` is a read-only copy.
+    """
 
     dist: DiscreteDistribution
     weights: np.ndarray
@@ -26,9 +30,11 @@ class Density:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.shape != self.dist.values.shape:
             raise ValueError("weights must match the base distribution's atoms")
-        if not np.all(np.isfinite(w)):
+        # the extremes decide both checks (argmin and argmax stop at a nan)
+        lo, hi = w[w.argmin()], w[w.argmax()]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be finite")
-        if np.any(w < 0.0):
+        if lo < 0.0:
             raise ValueError("density weights must be nonnegative")
         mean = float(np.dot(self.dist.probs, w))
         if abs(mean - 1.0) > MEAN_TOL:

@@ -230,7 +230,7 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     # or 1/u
     xs, terms, us = np.empty((3, d.n_atoms))
     cut = finite and p > 0.0  # p > 1 drops the atoms with u <= 0
-    multiply, add, divide, log1p = np.multiply, np.add, np.divide, np.log1p
+    multiply, add, divide, log1p, add_up = np.multiply, np.add, np.divide, np.log1p, np.add.reduce
     # the last evaluation's point in s, its first atom with u > 0, L,
     # log E_w[1/u] (-E_w[theta y] at +inf) and h, which the density reads
     last, i, L, g, h = math.nan, 0, 0.0, 0.0, 0.0
@@ -239,12 +239,13 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
         nonlocal last, i, L, g, h
         last = min(s, s_max)
         theta = math.exp(last)
-        x = multiply(theta / p if finite else theta, y, out=xs)
-        i = int(x.searchsorted(-1.0, side="right")) if cut else 0
-        x, a, u, lp = x[i:], terms[i:], us[i:], logp[i:]
+        x, a, u, lp = multiply(theta / p if finite else theta, y, out=xs), terms, us, logp
+        if cut:
+            i = int(x.searchsorted(-1.0, side="right"))
+            x, a, u, lp = x[i:], a[i:], u[i:], lp[i:]
         phi = multiply(p, log1p(x, out=a), out=a) if finite else x
         top_a, e = _exp_shifted(add(lp, phi, out=a))
-        total = float(e.sum())
+        total = float(add_up(e))
         L = top_a + math.log(total)
         if not finite:
             mean = float(e.dot(x)) / total
@@ -291,7 +292,7 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
         e = np.subtract(x, L, out=x)
         t_star = theta / spread
     w = np.zeros(d.n_atoms)
-    w[i:] = np.exp(e, out=e)
+    np.exp(e, out=w[i:])
     return RiskResult(
         m + spread * value, t_star if math.isfinite(t_star) else None, Density(d, w), branch,
         evaluations, abs(h),

@@ -48,6 +48,7 @@ def find_root(
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    inf = math.inf
     x, (fx, dx) = lo, g(lo)
     if fx == 0.0:
         return x, 1
@@ -61,7 +62,7 @@ def find_root(
         if expansions > _MAX_EXPANSIONS:
             raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
         cap = far + sign * reach
-        nxt = x - fx / dx if 0.0 < dx < math.inf else cap
+        nxt = x - fx / dx if 0.0 < dx < inf else cap
         newton = not newton and 0.0 < sign * (nxt - x) and 0.0 < sign * (cap - nxt)
         if not newton:
             nxt = cap
@@ -72,9 +73,10 @@ def find_root(
         if (fn < 0.0) != (sign > 0.0):
             break
         x, fx, dx = nxt, fn, dn
-    (lo, flo, dlo), (hi, fhi, dhi) = sorted([(x, fx, dx), (nxt, fn, dn)])
+    lo, flo, dlo, hi, fhi, dhi = (nxt, fn, dn, x, fx, dx) if nxt < x else (x, fx, dx, nxt, fn, dn)
     w0 = hi - lo
-    last = before = math.inf  # the lengths of the last two steps
+    scale = 2.0 ** (_SLACK - 1)  # 2^(_SLACK - 1 - steps), halved exactly after each step
+    last = before = inf  # the lengths of the last two steps
     steps = 0
     while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
         if steps >= _MAX_STEPS:
@@ -84,17 +86,18 @@ def find_root(
             break
         # the end with the smaller |g|, or the other where only its slope is usable
         a, b = ((lo, flo, dlo), (hi, fhi, dhi)) if -flo < fhi else ((hi, fhi, dhi), (lo, flo, dlo))
-        end, fend, dend = b if not 0.0 < a[2] < math.inf and 0.0 < b[2] < math.inf else a
-        x = end - fend / dend if 0.0 < dend < math.inf else lo - flo * (hi - lo) / (fhi - flo)
+        end, fend, dend = b if not 0.0 < a[2] < inf and 0.0 < b[2] < inf else a
+        x = end - fend / dend if 0.0 < dend < inf else lo - flo * (hi - lo) / (fhi - flo)
         if not (lo < x < hi and abs(x - end) <= 0.5 * before):
             x = mid
         # the ITP projection: afterwards the width is at most w0 2^(_SLACK - steps - 1)
-        r = max(w0 * 2.0 ** (_SLACK - 1 - steps) - 0.5 * (hi - lo), 0.0)
-        x = min(max(x, mid - r), mid + r)
+        r = max(w0 * scale - 0.5 * (hi - lo), 0.0)
+        x = mid - r if x < mid - r else mid + r if x > mid + r else x
         fx, dx = g(x)
         steps += 1
         if fx == 0.0:
             return x, 1 + expansions + steps
+        scale *= 0.5
         before, last = last, abs(x - end)
         if fx < 0.0:
             lo, flo, dlo = x, fx, dx

@@ -598,6 +598,45 @@ class TestDualNormSolve:
             assert dual_norm(z, 0.5, p) == pytest.approx(1.0, abs=1e-13)
             assert len(evaluations) == 1 and evaluations[0] <= bound, p
 
+    @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -2.0])
+    def test_one_entropy_per_slack_point(self, p, monkeypatch):
+        # the pre-test's slack at min |Z| is find_root's first point, handed
+        # over instead of evaluated again: one renyi_entropy for each point
+        # below 1 (at u >= 1 the slack is log beta, with no entropy)
+        module = importlib.import_module("renyi_risk.duality")
+        solve, entropy = module.find_root, module.renyi_entropy
+        points, entropies = [], []
+
+        def counted(g, lo, hi, tol):
+            def recorded(u):
+                points.append(u)
+                return g(u)
+            root = solve(recorded, lo, hi, tol)
+            assert root[1] == len(points)
+            return root
+
+        def entropy_counted(z, q):
+            entropies.append(q)
+            return entropy(z, q)
+
+        monkeypatch.setattr(module, "find_root", counted)
+        monkeypatch.setattr(module, "renyi_entropy", entropy_counted)
+        rng = np.random.default_rng(47)
+        solved = 0
+        for _ in range(8):
+            n = int(rng.integers(3, 20))
+            d = rand_dist(rng, n)
+            w = rng.lognormal(sigma=1.5, size=n)
+            points.clear()
+            entropies.clear()
+            dual_norm_raw(d, w, 0.1, p)  # a small budget, which few |Z| / E|Z| meet
+            if points:
+                solved += 1
+                assert len(entropies) == sum(u < 1.0 for u in points), (n, points)
+            else:  # the value is E|Z|, from the pre-test alone
+                assert len(entropies) == 1
+        assert solved >= 4
+
     @pytest.mark.parametrize("weights, values", SCAN_VALUES)
     def test_matches_the_scan_it_replaced(self, weights, values):
         d = from_samples([0.0, 1.0, 2.5, 4.0, 7.0], [0.3, 0.25, 0.2, 0.15, 0.1])

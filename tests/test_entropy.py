@@ -48,9 +48,45 @@ class TestDensityInvariants:
 
     def test_non_finite_weights_rejected(self):
         d = from_samples([0, 1])
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="weights must be finite"):
                 Density(d, np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("weights", [[math.nan, -1.0], [-1.0, math.nan],
+                                         [math.inf, -math.inf]])
+    def test_non_finite_wins_over_negative(self, weights):
+        # finiteness is decided first, and (with RuntimeWarning an error here)
+        # with no floating-point warning from either infinity
+        d = from_samples([0, 1])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Density(d, np.array(weights))
+
+    def test_finite_weights_whose_mean_overflows(self):
+        # the largest float on n equal atoms: the mean overflows only through
+        # the rounding of the probabilities and products, at some n
+        big = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            for n in range(2, 200):
+                d = from_samples(np.arange(float(n)))
+                if math.isinf(float(np.dot(d.probs, np.full(n, big)))):
+                    break
+            else:
+                raise AssertionError("no mean of equal weights overflowed")
+            with pytest.raises(ValueError, match="density mean inf is not 1"):
+                Density(d, np.full(n, big))
+
+    def test_negative_zero_weights_accepted(self):
+        d = from_samples([0, 1, 2])
+        z = Density(d, np.array([-0.0, 1.5, 1.5]))
+        assert np.signbit(z.weights[0]) and z.weights[0] == 0.0
+
+    def test_caller_mutation_does_not_reach_the_weights(self):
+        d = from_samples([0, 1])
+        w = np.array([0.5, 1.5])
+        z = Density(d, w)
+        w[0] = 7.0
+        assert z.weights.tolist() == [0.5, 1.5]
+        assert not z.weights.flags.writeable
 
 
 class TestEntropyBranches:

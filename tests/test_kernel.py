@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from renyi_risk import RiskSpec, esssup, essinf, evar, from_samples
-from renyi_risk.distribution import _log_moments
+from renyi_risk.distribution import _exp_shifted, _log_moments
 from renyi_risk.evar import DEFAULT_TOL
 
 from oracles import (conjugate_entropy, evar_decimal, evar_theta_alloc, objective_high,
@@ -90,6 +90,45 @@ class TestEdgeCases:
             lk = _log_moments(np.log(p), np.log(x), order)
             assert math.isfinite(lk)
             assert lk == pytest.approx(math.log(p[big]) + order * math.log(x[big]), rel=1e-14)
+
+
+def exp_shifted_by_reduce(terms):
+    """``_exp_shifted`` with its maximum from ``np.maximum.reduce``: the reference for its bits."""
+    m = float(np.maximum.reduce(terms)) if terms.size else -math.inf
+    if m == -math.inf:
+        return m, terms[:0]
+    np.subtract(terms, m, out=terms)
+    return m, np.exp(terms, out=terms)
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestExpShifted:
+    @pytest.mark.parametrize("terms", [
+        [1.0, math.nan, 2.0], [math.nan, -math.inf], [-math.inf, -math.inf, -math.inf], [],
+        [-math.inf, 0.5, -math.inf], [-math.inf, -700.0], [-3.0, 2.5, 2.5, -1e300],
+    ])
+    def test_same_bits_as_the_reduction(self, terms):
+        ours = _exp_shifted(np.array(terms, dtype=float))
+        ref = exp_shifted_by_reduce(np.array(terms, dtype=float))
+        assert float_bits(ours[0]) == float_bits(ref[0])
+        assert ours[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("terms", [
+        [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, -3.0, -0.0], [-0.0] * 40 + [0.0] * 40,
+    ])
+    def test_ties_of_signed_zeros(self, terms):
+        # the first of the tied zeros: its sign can differ from the
+        # reduction's, but not the exponentials, nor m + log of their sum,
+        # the one way the kernel reads m (the sum is at least 1)
+        (m, e), (m_ref, e_ref) = (_exp_shifted(np.array(terms)),
+                                  exp_shifted_by_reduce(np.array(terms)))
+        assert m == m_ref == 0.0 and np.signbit(m) == np.signbit(terms[int(np.argmax(terms))])
+        assert e.tobytes() == e_ref.tobytes()
+        log_sum = math.log(float(np.add.reduce(e)))
+        assert float_bits(m + log_sum) == float_bits(m_ref + log_sum)
 
 
 def kernel_samples(n):
