@@ -8,17 +8,12 @@ from .distribution import (
     esssup,
     expectation,
     from_samples,
-    lp_norm,
-    var_level,
 )
 from .entropy import (
     Density,
-    hellinger_divergence,
     renyi_entropy,
 )
-from .solver import SolverError, find_root
 from .evar import (
-    BRANCHES,
     RiskResult,
     RiskSpec,
     conjugate,

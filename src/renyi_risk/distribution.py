@@ -56,18 +56,11 @@ def from_samples(
 ) -> DiscreteDistribution:
     """Build a distribution from raw samples, equally weighted by default.
 
-    Duplicate values are merged and weights normalized to probabilities.
+    Duplicate values are merged and weights normalized to probabilities;
+    ``DiscreteDistribution`` checks both.
     """
     v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("values must be nonempty")
-    if weights is None:
-        w = np.ones_like(v)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape != v.shape:
-            raise ValueError("weights must match values in length")
-    return DiscreteDistribution(v, w)
+    return DiscreteDistribution(v, np.ones_like(v) if weights is None else weights)
 
 
 def esssup(d: DiscreteDistribution) -> float:
@@ -80,19 +73,6 @@ def essinf(d: DiscreteDistribution) -> float:
 
 def expectation(d: DiscreteDistribution) -> float:
     return float(np.dot(d.probs, d.values))
-
-
-def var_level(d: DiscreteDistribution, alpha: float) -> float:
-    """Left-continuous lower quantile.
-
-    Smallest value v with P(Y <= v) >= alpha for alpha > 0; the essential
-    infimum at alpha = 0.
-    """
-    if math.isnan(alpha) or not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0,1)")
-    if alpha == 0.0:
-        return essinf(d)
-    return float(d.values[_quantile_split(d, 1.0 - alpha)[0]])
 
 
 def _tail_sums(x: np.ndarray) -> np.ndarray:
@@ -148,17 +128,3 @@ def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> float:
     m, e = _exp_shifted(logp + k * logx)
     return m + math.log(float(np.add.reduce(e))) if e.size else m
 
-
-def lp_norm(d: DiscreteDistribution, p: float) -> float:
-    """(E |Y|^p)^(1/p); p is any nonzero real, +inf gives esssup |Y|."""
-    if p == 0.0 or math.isnan(p):
-        raise ValueError("p must be nonzero")
-    a = np.abs(d.values)
-    if math.isinf(p):
-        if p < 0:
-            raise ValueError("p must be nonzero real or +inf")
-        return float(a.max())
-    active = a > 0.0
-    if p < 0.0 and not np.all(active):
-        raise ValueError("negative p needs strictly nonzero values")
-    return math.exp(_log_moments(np.log(d.probs[active]), np.log(a[active]), p) / p)

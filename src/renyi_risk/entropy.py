@@ -1,4 +1,4 @@
-"""Renyi entropy and divergences of discrete densities."""
+"""Densities and their Renyi entropy."""
 
 from __future__ import annotations
 
@@ -80,12 +80,3 @@ def renyi_entropy(z: Density, q: float) -> float:
         return math.log1p(float(pz.dot(np.expm1(k * logw))) / total) / k - math.log(total)
     return _log_moments(np.log(p[pos]), logw, q) / k
 
-
-def hellinger_divergence(z: Density, q: float) -> float:
-    """(E Z^q - 1) / (q - 1) = expm1((q - 1) H_q) / (q - 1) with H_q the entropy;
-    undefined at q = 1, whose relative entropy is ``renyi_entropy(z, 1)``."""
-    if q == 1.0:
-        raise ValueError("order 1 is the Kullback-Leibler case")
-    if math.isnan(q) or math.isinf(q):
-        raise ValueError("order must be a finite real != 1")
-    return math.expm1((q - 1.0) * renyi_entropy(z, q)) / (q - 1.0)

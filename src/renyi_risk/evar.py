@@ -29,18 +29,6 @@ from .solver import find_root
 #: The risk solve's stopping width in s = log theta.
 DEFAULT_TOL = 1e-14
 
-#: Dispatch route tags carried by RiskResult.branch.
-BRANCHES = (
-    "avar",
-    "higher_order",
-    "shannon",
-    "esssup_collapse",
-    "negative_order",
-    "degenerate_negative_order",
-    "expectation",
-    "esssup_level1",
-)
-
 
 def conjugate(p: float) -> float:
     """Holder-conjugate exponent p/(p-1), with 1 and +inf swapped.
@@ -92,7 +80,9 @@ class RiskSpec:
 class RiskResult:
     """Risk value plus optimizer, attaining density and solver diagnostics.
 
-    ``branch`` is one of ``BRANCHES`` and identifies the dispatch route.
+    ``branch`` names the dispatch route: "avar", "higher_order", "shannon",
+    "esssup_collapse", "negative_order", "degenerate_negative_order",
+    "expectation" or "esssup_level1".
     ``t_star`` is the scalar optimizer of the regime's dual problem; for the
     "shannon" branch it holds the exponential tilt parameter instead.  It is
     None where no finite value exists, which includes finite orders of
@@ -153,7 +143,7 @@ def _avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     """
     beta = 1.0 / (1.0 - alpha)
     v, p = d.values, d.probs
-    # the lower quantile and the tail above it, from the sums var_level uses
+    # the lower quantile and the tail above it, from one pass of tail sums
     idx, upper = _quantile_split(d, 1.0 - alpha)
     t = float(v[idx])
     # the split is nonnegative, and above 1 only by the rounding of the sums
@@ -309,9 +299,9 @@ def evar(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     entropy budget (``RiskSpec.budget``) and one solve.  The attaining
     density is returned whenever one exists in closed form.  ``t_star`` is
     the scalar optimizer, except on the "shannon" branch, where it is the
-    tilt parameter, and it is None where no finite one exists: on the "esssup_level1" and "expectation" branches,
-    at p = +inf on the boundary branch, and at finite |p| so large that
-    m - spread p/theta overflows.
+    tilt parameter, and it is None where no finite one exists: on the
+    "esssup_level1" and "expectation" branches, at p = +inf on the boundary
+    branch, and at finite |p| so large that m - spread p/theta overflows.
     """
     a, p = spec.alpha, spec.order
     if a == 1.0:

@@ -35,9 +35,12 @@ def find_root(
     usable, or at the secant point through both ends where neither is, if
     it lies strictly inside and at most half as far from that end as the
     step before last went (the rtsafe rule of Press et al., Numerical
-    Recipes, section 9.4), else at the midpoint.  The point
-    is then projected onto the interval around the midpoint that keeps the
-    width on a bisection schedule with ``_SLACK`` spare steps (the ITP
+    Recipes, section 9.4), else at the midpoint; before that test, a point
+    that rounds onto or past its own end moves half the stopping width from
+    that end toward the other (Brent's rule), so a converged Newton point
+    closes the bracket instead of stalling against it.  The point is then
+    projected onto the interval around the midpoint that keeps the width on
+    a bisection schedule with ``_SLACK`` spare steps (the ITP
     method of Oliveira and Takahashi, 2021), so with w0 the width after
     growth there are at most ceil(log2(w0 / tol)) + 8 steps.  The search
     returns an exact zero of g as soon as it evaluates one, else the
@@ -88,6 +91,10 @@ def find_root(
         a, b = ((lo, flo, dlo), (hi, fhi, dhi)) if -flo < fhi else ((hi, fhi, dhi), (lo, flo, dlo))
         end, fend, dend = b if not 0.0 < a[2] < inf and 0.0 < b[2] < inf else a
         x = end - fend / dend if 0.0 < dend < inf else lo - flo * (hi - lo) / (fhi - flo)
+        # Brent's rule: a point that rounds onto or past its own end moves
+        # half the stopping width from that end instead
+        if x <= lo if end == lo else x >= hi:
+            x = end + math.copysign(0.5 * tol * (1.0 + abs(lo) + abs(hi)), mid - end)
         if not (lo < x < hi and abs(x - end) <= 0.5 * before):
             x = mid
         # the ITP projection: afterwards the width is at most w0 2^(_SLACK - steps - 1)

@@ -1,7 +1,8 @@
 """Independent references used to pin expected values in tests.
 
 Most compute by enumeration, dense grids or plain numpy powers, away from
-the library's log-space code paths.  The risk value of every order is pinned
+the library's log-space code paths (``power_norm`` by one ``math.fsum``).
+The risk value of every order is pinned
 by ``evar_decimal`` and Renyi entropies by ``renyi_entropy_decimal``, at 60
 digits from the atoms and probabilities alone; the tail mean and the Kusuoka
 measure by exact sums, the Kusuoka integral by one tail mean per level.  Two
@@ -54,6 +55,16 @@ def avar_exact(d: DiscreteDistribution, alpha: float) -> float:
         if room == 0:
             break
     return float(total / (Fraction(1) - Fraction(alpha)))
+
+
+def power_norm(d: DiscreteDistribution, p: float) -> float:
+    """(E |Y|^p)^(1/p) as one ``math.fsum`` of the atoms' powers; p = +inf
+    gives max |Y|.  An atom at 0 contributes nothing at p > 0 and raises
+    ``ZeroDivisionError`` at p < 0."""
+    a = [abs(v) for v in d.values.tolist()]
+    if p == math.inf:
+        return max(a)
+    return math.fsum(q * x ** p for q, x in zip(d.probs.tolist(), a)) ** (1.0 / p)
 
 
 def kusuoka_reference(weights: np.ndarray, probs: np.ndarray):

@@ -24,12 +24,11 @@ from renyi_risk import (
     hb_witness_for,
     kusuoka,
     kusuoka_evaluate,
-    lp_norm,
     norm_equivalence_bounds,
     renyi_entropy,
     sup_oracle,
 )
-from oracles import rand_dist
+from oracles import power_norm, rand_dist
 
 LOG = math.log
 
@@ -49,7 +48,7 @@ def test_c01_sharp_indicator_reproduction():
         for p in (1.5, 2.0, 4.0):
             val = evar(d, RiskSpec(alpha, p)).value
             assert abs(val - 1.0) <= 1e-9
-            assert abs(lp_norm(d, p) - (1.0 - alpha) ** (1.0 / p)) <= 1e-12
+            assert abs(power_norm(d, p) - (1.0 - alpha) ** (1.0 / p)) <= 1e-12
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(1, f"indicator value 1 and norm (1-a)^(1/p) across 9 cases in {elapsed:.3f}s")
@@ -227,7 +226,7 @@ def test_c11_norm_sandwiches():
         p = float(rng.choice([1.5, 2.0, 3.0, 5.0]))
         lower, upper = norm_equivalence_bounds(a, p)
         val = evar(d, RiskSpec(a, p)).value
-        norm = lp_norm(d, p)
+        norm = power_norm(d, p)
         assert lower * norm <= val + 1e-8
         assert val <= upper * norm + 1e-8
     for i in range(50):
@@ -236,7 +235,7 @@ def test_c11_norm_sandwiches():
         p = float(rng.choice([-0.5, -1.0, -2.0, -4.0]))
         lower, upper = norm_equivalence_bounds(a, p)
         val = evar(d, RiskSpec(a, p)).value
-        sup = lp_norm(d, math.inf)
+        sup = power_norm(d, math.inf)
         assert lower * sup <= val + 1e-8
         assert val <= upper * sup + 1e-8
 
@@ -245,18 +244,18 @@ def test_c11_norm_sandwiches():
     alpha, p = 0.5, 3.0
     lower, upper = norm_equivalence_bounds(alpha, p)
     spike = from_samples([0.0, eps ** (-1.0 / p)], weights=[1.0 - eps, eps])
-    ratio = evar(spike, RiskSpec(alpha, p)).value / lp_norm(spike, p)
+    ratio = evar(spike, RiskSpec(alpha, p)).value / power_norm(spike, p)
     assert lower <= ratio + 1e-8
     assert ratio <= lower * 1.02
     # upper constant, p > 1: indicator with mass exactly 1 - alpha
     flat = from_samples([0.0, 1.0], weights=[alpha, 1.0 - alpha])
-    ratio = evar(flat, RiskSpec(alpha, p)).value / lp_norm(flat, p)
+    ratio = evar(flat, RiskSpec(alpha, p)).value / power_norm(flat, p)
     assert ratio >= upper * 0.98
     # lower constant, p < 0: indicator of vanishing probability
     alpha, p = 0.5, -1.0
     lower, _ = norm_equivalence_bounds(alpha, p)
     tiny = from_samples([0.0, 1.0], weights=[1.0 - eps, eps])
-    ratio = evar(tiny, RiskSpec(alpha, p)).value / lp_norm(tiny, math.inf)
+    ratio = evar(tiny, RiskSpec(alpha, p)).value / power_norm(tiny, math.inf)
     assert lower <= ratio + 1e-8
     assert ratio <= lower * 1.02
     report(11, "sandwiches hold on 100 instances; witness families reach the constants within 2%")

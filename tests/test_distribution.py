@@ -1,4 +1,4 @@
-"""Construction, quantile and norm primitives."""
+"""Construction, the lower quantile, and the L^p norm reference."""
 
 import math
 
@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from renyi_risk import (
     DiscreteDistribution,
+    RiskSpec,
     essinf,
     esssup,
+    evar,
     expectation,
     from_samples,
-    lp_norm,
-    var_level,
 )
+from renyi_risk.evar import _avar
+from oracles import power_norm
 
 
 class TestFromSamples:
@@ -33,13 +35,13 @@ class TestFromSamples:
         assert d.probs == pytest.approx([0.75, 0.25], abs=1e-15)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one atom"):
             from_samples([])
         with pytest.raises(ValueError, match="need at least one atom"):
             DiscreteDistribution(np.array([]), np.array([]))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="weights must match values in length"):
+        with pytest.raises(ValueError, match="values and probs must have equal length"):
             from_samples([1.0, 2.0], weights=[1.0])
         with pytest.raises(ValueError, match="values and probs must have equal length"):
             DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0]))
@@ -100,71 +102,63 @@ class TestBasicFunctionals:
 
 
 class TestVarLevel:
+    # the tail mean reports the left-continuous lower quantile as its t*
     def test_boundary_is_left_continuous(self):
         d = from_samples([0, 1])
-        assert var_level(d, 0.5) == 0.0
-        assert var_level(d, 0.6) == 1.0
+        assert _avar(d, 0.5).t_star == 0.0
+        assert _avar(d, 0.6).t_star == 1.0
 
     def test_alpha_zero_gives_essinf(self):
         d = from_samples([3, 7, 9], weights=[1, 2, 1])
-        assert var_level(d, 0.0) == essinf(d)
+        assert _avar(d, 0.0).t_star == essinf(d)
 
     def test_alpha_out_of_range(self):
         d = from_samples([0, 1])
-        for bad in (-0.1, 1.0, 1.5, float("nan")):
-            with pytest.raises(ValueError):
-                var_level(d, bad)
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\]"):
+                RiskSpec(bad, 1.0)
+        # level 1 is the essential supremum, with no quantile
+        assert evar(d, RiskSpec(1.0, 1.0)).t_star is None
 
     @given(st.floats(0.0, 0.999), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_quantile_between_bounds(self, alpha, seed):
         rng = np.random.default_rng(seed)
         d = from_samples(rng.uniform(-5, 5, 6))
-        assert essinf(d) <= var_level(d, alpha) <= esssup(d)
+        assert essinf(d) <= _avar(d, alpha).t_star <= esssup(d)
 
 
 class TestLpNorm:
+    # the reference the norm sandwiches compare the risk against
     def test_indicator_norm(self):
         d = from_samples([0.0, 1.0], weights=[0.75, 0.25])
-        assert lp_norm(d, 2.0) == pytest.approx(0.5, rel=1e-14)
+        assert power_norm(d, 2.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_sup_norm(self):
         d = from_samples([-4.0, 1.0], weights=[0.5, 0.5])
-        assert lp_norm(d, math.inf) == 4.0
+        assert power_norm(d, math.inf) == 4.0
 
     def test_zero_atom_drops_out_at_positive_order(self):
         d = from_samples([0, 2])
-        assert lp_norm(d, 2.0) == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert power_norm(d, 2.0) == pytest.approx(math.sqrt(2), rel=1e-14)
 
     def test_single_atom_at_negative_order(self):
-        assert lp_norm(from_samples([2]), -1.0) == pytest.approx(2.0, rel=1e-14)
+        assert power_norm(from_samples([2]), -1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_two_atoms_at_negative_order(self):
         d = from_samples([2, 1])
         expected = (0.5 * 2.0 ** -2 + 0.5 * 1.0 ** -2) ** -0.5
-        assert lp_norm(d, -2.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_negative_order_rejects_a_zero_atom(self):
-        with pytest.raises(ValueError, match="strictly nonzero"):
-            lp_norm(from_samples([0, 1]), -1.0)
-
-    def test_invalid_orders_rejected(self):
-        d = from_samples([1, 2])
-        for p in (0.0, math.nan):
-            with pytest.raises(ValueError, match="p must be nonzero"):
-                lp_norm(d, p)
-        with pytest.raises(ValueError, match=r"p must be nonzero real or \+inf"):
-            lp_norm(d, -math.inf)
+        assert power_norm(d, -2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_all_zero_values_give_zero(self):
-        assert lp_norm(from_samples([0]), 2.0) == 0.0
+        assert power_norm(from_samples([0]), 2.0) == 0.0
 
     def test_matches_direct_powers(self):
         rng = np.random.default_rng(11)
         d = from_samples(rng.uniform(0, 10, 5))
         for p in (1.5, 2.0, 7.0, -0.5, -3.0):
             direct = float(np.dot(d.probs, d.values ** p)) ** (1 / p)
-            assert lp_norm(d, p) == pytest.approx(direct, rel=1e-12)
+            assert power_norm(d, p) == pytest.approx(direct, rel=1e-12)
 
 
 class TestCanonicalization:

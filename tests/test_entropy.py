@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from renyi_risk import (
     Density,
     from_samples,
-    hellinger_divergence,
     renyi_entropy,
 )
 from oracles import renyi_entropy_decimal
@@ -131,12 +130,17 @@ class TestEntropyBranches:
         assert math.copysign(1.0, renyi_entropy(z, 0.0)) == 1.0
 
 
+def hellinger(z, q):
+    """(E Z^q - 1) / (q - 1), the Hellinger divergence, from the entropy."""
+    return math.expm1((q - 1.0) * renyi_entropy(z, q)) / (q - 1.0)
+
+
 class TestDivergences:
     def test_constant_density_divergences_vanish(self):
         d = from_samples([0, 1])
         z = Density(d, np.ones(2))
         assert renyi_entropy(z, 2.0) == pytest.approx(0.0, abs=1e-14)
-        assert hellinger_divergence(z, 2.0) == pytest.approx(0.0, abs=1e-14)
+        assert hellinger(z, 2.0) == pytest.approx(0.0, abs=1e-14)
         assert renyi_entropy(z, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_point_kl(self):
@@ -146,31 +150,24 @@ class TestDivergences:
     def test_hellinger_direct(self):
         d = from_samples([0, 1])
         z = Density(d, np.array([0.5, 1.5]))
-        assert hellinger_divergence(z, 2.0) == pytest.approx(0.25, abs=1e-14)
+        assert hellinger(z, 2.0) == pytest.approx(0.25, abs=1e-14)
 
     @pytest.mark.parametrize("q", [-3.0, -0.3, 0.0, 0.5, 0.9, 1.2, 2.0, 5.0])
     def test_hellinger_matches_direct_powers(self, q):
-        # zero weights count only at q >= 0, as in the entropy
+        # the entropy is log E Z^q / (q - 1), and the Hellinger divergence
+        # (E Z^q - 1) / (q - 1) follows from it; zero weights count only at
+        # q >= 0
         for z in (positive_density(np.random.default_rng(7), 6), two_point_density(0.3)):
             w, p = z.weights, z.dist.probs
             if q < 0.0 and not np.all(w > 0.0):
                 with pytest.raises(ValueError):
-                    hellinger_divergence(z, q)
+                    renyi_entropy(z, q)
                 continue
             pos = w > 0.0
-            direct = (float(np.dot(p[pos], w[pos] ** q)) - 1.0) / (q - 1.0)
-            assert hellinger_divergence(z, q) == pytest.approx(direct, rel=1e-12, abs=1e-14)
-
-    def test_hellinger_rejects_order_one(self):
-        d = from_samples([0, 1])
-        with pytest.raises(ValueError):
-            hellinger_divergence(Density(d, np.ones(2)), 1.0)
-
-    def test_hellinger_rejects_non_finite_orders(self):
-        z = Density(from_samples([0, 1]), np.ones(2))
-        for q in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="order must be a finite real"):
-                hellinger_divergence(z, q)
+            moment = float(np.dot(p[pos], w[pos] ** q))
+            assert renyi_entropy(z, q) == pytest.approx(math.log(moment) / (q - 1.0), rel=1e-12)
+            assert hellinger(z, q) == pytest.approx((moment - 1.0) / (q - 1.0), rel=1e-12,
+                                                    abs=1e-14)
 
 
 class TestOrderMonotonicity:

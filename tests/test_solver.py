@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from renyi_risk import SolverError, find_root, from_samples
+from renyi_risk import from_samples
+from renyi_risk.solver import SolverError, find_root
 from oracles import grid_min, objective_high
 
 NAN = math.nan
@@ -386,3 +387,24 @@ class TestWorstCase:
         g = lambda t: ((root + 1.01) ** -4 - (t + 1.01) ** -4, 4.0 * (t + 1.01) ** -5)
         _, evaluations = find_root(g, -1.0, 1.0, 1e-11)
         assert evaluations <= 25
+
+    @pytest.mark.parametrize("f, slope", [
+        (lambda t: t ** 3 - 7.0, lambda t: 3.0 * t * t),
+        (lambda t: math.exp(t) - 9.0, math.exp),
+    ], ids=["cube", "exp"])
+    def test_a_converged_newton_point_ends_the_search(self, f, slope):
+        # convex g with exact slopes: Newton approaches the root from one
+        # side, so the far end never moves; once its point rounds onto the
+        # near end, half the stopping width past it closes the bracket
+        # (52 and 49 evaluations when the steps fell back to midpoints)
+        tol = 1e-14
+        root, evaluations = find_root(lambda t: (f(t), slope(t)), 1.0, 3.0, tol)
+        # plain Newton from 3 until its step is within the stopping width
+        t, newton = 3.0, 0
+        while True:
+            step = f(t) / slope(t)
+            t, newton = t - step, newton + 1
+            if abs(step) <= tol * (1.0 + 2.0 * abs(t)):
+                break
+        assert evaluations <= newton + 3
+        assert abs(root - t) <= tol * (1.0 + 2.0 * abs(t))
