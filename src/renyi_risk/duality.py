@@ -31,10 +31,13 @@ from .evar import RiskSpec, evar
 from .solver import find_root
 
 _GRID_ROW_CAP = 50_000_000
-#: Rows per scan block, small enough that a block's float scratch (0.9-2.1 MB
-#: at 3-5 atoms) stays near a 2 MB per-core cache.  A power of two, so that
-#: every row keeps its position modulo the BLAS kernel width and its
-#: objective rounds as in one pass over all rows.
+#: Rows per aligned block of the oracle's lattices, which ``_scan`` skips or
+#: scans whole.  A power of two, so that every scanned row keeps its position
+#: modulo the BLAS kernel width and its objective rounds as in one pass over
+#: all rows.
+_BLOCK = 256
+#: Most rows per scan chunk, a multiple of ``_BLOCK`` small enough that a
+#: chunk's scratch (1.0-2.2 MB at 3-5 atoms) stays near a 2 MB per-core cache.
 _CHUNK = 16_384
 #: The refinement's reach per atom count, in steps of a twentieth of the grid step.
 _REACH = {1: 0, 2: 20, 3: 20, 4: 20, 5: 12, 6: 7}
@@ -126,42 +129,114 @@ def _first_nonnegative_steps(origin: np.ndarray, shift: int, scale: float) -> np
     return np.count_nonzero(steps + origin[:, None] < 0.0, axis=1)
 
 
+@functools.lru_cache(maxsize=8)
+def _block_boxes(parts: int, total: int, cap: int) -> np.ndarray:
+    """Per ``_BLOCK``-row block of ``_lattice(parts, total, cap)``, its top corner and column maxima.
+
+    Every row of a block lies in the box between its column minima and
+    maxima and sums to ``total``.  Over that box at that sum, E YZ for values
+    increasing along the columns, as a distribution's are, is largest at
+    one integer point whatever the values: the linear program's greedy
+    solution, which starts from the minima and fills the last column first,
+    then the next, up to their maxima.  Shape (2, blocks, parts) in the
+    lattice's type: [0] holds each block's top corner, [1] its maxima; the
+    last block may be short.  Read-only and cached for the last few shapes,
+    like the lattice.
+    """
+    rows = _lattice(parts, total, cap)
+    starts = np.arange(0, rows.shape[0], _BLOCK)
+    lo, hi = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+    room = (hi - lo)[:, ::-1].astype(np.int64)
+    left = total - lo.sum(axis=1, dtype=np.int64)
+    fill = np.clip(left[:, None] - (np.cumsum(room, axis=1) - room), 0, room)
+    boxes = np.stack([lo + fill[:, ::-1].astype(lo.dtype), hi])
+    boxes.setflags(write=False)
+    return boxes
+
+
+def _block_bounds(d: DiscreteDistribution, shape: Tuple[int, int, int], scale: float,
+                  shift: int = 0, origin: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per block of ``_lattice(*shape)``, a value no row of it beats in ``_scan``'s E YZ.
+
+    It is E YZ at the block's top corner (``_block_boxes``), whose measure
+    origin + (corner - shift) / scale bounds every row's exactly, plus a
+    margin of 1e-12 (1 + max |y|), far above the rounding of either float
+    sum.  A block whose maximum in some column is below that atom's
+    ``_first_nonnegative_steps`` count has every row outside the simplex
+    and gets -inf.
+    """
+    corner, top = _block_boxes(*shape)
+    Q = np.divide(corner - shift if shift else corner, scale, dtype=np.float64)
+    if origin is not None:
+        Q += origin
+    bound = Q @ d.values + 1e-12 * (1.0 + float(np.abs(d.values).max()))
+    if origin is not None:
+        bound[np.any(top < _first_nonnegative_steps(origin, shift, scale), axis=1)] = -np.inf
+    return bound
+
+
 def _scan(d: DiscreteDistribution, pprime: float, log_beta: float,
-          best: Tuple[float, np.ndarray], rows: np.ndarray, scale: float, shift: int = 0,
-          origin: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+          best: Tuple[float, np.ndarray], shape: Tuple[int, int, int], scale: float,
+          shift: int = 0, origin: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
     """The running best (value, q) over the measures origin + (rows - shift) / scale.
 
-    Rows are scanned in chunks of a fixed number, so the float copies stay
-    small at any size; they live in one scratch block per scan, so the
-    chunks allocate no chunk-sized arrays.  The objective goes first: only
-    rows above the running best pay for the tests.  Grid rows (no origin)
-    are lattice points, never negative, so they take the entropy-budget test
-    alone.  Refinement rows (entries in [0, 2 shift]) can leave the simplex,
-    and only through the atoms whose origin lies within ``shift`` steps of
-    0: each such atom costs one integer comparison of its entry against
-    ``_first_nonnegative_steps``, and the rows left take the budget test.
-    The strict ``>`` and argmax's first index keep the earliest of equal
-    rows, so chunking picks the row one pass would.
+    The rows are ``_lattice(*shape)`` in aligned blocks of ``_BLOCK``, and a
+    block is scanned only while its ``_block_bounds`` entry is above the
+    running best.  That entry is the exact largest E YZ over the block's box
+    plus a margin of 1e-12 (1 + max |y|), which covers the rounding of both
+    float sums, so no row of a skipped block has a float E YZ above the best
+    of that moment.  The best only rises, so no skipped row could have
+    become it later either: the winner is the row one pass over every row
+    picks, the earliest feasible row of the largest E YZ.  The surviving
+    blocks are copied out in order into one scratch block per scan, one
+    block in the first chunk and twice as many in each next one up to
+    ``_CHUNK`` rows, so that early chunks raise the best before many rows
+    pay for a test.  Each block lands at a multiple of ``_BLOCK`` and a
+    short last block at the end, so every row keeps its position modulo the
+    BLAS kernel width and its objective rounds as in that one pass.  In each
+    chunk E YZ goes first: only rows above the running best pay for the
+    tests.  Grid rows (no origin) are lattice points, never negative, so
+    they take the entropy-budget test alone.  Refinement rows (entries in
+    [0, 2 shift]) can leave the simplex, and only through the atoms whose
+    origin lies within ``shift`` steps of 0: each such atom costs one
+    integer comparison of its entry against ``_first_nonnegative_steps``,
+    and the rows left take the budget test.  The strict ``>`` and argmax's
+    first index keep the earliest of equal rows.
     """
     best_val, best_q = best
+    rows = _lattice(*shape)
+    bound = _block_bounds(d, shape, scale, shift, origin)
+    live = np.flatnonzero(bound > best_val)
     bounded = []
     if origin is not None:
         low = _first_nonnegative_steps(origin, shift, scale)
         bounded = [(int(i), int(low[i])) for i in np.flatnonzero(low)]
-    # the chunk's measures, its hits' measures, its objective and, for
+    full, n = rows.shape[0] // _BLOCK, rows.shape[1]
+    blocks = rows[: full * _BLOCK].reshape(full, _BLOCK, n)
+    # the chunk's rows, measures, hits' measures, objective and, for
     # refinement rows, the origin repeated on every row: added block to
     # block, the origin costs one pass over the chunk, where broadcast from
     # one row it costs an n-entry loop per row
-    m, n = min(_CHUNK, rows.shape[0]), rows.shape[1]
+    m = min(_CHUNK, live.size * _BLOCK, rows.shape[0])
+    chunk_rows = np.empty((m, n), rows.dtype)
     scratch = np.empty(m * ((2 if origin is None else 3) * n + 1))
     chunk_q, hit_q, chunk_obj = (scratch[: m * n].reshape(m, n),
                                  scratch[m * n : 2 * m * n].reshape(m, n), scratch[-m:])
     if origin is not None:
         origins = scratch[2 * m * n : 3 * m * n].reshape(m, n)
         origins[:] = origin
-    for start in range(0, rows.shape[0], _CHUNK):
-        block = rows[start : start + _CHUNK]
-        size = block.shape[0]
+    per = 1
+    while live.size:
+        take, live = live[:per], live[per:]
+        per = min(2 * per, _CHUNK // _BLOCK)
+        whole = take[take < full]  # all but a short last block
+        size = whole.size * _BLOCK
+        np.take(blocks, whole, axis=0, out=chunk_rows[:size].reshape(whole.size, _BLOCK, n))
+        if whole.size < take.size:
+            tail = rows[full * _BLOCK :]
+            chunk_rows[size : size + tail.shape[0]] = tail
+            size += tail.shape[0]
+        block = chunk_rows[:size]
         Q = np.divide(block - shift if shift else block, scale, out=chunk_q[:size],
                       dtype=np.float64)
         if origin is not None:
@@ -177,6 +252,7 @@ def _scan(d: DiscreteDistribution, pprime: float, log_beta: float,
         if hit.size:
             k = hit[np.argmax(obj[hit])]
             best_val, best_q = float(obj[k]), Q[k].copy()
+            live = live[bound[live] > best_val]
     return best_val, best_q
 
 
@@ -201,9 +277,9 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
         raise ValueError("resolution must be at least 10")
     log_beta, pprime = spec.budget()
     best = _scan(d, pprime, log_beta, (expectation(d), d.probs.copy()),
-                 _lattice(n, resolution, resolution), resolution)
+                 (n, resolution, resolution), resolution)
     k = _REACH[n]
-    best_val, best_q = _scan(d, pprime, log_beta, best, _lattice(n, n * k, 2 * k),
+    best_val, best_q = _scan(d, pprime, log_beta, best, (n, n * k, 2 * k),
                              20.0 * resolution, k, best[1])
     return best_val, Density(d, best_q / d.probs)
 

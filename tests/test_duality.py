@@ -28,7 +28,16 @@ from renyi_risk import (
     renyi_entropy,
     sup_oracle,
 )
-from renyi_risk.duality import _CHUNK, _REACH, _first_nonnegative_steps, _lattice
+from renyi_risk.duality import (
+    _BLOCK,
+    _CHUNK,
+    _REACH,
+    _block_bounds,
+    _block_boxes,
+    _first_nonnegative_steps,
+    _lattice,
+    _scan,
+)
 from oracles import (
     dual_norm_grid,
     is_sorted_lattice,
@@ -157,14 +166,68 @@ class TestSupOracle:
         d = from_samples([0.0, 1.0, 3.0])
         spec = RiskSpec(0.5, 2.0)
         maxsize = _lattice.cache_info().maxsize
+        assert _block_boxes.cache_info().maxsize == maxsize
         for resolution in range(10, 10 + maxsize + 4):
             sup_oracle(d, spec, resolution)
             assert _lattice.cache_info().currsize <= maxsize
-        before = _lattice.cache_info()
+            assert _block_boxes.cache_info().currsize <= maxsize
+        before, boxes_before = _lattice.cache_info(), _block_boxes.cache_info()
         sup_oracle(d, spec, 10 + maxsize + 3)
-        # no miss: the grid's own entry is reused, and so are the 3-atom steps
-        assert _lattice.cache_info().hits == before.hits + 2
-        assert _lattice.cache_info().misses == before.misses
+        # no miss: the grid's own entries are reused, and so are the 3-atom steps'
+        for cache, was in ((_lattice, before), (_block_boxes, boxes_before)):
+            assert cache.cache_info().hits == was.hits + 2
+            assert cache.cache_info().misses == was.misses
+        boxes = _block_boxes(3, 10 + maxsize + 3, 10 + maxsize + 3)
+        assert not boxes.flags.writeable
+        with pytest.raises(ValueError):
+            boxes[0, 0, 0] = 1
+
+    @staticmethod
+    def _bound_cases():
+        """Seeded 2-6 atom draws with negative values, offsets up to 1e12 and
+        spreads down to 1e-6, each with an order, a resolution and the lattices
+        ``sup_oracle`` scans: the grid, then the refinement steps around
+        the grid's winner and around grid points on the simplex's faces."""
+        rng = np.random.default_rng(80)
+        resolution = {2: 400, 3: 1000, 4: 80, 5: 20, 6: 10}
+        for n in range(2, 7):
+            drawn = 0
+            while drawn < 4:
+                offset = float(rng.choice([0.0, -7.0, 1e3, -1e6, 1e12]))
+                spread = float(rng.choice([1e-6, 1e-3, 1.0, 1e3]))
+                d = from_samples(offset + spread * rng.uniform(-1.0, 1.0, n),
+                                 rng.dirichlet(np.full(n, 2.0)) + 1e-3)
+                if d.n_atoms < n:  # the spread is below the offset's float spacing
+                    continue
+                drawn += 1
+                spec = RiskSpec(float(rng.uniform(0.2, 0.8)),
+                                float(rng.choice([2.0, 10.0, -1.0, math.inf])))
+                r, k = resolution[n], _REACH[n]
+                yield d, (n, r, r), r, 0, None
+                log_beta, pprime = spec.budget()
+                best = _scan(d, pprime, log_beta, (expectation(d), d.probs.copy()),
+                             (n, r, r), r)
+                grid = _lattice(n, r, r)
+                grid = grid[grid.min(axis=1) == 0]
+                faces = grid[rng.integers(0, grid.shape[0], 2)] / r
+                for origin in (best[1], *faces):
+                    yield d, (n, n * k, 2 * k), 20.0 * r, k, origin
+
+    def test_no_skipped_block_holds_a_row_above_the_best(self):
+        # the scan skips a block whose bound is not above the best, so every
+        # row of a block that stays in the simplex must be at or below its
+        # bound in the scan's own float E YZ: one pass over the whole lattice
+        # rounds each row's dot product as the scan's aligned copy does
+        for d, shape, scale, shift, origin in self._bound_cases():
+            rows = _lattice(*shape)
+            bound = _block_bounds(d, shape, scale, shift, origin)
+            Q = np.divide(rows - shift if shift else rows, scale, dtype=np.float64)
+            if origin is not None:
+                Q += origin
+            obj = np.where((Q >= 0.0).all(axis=1), Q @ d.values, -np.inf)
+            top = np.maximum.reduceat(obj, np.arange(0, rows.shape[0], _BLOCK))
+            assert top.shape == bound.shape
+            assert np.all(top <= bound), (d.values, shape, origin)
 
     def test_rejects_regimes_without_entropy_budget(self):
         d = from_samples([0, 1])
@@ -190,6 +253,13 @@ class TestSupOracle:
         tied = from_samples(rng.choice(np.arange(-3, 4), n, replace=False), rng.integers(1, 4, n))
         cases += [(tied, RiskSpec(float(rng.uniform(0.2, 0.8)), p))
                   for p in (2.0, 4.0, -1.0, -2.0, math.inf)]
+        if n in (3, 5):
+            # shifted and scaled: every E YZ is near 1e6, and rows differ by
+            # less than 1e-2
+            for p in (2.0, -2.0, math.inf):
+                d = rand_dist(rng, n, lo=-5.0, hi=5.0)
+                cases.append((from_samples(1e6 + 1e-3 * d.values, d.probs),
+                              RiskSpec(float(rng.uniform(0.2, 0.8)), p)))
         for d, spec in cases:
             val, z = sup_oracle(d, spec, resolution)
             ref_val, ref_q = sup_oracle_reference(d, spec, resolution)
@@ -303,11 +373,16 @@ class TestSupOracle:
         rng = np.random.default_rng(72)
         for n, resolution in shapes:
             sup_oracle(rand_dist(rng, n), spec, resolution)
-        warm = _lattice.cache_info()
+        warm, boxes_warm = _lattice.cache_info(), _block_boxes.cache_info()
         for n, resolution in shapes:
             sup_oracle(rand_dist(rng, n), spec, resolution)
         assert _lattice.cache_info().misses == warm.misses
-        assert sum(_lattice(n, r, r).nbytes for n, r in shapes) <= 3.5e6
+        assert _block_boxes.cache_info().misses == boxes_warm.misses
+        # with the block boxes of the grids and the refinement steps (37 420 bytes)
+        lattices = [(n, r, r) for n, r in shapes]
+        steps = [(n, n * _REACH[n], 2 * _REACH[n]) for n, _ in shapes]
+        assert (sum(_lattice(*shape).nbytes for shape in lattices)
+                + sum(_block_boxes(*shape).nbytes for shape in lattices + steps)) <= 3.5e6
 
     def test_peak_memory_is_bounded(self):
         # a cold 5-atom call builds its grid and refinement steps; a warm
@@ -325,6 +400,24 @@ class TestSupOracle:
             finally:
                 tracemalloc.stop()
             assert peak < 4e6
+
+    def test_first_budget_test_takes_one_block(self, monkeypatch):
+        # the grid scan starts from E Y, which most rows beat: a first chunk
+        # of 16 384 rows sent all of them to the budget test at order -2
+        module = importlib.import_module("renyi_risk.duality")
+        sizes = []
+        feasible = module._feasible_mask
+
+        def counted(Q, *args):
+            sizes.append(Q.shape[0])
+            return feasible(Q, *args)
+
+        monkeypatch.setattr(module, "_feasible_mask", counted)
+        rng = np.random.default_rng(74)
+        for p in (2.0, -2.0):
+            sizes.clear()
+            sup_oracle(rand_dist(rng, 3), RiskSpec(0.5, p), 1000)
+            assert 0 < sizes[0] <= _BLOCK
 
 
 class TestDualNorm:
