@@ -118,17 +118,6 @@ def _feasible_mask(Q: np.ndarray, d: DiscreteDistribution, pprime: float,
     return s <= inv_beta if pprime > 1.0 else s >= inv_beta
 
 
-def _first_nonnegative_steps(origin: np.ndarray, shift: int, scale: float) -> np.ndarray:
-    """Per atom i, the number of steps j in [0, 2 shift] with origin_i + (j - shift) / scale < 0.
-
-    The float expression is the one ``_scan`` builds its measures with.  It
-    is nondecreasing in j, so a step j keeps entry i nonnegative exactly
-    when j is at least this count.
-    """
-    steps = np.divide(np.arange(-shift, shift + 1), scale, dtype=np.float64)
-    return np.count_nonzero(steps + origin[:, None] < 0.0, axis=1)
-
-
 @functools.lru_cache(maxsize=8)
 def _block_boxes(parts: int, total: int, cap: int) -> np.ndarray:
     """Per ``_BLOCK``-row block of ``_lattice(parts, total, cap)``, its top corner and column maxima.
@@ -161,9 +150,10 @@ def _block_bounds(d: DiscreteDistribution, shape: Tuple[int, int, int], scale: f
     It is E YZ at the block's top corner (``_block_boxes``), whose measure
     origin + (corner - shift) / scale bounds every row's exactly, plus a
     margin of 1e-12 (1 + max |y|), far above the rounding of either float
-    sum.  A block whose maximum in some column is below that atom's
-    ``_first_nonnegative_steps`` count has every row outside the simplex
-    and gets -inf.
+    sum.  A block whose column maxima give a negative measure in some
+    column, through the float expression ``_scan`` builds its measures
+    with, has every row outside the simplex and gets -inf: that expression
+    is nondecreasing in the step.
     """
     corner, top = _block_boxes(*shape)
     Q = np.divide(corner - shift if shift else corner, scale, dtype=np.float64)
@@ -171,7 +161,8 @@ def _block_bounds(d: DiscreteDistribution, shape: Tuple[int, int, int], scale: f
         Q += origin
     bound = Q @ d.values + 1e-12 * (1.0 + float(np.abs(d.values).max()))
     if origin is not None:
-        bound[np.any(top < _first_nonnegative_steps(origin, shift, scale), axis=1)] = -np.inf
+        most = np.divide(top - shift if shift else top, scale, dtype=np.float64) + origin
+        bound[np.any(most < 0.0, axis=1)] = -np.inf
     return bound
 
 
@@ -198,19 +189,18 @@ def _scan(d: DiscreteDistribution, pprime: float, log_beta: float,
     tests.  Grid rows (no origin) are lattice points, never negative, so
     they take the entropy-budget test alone.  Refinement rows (entries in
     [0, 2 shift]) can leave the simplex, and only through the atoms whose
-    origin lies within ``shift`` steps of 0: each such atom costs one
-    integer comparison of its entry against ``_first_nonnegative_steps``,
-    and the rows left take the budget test.  The strict ``>`` and argmax's
-    first index keep the earliest of equal rows.
+    measure at step 0 is negative: each such atom costs one test of the
+    hits' own measures in its column, and the rows left take the budget
+    test.  The strict ``>`` and argmax's first index keep the earliest of
+    equal rows.
     """
     best_val, best_q = best
     rows = _lattice(*shape)
     bound = _block_bounds(d, shape, scale, shift, origin)
     live = np.flatnonzero(bound > best_val)
-    bounded = []
+    bounded = []  # the columns where some step gives a negative measure
     if origin is not None:
-        low = _first_nonnegative_steps(origin, shift, scale)
-        bounded = [(int(i), int(low[i])) for i in np.flatnonzero(low)]
+        bounded = np.flatnonzero(np.divide(-shift, scale) + origin < 0.0).tolist()
     full, n = rows.shape[0] // _BLOCK, rows.shape[1]
     blocks = rows[: full * _BLOCK].reshape(full, _BLOCK, n)
     # the chunk's rows, measures, hits' measures, objective and, for
@@ -243,8 +233,8 @@ def _scan(d: DiscreteDistribution, pprime: float, log_beta: float,
             np.add(Q, origins[:size], out=Q)
         obj = np.matmul(Q, d.values, out=chunk_obj[:size])
         hit = np.flatnonzero(obj > best_val)
-        for i, least in bounded:
-            hit = hit[block[hit, i] >= least]
+        for i in bounded:
+            hit = hit[Q[hit, i] >= 0.0]
         if hit.size == 0:
             continue
         Qh = np.take(Q, hit, axis=0, out=hit_q[: hit.size])

@@ -6,14 +6,13 @@ import math
 from typing import Callable, Tuple
 
 _MAX_EXPANSIONS = 400
-_MAX_STEPS = 10_000
 #: Steps beyond bisection's count that the Newton steps may spend before
 #: the projection onto the bisection schedule forces midpoints.
 _SLACK = 8
 
 
 class SolverError(RuntimeError):
-    """Bracket expansion or iteration cap reached before convergence."""
+    """Bracket expansion cap reached before the sign change was found."""
 
 
 def find_root(
@@ -33,21 +32,20 @@ def find_root(
     bracket g(lo) < 0 < g(hi): at the Newton point from the end with the
     smaller |g|, or from the other end where only that one's slope is
     usable, or at the secant point through both ends where neither is, if
-    it lies strictly inside and at most half as far from that end as the
-    step before last went (the rtsafe rule of Press et al., Numerical
-    Recipes, section 9.4), else at the midpoint; before that test, a point
-    that rounds onto or past its own end moves half the stopping width from
-    that end toward the other (Brent's rule), so a converged Newton point
-    closes the bracket instead of stalling against it.  The point is then
-    projected onto the interval around the midpoint that keeps the width on
-    a bisection schedule with ``_SLACK`` spare steps (the ITP
-    method of Oliveira and Takahashi, 2021), so with w0 the width after
-    growth there are at most ceil(log2(w0 / tol)) + 8 steps.  The search
-    returns an exact zero of g as soon as it evaluates one, else the
-    midpoint once the width is at most ``tol * (1 + |lo| + |hi|)`` (or the
-    floats between the ends run out).  ``evaluations`` counts every
-    evaluation of g, growth included.  Raises ``SolverError`` when either
-    the expansion or the iteration cap is hit.
+    it lies strictly inside, else at the midpoint; before that test, a
+    point that rounds onto or past its own end moves half the stopping
+    width from that end toward the other (Brent's rule), so a converged
+    Newton point closes the bracket instead of stalling against it.  The
+    point is then projected onto the interval around the midpoint that
+    keeps the width on a bisection schedule with ``_SLACK`` spare steps
+    (the ITP method of Oliveira and Takahashi, 2021), so with w0 the width
+    after growth there are at most ceil(log2(w0 / tol)) + 8 steps: below
+    2 110 for any finite w0 and positive tol, which is why they have no cap.
+    The search returns an exact zero of g as soon as it evaluates one, else
+    the midpoint once the width is at most ``tol * (1 + |lo| + |hi|)`` (or
+    the floats between the ends run out).  ``evaluations`` counts every
+    evaluation of g, growth included.  Raises ``SolverError`` when growth
+    hits the expansion cap.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -79,11 +77,8 @@ def find_root(
     lo, flo, dlo, hi, fhi, dhi = (nxt, fn, dn, x, fx, dx) if nxt < x else (x, fx, dx, nxt, fn, dn)
     w0 = hi - lo
     scale = 2.0 ** (_SLACK - 1)  # 2^(_SLACK - 1 - steps), halved exactly after each step
-    last = before = inf  # the lengths of the last two steps
     steps = 0
     while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
-        if steps >= _MAX_STEPS:
-            raise SolverError(f"root search did not converge in {_MAX_STEPS} steps")
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -95,7 +90,7 @@ def find_root(
         # half the stopping width from that end instead
         if x <= lo if end == lo else x >= hi:
             x = end + math.copysign(0.5 * tol * (1.0 + abs(lo) + abs(hi)), mid - end)
-        if not (lo < x < hi and abs(x - end) <= 0.5 * before):
+        if not lo < x < hi:
             x = mid
         # the ITP projection: afterwards the width is at most w0 2^(_SLACK - steps - 1)
         r = max(w0 * scale - 0.5 * (hi - lo), 0.0)
@@ -105,7 +100,6 @@ def find_root(
         if fx == 0.0:
             return x, 1 + expansions + steps
         scale *= 0.5
-        before, last = last, abs(x - end)
         if fx < 0.0:
             lo, flo, dlo = x, fx, dx
         else:

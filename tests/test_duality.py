@@ -34,7 +34,6 @@ from renyi_risk.duality import (
     _REACH,
     _block_bounds,
     _block_boxes,
-    _first_nonnegative_steps,
     _lattice,
     _scan,
 )
@@ -229,6 +228,36 @@ class TestSupOracle:
             assert top.shape == bound.shape
             assert np.all(top <= bound), (d.values, shape, origin)
 
+    def test_skipped_blocks_are_exactly_those_off_the_simplex(self):
+        # a refinement block gets -inf exactly where some column is negative
+        # on every row of it, in the scan's own float measures: around the
+        # bound cases' centres, and around centres at exact zeros, at 1e-18,
+        # and at and one ulp either side of every multiple of the step up to
+        # k steps
+        cases = [case for case in self._bound_cases() if case[-1] is not None]
+        for resolution in (37, 1000):
+            scale = 20.0 * resolution
+            for n in range(2, 7):
+                k = _REACH[n]
+                pool = [0.0, 1e-18, 0.5]
+                for j in range(k + 1):
+                    edge = j / scale
+                    pool += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+                d = from_samples(np.arange(float(n)))
+                for origin in np.resize(pool, (math.ceil(len(pool) / n), n)):
+                    cases.append((d, (n, n * k, 2 * k), scale, k, origin))
+        skipped = kept = 0
+        for d, shape, scale, shift, origin in cases:
+            rows = _lattice(*shape)
+            Q = np.divide(rows - shift if shift else rows, scale, dtype=np.float64)
+            Q += origin
+            starts = np.arange(0, rows.shape[0], _BLOCK)
+            off = np.logical_and.reduceat(Q < 0.0, starts, axis=0).any(axis=1)
+            bound = _block_bounds(d, shape, scale, shift, origin)
+            assert np.array_equal(bound == -np.inf, off), (d.values, shape, origin)
+            skipped, kept = skipped + np.count_nonzero(off), kept + np.count_nonzero(~off)
+        assert skipped > 0 and kept > 0
+
     def test_rejects_regimes_without_entropy_budget(self):
         d = from_samples([0, 1])
         for alpha, p in ((0.5, 1.0), (0.5, 0.5), (1.0, 2.0)):
@@ -288,31 +317,6 @@ class TestSupOracle:
             assert not lattice.flags.writeable
             with pytest.raises(ValueError):
                 lattice[0, 0] = 1
-
-    @pytest.mark.parametrize("resolution", [10, 37, 80, 1000])
-    def test_step_thresholds_match_the_float_predicate(self, resolution):
-        # a refinement row is a measure exactly where each entry reaches its
-        # atom's threshold; origins at exact zeros, at 1e-18, and at and one
-        # ulp either side of every multiple of the step up to k steps
-        scale = 20.0 * resolution
-        for n in range(2, 7):
-            k = _REACH[n]
-            pool = [0.0, 1e-18, 0.5]
-            for j in range(k + 1):
-                edge = j / scale
-                pool += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-            origins = np.resize(pool, (math.ceil(len(pool) / n), n))
-            rows = _lattice(n, n * k, 2 * k)
-            steps = range(2 * k + 1)
-            for origin in origins:
-                low = _first_nonnegative_steps(origin, k, scale)
-                for i in range(n):
-                    nonnegative = [origin[i] + (j - k) / scale >= 0.0 for j in steps]
-                    assert nonnegative == [j >= low[i] for j in steps]
-                # and so for every step row, through the scan's own expression
-                Q = np.divide(rows - k, scale, dtype=np.float64)
-                Q += origin
-                assert np.array_equal(Q >= 0.0, rows >= low)
 
     def test_lattice_build_peak_at_4_atoms_and_resolution_400(self):
         # the 87 MB grid test_acceptance c03 scans; built through int64

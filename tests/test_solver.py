@@ -300,10 +300,9 @@ def _adversarial(r):
 SLOPES = {"nan": NAN, "tiny": 1e-300, "huge": 1e300, "negative": -1.0}
 
 
-def check_guarantee(f, slope, tol):
-    """The bracket and step guarantee on [-0.999, 0.999] for (value, slope)
-    pairs f, with ``slope`` in place of f's own unless it is None."""
-    lo, hi = -0.999, 0.999
+def check_guarantee(f, slope, tol, lo=-0.999, hi=0.999):
+    """The bracket and step guarantee on [lo, hi] for (value, slope) pairs
+    f, with ``slope`` in place of f's own unless it is None."""
     value = lambda t: f(t)[0]
     calls = []
 
@@ -324,12 +323,12 @@ def check_guarantee(f, slope, tol):
     below = [t for t in calls if value(t) < 0.0]
     above = [t for t in calls if value(t) >= 0.0]
     a, b = max(below), min(above)
-    # the final bracket holds the sign change, is narrow enough, and its
-    # midpoint is returned
-    assert b - a <= tol * (1.0 + abs(a) + abs(b))
+    # the final bracket holds the sign change, is narrow enough or has no
+    # float between its ends, and its midpoint is returned
+    assert b - a <= tol * (1.0 + abs(a) + abs(b)) or math.nextafter(a, b) == b
     assert root == 0.5 * (a + b)
     # the stated guarantee, well inside 2 ceil(log2(w0 / tol)) + 2
-    assert evaluations - growth <= math.ceil(math.log2((hi - lo) / tol)) + 8
+    assert evaluations - growth <= math.ceil(math.log2(hi - lo) - math.log2(tol)) + 8
     return a, b
 
 
@@ -353,6 +352,17 @@ class TestWorstCase:
                 ends = check_guarantee(_adversarial(r)[name], SLOPES[slope], tol)
                 if ends is not None:
                     assert ends[0] < r <= ends[1]
+
+    @pytest.mark.parametrize("slope", ["nan", "negative", "huge"])
+    @pytest.mark.parametrize("root", [0.3, 1e300, -1e-300])
+    def test_ends_without_a_step_cap_at_the_ends_of_the_float_range(self, root, slope):
+        # the projection alone bounds the steps: at the least tol on a
+        # bracket of width 2e307 that is ceil(log2(w0 / tol)) + 8 = 2103
+        # steps (2 072 evaluations at most here), so no cap is needed
+        for f in (lambda t: (t - root, 1.0), _adversarial(root)["step"]):
+            ends = check_guarantee(f, SLOPES[slope], 5e-324, -1e307, 1e307)
+            if ends is not None:
+                assert ends[0] < root <= ends[1]
 
     def test_smooth_functions_take_few_steps(self):
         # quadratic on smooth monotone functions: bisection takes 41 steps here
