@@ -285,10 +285,10 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     log beta - H_p'(v / E v), v = max(x, u), H_p' being ``renyi_entropy``
     of order p'.  Raising the floor u gives a density majorized by the last
     one, so the slack is nondecreasing in u, with the slope
-    p' P(x < u) (1/E v - u^(p'-1)/E v^p')/(p' - 1), and
-    P(x < u) (E[v log v]/E v - log u)/E v at p' = 1.  It is constant below
-    min x and equals log beta > 0 at u = 1.  Where it is not negative at
-    min x, u* = min x and the value is E|Z|; otherwise ``find_root``
+    p' P(x < u) (-expm1((p' - 1) z))/((p' - 1) E v), z = log(u / E v) - H_p',
+    read off the entropy it already has (-z P(x < u)/E v at p' = 1).  It is
+    constant below min x and equals log beta > 0 at u = 1.  Where it is not
+    negative at min x, u* = min x and the value is E|Z|; otherwise ``find_root``
     brackets u* on [min x, 1] and runs to its width, with no stop at a
     slack within rounding, as the value E v moves with u itself.  The
     attaining pairing is (x^(p'-1) - u*^(p'-1))_+ for p > 1 and
@@ -314,13 +314,12 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
             return log_beta, 0.0
         v = np.maximum(x, u)
         mean = float(pr @ v)
-        value = log_beta - renyi_entropy(Density(d, v / mean), pprime)
+        h = renyi_entropy(Density(d, v / mean), pprime)
         below = float(pr @ (x < u))
         if below == 0.0:  # u <= min x, where the slack is constant
-            return value, 0.0
-        if e == 0.0:
-            return value, below / mean * (float(pr @ (v * np.log(v))) / mean - math.log(u))
-        return value, pprime * below * (1.0 / mean - u ** e / float(pr @ v ** pprime)) / e
+            return log_beta - h, 0.0
+        z = math.log(u / mean) - h
+        return log_beta - h, pprime * below / mean * (-math.expm1(e * z) / e if e else -z)
 
     low = float(x.min())
     first = slack(low)

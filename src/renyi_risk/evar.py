@@ -317,38 +317,39 @@ def evar(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     return _evar_power(d, spec)
 
 
+def _log_norm_constants(alpha: float, p: float) -> Tuple[float, float]:
+    """(log lower, log upper) of ``norm_equivalence_bounds``, lower before its cap at 1."""
+    log_beta, _ = RiskSpec(alpha, p).budget()
+    if math.isinf(p):
+        raise ValueError("bounds exist for finite p > 1 or p < 0 only")
+    z = log_beta / (p - 1.0) if p > 1.0 else -log_beta / p
+    # log(1 - beta^(-1/(p-1))), or log(1 - beta^(1/p)); -inf where z underflows
+    log_gap = math.log(-math.expm1(-z)) if z > 0.0 else -math.inf
+    return ((p - 1.0) / p * (z + log_gap), log_beta / p) if p > 1.0 else (log_gap, 0.0)
+
+
 def norm_equivalence_bounds(alpha: float, p: float) -> Tuple[float, float]:
     """Sharp constants (lower, upper) comparing the risk norm with a power norm.
 
-    For p > 1: lower * ||Y||_p <= risk(|Y|) <= upper * ||Y||_p with
-    upper = (1/(1-alpha))^(1/p).  For p < 0 the comparison norm is the sup
-    norm and the upper constant is 1.
+    For p > 1: lower * ||Y||_p <= risk(|Y|) <= upper * ||Y||_p, upper =
+    beta^(1/p), lower = min(1, (beta^(1/(p-1)) - 1)^((p-1)/p)); for p < 0 the
+    sup norm, lower = 1 - beta^(1/p), upper = 1.  Both come from their logs.
     """
-    if math.isnan(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    beta = 1.0 / (1.0 - alpha)
-    if p > 1.0 and not math.isinf(p):
-        lower = min(1.0, (beta ** (1.0 / (p - 1.0)) - 1.0) ** ((p - 1.0) / p))
-        return lower, beta ** (1.0 / p)
-    if p < 0.0 and not math.isinf(p):
-        return 1.0 - (1.0 - alpha) ** (-1.0 / p), 1.0
-    raise ValueError("bounds exist for finite p > 1 or p < 0 only")
+    lower, upper = _log_norm_constants(alpha, p)
+    return min(1.0, math.exp(lower)), math.exp(upper)
 
 
 def risk_level_bound(alpha: float, alpha_prime: float, p: float) -> float:
-    """Multiplicative comparison across levels: risk_alpha <= bound * risk_alpha' (Y >= 0)."""
-    if math.isnan(alpha) or math.isnan(alpha_prime):
-        raise ValueError("levels must be real")
-    if not (0.0 < alpha_prime <= alpha < 1.0):
+    """Multiplicative comparison across levels: risk_alpha <= bound * risk_alpha' (Y >= 0).
+
+    It is alpha's upper constant over alpha''s uncapped lower one, in log
+    space, and +inf past the float range.
+    """
+    upper, lower = _log_norm_constants(alpha, p)[1], _log_norm_constants(alpha_prime, p)[0]
+    if not alpha_prime <= alpha:
         raise ValueError("need 0 < alpha' <= alpha < 1")
-    if p > 1.0 and not math.isinf(p):
-        inner = ((1.0 - alpha) / (1.0 - alpha_prime)) ** (1.0 / (p - 1.0)) - (
-            1.0 / (1.0 - alpha)
-        ) ** (1.0 / (1.0 - p))
-        return inner ** ((1.0 - p) / p)
-    if p < 0.0 and not math.isinf(p):
-        return 1.0 / (1.0 - (1.0 - alpha_prime) ** (-1.0 / p))
-    raise ValueError("bound exists for finite p > 1 or p < 0 only")
+    with np.errstate(over="ignore"):  # +inf past the float range
+        return float(np.exp(upper - lower))
 
 
 def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float) -> float:

@@ -43,9 +43,9 @@ def find_root(
     2 110 for any finite w0 and positive tol, which is why they have no cap.
     The search returns an exact zero of g as soon as it evaluates one, else
     the midpoint once the width is at most ``tol * (1 + |lo| + |hi|)`` (or
-    the floats between the ends run out).  ``evaluations`` counts every
-    evaluation of g, growth included.  Raises ``SolverError`` when growth
-    hits the expansion cap.
+    the floats between the ends run out), all taken from halves of the ends,
+    so they do not overflow.  ``evaluations`` counts every evaluation of g,
+    growth included.  Raises ``SolverError`` when growth hits the cap.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -75,11 +75,11 @@ def find_root(
             break
         x, fx, dx = nxt, fn, dn
     lo, flo, dlo, hi, fhi, dhi = (nxt, fn, dn, x, fx, dx) if nxt < x else (x, fx, dx, nxt, fn, dn)
-    w0 = hi - lo
-    scale = 2.0 ** (_SLACK - 1)  # 2^(_SLACK - 1 - steps), halved exactly after each step
+    half0 = 0.5 * hi - 0.5 * lo  # half the width after growth
+    scale = 2.0 ** _SLACK  # 2^(_SLACK - steps), halved exactly after each step
     steps = 0
-    while (hi - lo) > tol * (1.0 + abs(lo) + abs(hi)):
-        mid = 0.5 * (lo + hi)
+    while 0.5 * hi - 0.5 * lo > tol * (0.5 + 0.5 * abs(lo) + 0.5 * abs(hi)):
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         # the end with the smaller |g|, or the other where only its slope is usable
@@ -89,11 +89,11 @@ def find_root(
         # Brent's rule: a point that rounds onto or past its own end moves
         # half the stopping width from that end instead
         if x <= lo if end == lo else x >= hi:
-            x = end + math.copysign(0.5 * tol * (1.0 + abs(lo) + abs(hi)), mid - end)
+            x = end + math.copysign(tol * (0.5 + 0.5 * abs(lo) + 0.5 * abs(hi)), mid - end)
         if not lo < x < hi:
             x = mid
-        # the ITP projection: afterwards the width is at most w0 2^(_SLACK - steps - 1)
-        r = max(w0 * scale - 0.5 * (hi - lo), 0.0)
+        # the ITP projection: afterwards the half-width is at most half0 2^(_SLACK - steps - 1)
+        r = max(half0 * scale - (0.5 * hi - 0.5 * lo), 0.0)
         x = mid - r if x < mid - r else mid + r if x > mid + r else x
         fx, dx = g(x)
         steps += 1
@@ -104,4 +104,4 @@ def find_root(
             lo, flo, dlo = x, fx, dx
         else:
             hi, fhi, dhi = x, fx, dx
-    return 0.5 * (lo + hi), 1 + expansions + steps
+    return 0.5 * lo + 0.5 * hi, 1 + expansions + steps

@@ -67,6 +67,22 @@ def power_norm(d: DiscreteDistribution, p: float) -> float:
     return math.fsum(q * x ** p for q, x in zip(d.probs.tolist(), a)) ** (1.0 / p)
 
 
+def log_norm_constants_decimal(alpha: float, p: float):
+    """(log lower, log upper) of ``norm_equivalence_bounds`` at ``PREC`` digits,
+    lower before its cap at 1: (p-1)/p log(beta^(1/(p-1)) - 1) and log(beta)/p
+    for p > 1, log(1 - beta^(1/p)) and 0 for p < 0.  beta^x - 1 is summed as
+    its series where |x| < 1e-12, where 1 + x rounds to 1, so it keeps its digits."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = PREC, MAX_EMAX, MIN_EMIN
+        log_beta, order = -(1 - Decimal(alpha)).ln(), Decimal(p)
+        x = log_beta / (order - 1 if p > 1.0 else order)
+        small = abs(x) < Decimal("1e-12")
+        grow = x * (1 + x / 2 + x * x / 6 + x ** 3 / 24) if small else x.exp() - 1
+        if p > 1.0:
+            return (order - 1) / order * grow.ln(), log_beta / order
+        return (-grow).ln(), Decimal(0)
+
+
 def kusuoka_reference(weights: np.ndarray, probs: np.ndarray):
     """``(levels, masses, breakpoints, heights)`` of the Kusuoka measure of a
     density, atom by atom in increasing Z, every tail an exact ``math.fsum``.

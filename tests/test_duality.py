@@ -639,11 +639,12 @@ class TestDualNormSolve:
                 assert value >= ref / np.dot(d.probs, w) * (1.0 - 1e-12)
         assert checked >= 100
 
-    @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -0.5, -2.0])
+    @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -0.5, -2.0, 1e12, 1e14, -1e12])
     def test_slack_slope_matches_central_differences(self, p, monkeypatch):
         # the slope each slack evaluation returns for its Newton steps,
         # against central differences of its value away from the atoms of
-        # x = |Z| / max |Z|, where P(x < u) jumps
+        # x = |Z| / max |Z|, where P(x < u) jumps.  Next to the Shannon
+        # order, 1/E v - u^(p'-1)/E v^p' cancelled to eps / |p' - 1|
         module = importlib.import_module("renyi_risk.duality")
         solve, slacks = module.find_root, []
 
@@ -694,6 +695,34 @@ class TestDualNormSolve:
             z = evar(d, RiskSpec(0.5, p)).density
             assert dual_norm(z, 0.5, p) == pytest.approx(1.0, abs=1e-13)
             assert len(evaluations) == 1 and evaluations[0] <= bound, p
+
+    def test_orders_next_to_the_shannon_limit_take_few_evaluations(self, monkeypatch):
+        # Dirichlet(1) densities on lognormal atoms at a small budget.  The
+        # slope from the difference of two powers lost eps / |p' - 1| next to
+        # p' = 1: its Newton steps failed and the projection forced
+        # midpoints, up to 64 evaluations at 1e14 (8 of these 30 above 25)
+        module = importlib.import_module("renyi_risk.duality")
+        solve, evaluations = module.find_root, []
+
+        def counted(g, lo, hi, tol):
+            root = solve(g, lo, hi, tol)
+            evaluations.append(root[1])
+            return root
+
+        monkeypatch.setattr(module, "find_root", counted)
+        rng = np.random.default_rng(2031)
+        densities = []
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            y = rng.lognormal(size=n)
+            d = from_samples(y, rng.dirichlet(np.ones(n)))
+            w = rng.dirichlet(np.ones(d.n_atoms)) / d.probs
+            densities.append(Density(d, w / np.dot(d.probs, w)))
+        for p in (1e12, 1e14, -1e12):
+            evaluations.clear()
+            for z in densities:
+                dual_norm(z, 0.1, p)
+            assert len(evaluations) >= 20 and max(evaluations) <= 25, (p, evaluations)
 
     @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -2.0])
     def test_one_entropy_per_slack_point(self, p, monkeypatch):

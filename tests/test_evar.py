@@ -2,8 +2,9 @@
 
 import importlib
 import math
+import sys
 import warnings
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     bisect_root,
     conjugate_entropy,
     evar_decimal,
+    log_norm_constants_decimal,
     objective_neg,
     power_norm,
     rand_dist,
@@ -915,11 +917,13 @@ class TestNormBounds:
         assert upper == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_orders_rejected(self):
-        for p in (0.5, 1.0, 0.0):
+        for p in (0.5, 1.0, 0.0, math.inf):
             with pytest.raises(ValueError):
                 norm_equivalence_bounds(0.5, p)
-        for alpha in (0.0, 1.0, math.nan):
-            with pytest.raises(ValueError, match=r"alpha must lie in \(0,1\)"):
+        # the domain is RiskSpec's and its budget's
+        for alpha, message in ((0.0, "no entropy budget"), (1.0, "no entropy budget"),
+                               (math.nan, r"alpha must lie in \[0,1\]")):
+            with pytest.raises(ValueError, match=message):
                 norm_equivalence_bounds(alpha, 2.0)
 
     def test_sandwich_on_random_distributions(self):
@@ -927,7 +931,7 @@ class TestNormBounds:
         for _ in range(10):
             d = rand_dist(rng, 5, lo=0.0)
             for a in (0.25, 0.75):
-                for p in (1.5, 3.0):
+                for p in (1.001, 1.5, 3.0):
                     lower, upper = norm_equivalence_bounds(a, p)
                     val = evar(d, RiskSpec(a, p)).value
                     norm = power_norm(d, p)
@@ -953,10 +957,43 @@ class TestRiskLevelBound:
         rng = np.random.default_rng(11)
         for _ in range(10):
             d = rand_dist(rng, 4, lo=0.0)
-            for p in (2.0, -1.0):
+            for p in (1.001, 2.0, 1e3, -1.0):
                 hi = evar(d, RiskSpec(0.9, p)).value
                 lo = evar(d, RiskSpec(0.5, p)).value
                 assert hi <= risk_level_bound(0.9, 0.5, p) * lo + 1e-8
+
+    def test_grid_against_a_decimal_reference(self):
+        # both functions on 8 levels x 20 orders x alpha' in {alpha, alpha/2,
+        # 1e-12}.  The direct powers raised on 141 of these cases
+        # (OverflowError from beta^(1/(p-1)) next to order 1, ZeroDivisionError
+        # where the level bound's difference of powers underflowed) and were
+        # up to 12.7% off at alpha 1e-12, p 1000
+        alphas = (1e-12, 1e-6, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-9)
+        orders = (1.0 + 1e-9, 1.0001, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6, 1e300,
+                  1.7e308, -1e-300, -1e-3, -0.5, -2.0, -10.0, -1e6, -1.7e308)
+        cases = sorted({(a, ap, p) for a in alphas for ap in (a, a / 2.0, 1e-12) for p in orders})
+        assert len(cases) == 460
+        top, spacing = Decimal(sys.float_info.max), Decimal(2.0 ** -1074)
+        with warnings.catch_warnings(), localcontext() as ctx:
+            warnings.simplefilter("error")
+            ctx.prec, ctx.Emax, ctx.Emin = PREC, MAX_EMAX, MIN_EMIN
+            for a, ap, p in cases:
+                lower, upper = norm_equivalence_bounds(a, p)
+                bound = risk_level_bound(a, ap, p)
+                log_lower, log_upper = log_norm_constants_decimal(a, p)
+                log_bound = log_upper - log_norm_constants_decimal(ap, p)[0]
+                for got, ref in ((lower, min(Decimal(1), log_lower.exp())),
+                                 (upper, log_upper.exp()), (bound, log_bound.exp())):
+                    if ref > top:  # +inf only past the float range
+                        assert got == math.inf, (a, ap, p)
+                    else:  # a subnormal result is as close as its spacing allows
+                        assert abs(Decimal(got) - ref) <= Decimal(1e-13) * ref + spacing, \
+                            (a, ap, p)
+                # the level bound is the ratio of the two norm constants
+                ap_lower = norm_equivalence_bounds(ap, p)[0]
+                ratio = upper / ap_lower if ap_lower > 0.0 else math.inf
+                if ap_lower < 1.0 and math.isfinite(ratio):
+                    assert bound == pytest.approx(ratio, rel=1e-14, abs=0.0), (a, ap, p)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -964,7 +1001,7 @@ class TestRiskLevelBound:
         with pytest.raises(ValueError):
             risk_level_bound(0.5, 0.4, 1.0)
         for levels in ((math.nan, 0.5), (0.5, math.nan)):
-            with pytest.raises(ValueError, match="levels must be real"):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0,1\]"):
                 risk_level_bound(*levels, 2.0)
 
 

@@ -324,9 +324,11 @@ def check_guarantee(f, slope, tol, lo=-0.999, hi=0.999):
     above = [t for t in calls if value(t) >= 0.0]
     a, b = max(below), min(above)
     # the final bracket holds the sign change, is narrow enough or has no
-    # float between its ends, and its midpoint is returned
-    assert b - a <= tol * (1.0 + abs(a) + abs(b)) or math.nextafter(a, b) == b
-    assert root == 0.5 * (a + b)
+    # float between its ends, and its midpoint is returned (both from halves,
+    # which do not overflow where |a| + |b| does)
+    assert 0.5 * b - 0.5 * a <= tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b)) \
+        or math.nextafter(a, b) == b
+    assert root == 0.5 * a + 0.5 * b
     # the stated guarantee, well inside 2 ceil(log2(w0 / tol)) + 2
     assert evaluations - growth <= math.ceil(math.log2(hi - lo) - math.log2(tol)) + 8
     return a, b
@@ -363,6 +365,14 @@ class TestWorstCase:
             ends = check_guarantee(f, SLOPES[slope], 5e-324, -1e307, 1e307)
             if ends is not None:
                 assert ends[0] < root <= ends[1]
+
+    @pytest.mark.parametrize("lo, hi, root", [(1e308, 1.7e308, 1.5e308),
+                                              (-1.7e308, -1e308, -1.5e308)])
+    def test_brackets_whose_ends_sum_past_the_float_range(self, lo, hi, root):
+        # lo + hi and tol (1 + |lo| + |hi|) overflow here, which returned
+        # (inf, 2); without slopes no Newton point lands on the root first
+        ends = check_guarantee(lambda t: (t - root, 1.0), NAN, 1e-14, lo, hi)
+        assert ends[0] < root <= ends[1]
 
     def test_smooth_functions_take_few_steps(self):
         # quadratic on smooth monotone functions: bisection takes 41 steps here
