@@ -26,7 +26,7 @@ from .distribution import (
     expectation,
     from_samples,
 )
-from .entropy import Density, renyi_entropy
+from .entropy import Density, _entropy
 from .evar import RiskSpec, evar
 from .solver import find_root
 
@@ -282,8 +282,8 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     budget, so the dual norm is E max(|Z|, u*), with u* the least level u at
     which max(|Z|, u) / E max(|Z|, u) meets the budget.  In units of
     max |Z|, x = |Z| / max |Z|, the solve roots the slack
-    log beta - H_p'(v / E v), v = max(x, u), H_p' being ``renyi_entropy``
-    of order p'.  Raising the floor u gives a density majorized by the last
+    log beta - H_p'(v / E v), v = max(x, u), H_p' being the Renyi entropy
+    of order p' (``_entropy``: v / E v needs no checks).  Raising the floor u gives a density majorized by the last
     one, so the slack is nondecreasing in u, with the slope
     p' P(x < u) (-expm1((p' - 1) z))/((p' - 1) E v), z = log(u / E v) - H_p',
     read off the entropy it already has (-z P(x < u)/E v at p' = 1).  It is
@@ -314,7 +314,7 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
             return log_beta, 0.0
         v = np.maximum(x, u)
         mean = float(pr @ v)
-        h = renyi_entropy(Density(d, v / mean), pprime)
+        h = _entropy(pr, v / mean, pprime)  # v / E v is a density by construction
         below = float(pr @ (x < u))
         if below == 0.0:  # u <= min x, where the slack is constant
             return log_beta - h, 0.0

@@ -59,11 +59,14 @@ def renyi_entropy(z: Density, q: float) -> float:
     """
     if math.isnan(q) or (math.isinf(q) and q < 0):
         raise ValueError("order must be a real number or +inf")
-    w = z.weights
-    p = z.dist.probs
-    pos = w > 0.0
-    if q < 0.0 and not np.all(pos):
+    if q < 0.0 and not np.all(z.weights > 0.0):
         raise ValueError("negative order needs a strictly positive density")
+    return _entropy(z.dist.probs, z.weights, q)
+
+
+def _entropy(p: np.ndarray, w: np.ndarray, q: float) -> float:
+    """``renyi_entropy``'s arithmetic, unchecked: w finite, nonnegative, of mean 1."""
+    pos = w > 0.0
     if q == 0.0:
         # 0.0 - x, not -x: a full support gives +0.0, not -0.0
         return float(0.0 - np.log(p[pos].sum()))

@@ -215,9 +215,13 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     # theta and theta/|p| stay below e^700, so every term below is finite;
     # h is evaluated at min(s, s_max), so it is constant past the clamp
     s_max = 700.0 + min(0.0, math.log(abs(p)))
+    # every term log P + phi is at most log P (u^p <= 1, e^(theta y) <= 1): shift
+    # once by the top atom's, whose term is then exactly 0, so L is its log P once
+    # the others are cut or underflow; the floor keeps the shifted sum below e^700
+    shift = max(float(logp[-1]), -700.0)
+    logp -= shift
     # three scratch rows for every evaluation: theta y / p (theta y at +inf),
-    # then the terms log P + phi and their exponentials, then theta y / (p u)
-    # or 1/u
+    # then the shifted terms and their exponentials, then theta y / (p u) or 1/u
     xs, terms, us = np.empty((3, d.n_atoms))
     cut = finite and p > 0.0  # p > 1 drops the atoms with u <= 0
     multiply, add, divide, log1p, add_up = np.multiply, np.add, np.divide, np.log1p, np.add.reduce
@@ -234,9 +238,9 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
             i = int(x.searchsorted(-1.0, side="right"))
             x, a, u, lp = x[i:], a[i:], u[i:], lp[i:]
         phi = multiply(p, log1p(x, out=a), out=a) if finite else x
-        top_a, e = _exp_shifted(add(lp, phi, out=a))
+        e = np.exp(add(lp, phi, out=a), out=a)
         total = float(add_up(e))
-        L = top_a + math.log(total)
+        L = shift + math.log(total)
         if not finite:
             mean = float(e.dot(x)) / total
             g, pg, r = -mean, -mean, x

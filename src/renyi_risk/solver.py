@@ -44,8 +44,8 @@ def find_root(
     The search returns an exact zero of g as soon as it evaluates one, else
     the midpoint once the width is at most ``tol * (1 + |lo| + |hi|)`` (or
     the floats between the ends run out), all taken from halves of the ends,
-    so they do not overflow.  ``evaluations`` counts every evaluation of g,
-    growth included.  Raises ``SolverError`` when growth hits the cap.
+    as growth's caps are, so none overflows.  ``evaluations`` counts every
+    evaluation of g, growth included.  Raises ``SolverError`` when growth hits the cap.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -54,15 +54,16 @@ def find_root(
     if fx == 0.0:
         return x, 1
     # growth: the direction to the sign change, the end the reach is
-    # measured from, and the reach of the next cap
-    sign, far, reach = (-1.0, hi, 2.0 * (hi - lo)) if fx > 0.0 else (1.0, lo, hi - lo)
+    # measured from, and half the reach of the next cap
+    half = 0.5 * hi - 0.5 * lo
+    sign, far, reach = (-1.0, hi, 2.0 * half) if fx > 0.0 else (1.0, lo, half)
     newton = False  # whether the last growth point was a Newton point
     expansions = 0
     while True:
         expansions += 1
         if expansions > _MAX_EXPANSIONS:
             raise SolverError(f"no sign change after {_MAX_EXPANSIONS} expansions")
-        cap = far + sign * reach
+        cap = 2.0 * (0.5 * far + sign * reach)
         nxt = x - fx / dx if 0.0 < dx < inf else cap
         newton = not newton and 0.0 < sign * (nxt - x) and 0.0 < sign * (cap - nxt)
         if not newton:

@@ -413,6 +413,9 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
     m, spread, y = _unit_space(d)
     finite = not math.isinf(p)
     s_max = 700.0 + min(0.0, math.log(abs(p)))
+    # every term is at most log P: shifted by the top atom's, floored at -700
+    shift = max(float(logp[-1]), -700.0)
+    logp = logp - shift
     # the last evaluation's point in s, L and log E_w[1/u] (-E_w[theta y]
     # at +inf)
     last, L, g = math.nan, 0.0, 0.0
@@ -427,11 +430,9 @@ def evar_theta_alloc(d: DiscreteDistribution, alpha: float, p: float, tol: float
         # (L, log E_w[1/u], the slope of -h in s), or (L, -E_w[theta y],
         # Var_w(theta y)) at +inf
         i, x = scaled(theta)
-        terms = logp[i:] + (p * np.log1p(x) if finite else x)
-        top_a = float(terms.max())
-        e = np.exp(terms - top_a)
+        e = np.exp(logp[i:] + (p * np.log1p(x) if finite else x))
         total = float(e.sum())
-        L = top_a + math.log(total)
+        L = shift + math.log(total)
         if not finite:
             mean = float(np.dot(e, x)) / total
             return L, -mean, float(np.dot(e * x, x)) / total - mean * mean

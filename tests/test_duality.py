@@ -727,10 +727,10 @@ class TestDualNormSolve:
     @pytest.mark.parametrize("p", [2.0, 10.0, math.inf, -2.0])
     def test_one_entropy_per_slack_point(self, p, monkeypatch):
         # the pre-test's slack at min |Z| is find_root's first point, handed
-        # over instead of evaluated again: one renyi_entropy for each point
-        # below 1 (at u >= 1 the slack is log beta, with no entropy)
+        # over instead of evaluated again: one entropy for each point below 1
+        # (at u >= 1 the slack is log beta, with no entropy)
         module = importlib.import_module("renyi_risk.duality")
-        solve, entropy = module.find_root, module.renyi_entropy
+        solve, entropy = module.find_root, module._entropy
         points, entropies = [], []
 
         def counted(g, lo, hi, tol):
@@ -741,12 +741,12 @@ class TestDualNormSolve:
             assert root[1] == len(points)
             return root
 
-        def entropy_counted(z, q):
+        def entropy_counted(p, w, q):
             entropies.append(q)
-            return entropy(z, q)
+            return entropy(p, w, q)
 
         monkeypatch.setattr(module, "find_root", counted)
-        monkeypatch.setattr(module, "renyi_entropy", entropy_counted)
+        monkeypatch.setattr(module, "_entropy", entropy_counted)
         rng = np.random.default_rng(47)
         solved = 0
         for _ in range(8):
@@ -762,6 +762,31 @@ class TestDualNormSolve:
             else:  # the value is E|Z|, from the pre-test alone
                 assert len(entropies) == 1
         assert solved >= 4
+
+    @pytest.mark.parametrize("p", [2.0, math.inf, -2.0])
+    def test_no_density_per_slack_point(self, p, monkeypatch):
+        # v / E v is a density by construction, so the slack takes its
+        # entropy without building, checking and copying a Density
+        module = importlib.import_module("renyi_risk.duality")
+        solve, evaluations, built = module.find_root, [], []
+        post_init = Density.__post_init__
+
+        def counted(g, lo, hi, tol):
+            root = solve(g, lo, hi, tol)
+            evaluations.append(root[1])
+            return root
+
+        def counted_post_init(z):
+            built.append(None)
+            post_init(z)
+
+        d = from_samples(np.random.default_rng(11).lognormal(size=50))
+        z = evar(d, RiskSpec(0.95, p)).density
+        monkeypatch.setattr(module, "find_root", counted)
+        monkeypatch.setattr(Density, "__post_init__", counted_post_init)
+        dual_norm(z, 0.5, p)  # its entropy is about log 20, above the budget log 2
+        assert len(evaluations) == 1 and evaluations[0] > 1
+        assert built == []
 
     @pytest.mark.parametrize("weights, values", SCAN_VALUES)
     def test_matches_the_scan_it_replaced(self, weights, values):

@@ -313,6 +313,7 @@ def check_guarantee(f, slope, tol, lo=-0.999, hi=0.999):
 
     root, evaluations = find_root(counted, lo, hi, tol)
     assert len(calls) == evaluations
+    assert math.isfinite(root)
     growth = growth_count(calls, value)
     # both ends already have the right sign: a Newton point and the far end
     # at most, then one evaluation per step
@@ -329,8 +330,10 @@ def check_guarantee(f, slope, tol, lo=-0.999, hi=0.999):
     assert 0.5 * b - 0.5 * a <= tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b)) \
         or math.nextafter(a, b) == b
     assert root == 0.5 * a + 0.5 * b
-    # the stated guarantee, well inside 2 ceil(log2(w0 / tol)) + 2
-    assert evaluations - growth <= math.ceil(math.log2(hi - lo) - math.log2(tol)) + 8
+    # the stated guarantee, well inside 2 ceil(log2(w0 / tol)) + 2, with w0
+    # from its half, which does not overflow where hi - lo does
+    assert evaluations - growth <= math.ceil(1.0 + math.log2(0.5 * hi - 0.5 * lo)
+                                             - math.log2(tol)) + 8
     return a, b
 
 
@@ -373,6 +376,16 @@ class TestWorstCase:
         # (inf, 2); without slopes no Newton point lands on the root first
         ends = check_guarantee(lambda t: (t - root, 1.0), NAN, 1e-14, lo, hi)
         assert ends[0] < root <= ends[1]
+
+    @pytest.mark.parametrize("slope", [NAN, 1.0])
+    @pytest.mark.parametrize("lo, hi, root", [(-1.7e308, 1.7e308, 1.0),
+                                              (-1e308, 1.7e308, 1e308)])
+    def test_brackets_wider_than_the_float_range(self, lo, hi, root, slope):
+        # hi - lo overflows here, and growth's first cap, lo + (hi - lo),
+        # came out inf, which was evaluated and returned: (inf, 2) or (inf, 3)
+        ends = check_guarantee(lambda t: (t - root, 1.0), slope, 1e-14, lo, hi)
+        if ends is not None:  # else the root was evaluated and returned
+            assert ends[0] < root <= ends[1]
 
     def test_smooth_functions_take_few_steps(self):
         # quadratic on smooth monotone functions: bisection takes 41 steps here
