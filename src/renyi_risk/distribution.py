@@ -105,26 +105,11 @@ def _quantile_split(d: DiscreteDistribution, tail):
 def _exp_shifted(terms: np.ndarray) -> Tuple[float, np.ndarray]:
     """``(m, e^(terms - m))`` with m the largest term, the one exp pass of the
     kernel: no term overflows and log sum e^terms is m + log of the sum.
-    The exponentials overwrite ``terms``, which the caller owns.  No term,
-    or every term -inf, gives m = -inf and no exponentials; a nan term, m = nan.
+    The exponentials overwrite ``terms``, which the caller owns and fills
+    with at least one term above -inf; a nan term gives m = nan.
     m is read at ``argmax``: on a tie of +0.0 and -0.0 it is the first, which
     changes neither the exponentials nor m + log of their sum (at least 1).
     """
-    m = float(terms[terms.argmax()]) if terms.size else -math.inf
-    if m == -math.inf:
-        return m, terms[:0]
+    m = float(terms[terms.argmax()])
     np.subtract(terms, m, out=terms)
     return m, np.exp(terms, out=terms)
-
-
-def _log_moments(logp: np.ndarray, logx: np.ndarray, k: float) -> float:
-    """The log-moment kernel: log sum e^logp x^k.
-
-    ``logx`` is the finite log of x > 0 on each atom and ``logp`` its log
-    probability (-inf entries contribute nothing).  The sum is taken after
-    subtracting its largest term, so any k and any spread of x stay
-    overflow-safe.  No atom, or every term -inf, gives -inf.
-    """
-    m, e = _exp_shifted(logp + k * logx)
-    return m + math.log(float(np.add.reduce(e))) if e.size else m
-

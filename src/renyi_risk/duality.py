@@ -43,8 +43,9 @@ _CHUNK = 16_384
 _REACH = {1: 0, 2: 20, 3: 20, 4: 20, 5: 12, 6: 7}
 #: The dual-norm solve's stopping width in the water level u, in units of max |Z|.
 #: The value E max(x, u) moves by up to the width itself, so any coarser width
-#: shows in the value (1e-11 leaves it up to 1.3e-10 off); the solve runs to
-#: float resolution.
+#: shows in the value (1e-11 leaves it up to 1.3e-10 off).  ``find_root`` stops
+#: at 1e-16 (1 + |lo| + |hi|), about 1e-16 absolute: float resolution for u*
+#: above about 1/2, a relative 1e-16 / u* below it.
 _LEVEL_TOL = 1e-16
 
 
@@ -275,8 +276,8 @@ def sup_oracle(d: DiscreteDistribution, spec: RiskSpec,
 
 
 def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
-                     p: float) -> Tuple[float, np.ndarray]:
-    """Dual norm by one root solve in the water level; returns (value, |Y'| attaining it).
+                     p: float) -> Tuple[float, np.ndarray, Optional[float], float]:
+    """Dual norm by one root solve in the water level; returns (value, x, u*, p' - 1).
 
     The unit dual ball is the solid hull of the densities inside the entropy
     budget, so the dual norm is E max(|Z|, u*), with u* the least level u at
@@ -288,26 +289,23 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     p' P(x < u) (-expm1((p' - 1) z))/((p' - 1) E v), z = log(u / E v) - H_p',
     read off the entropy it already has (-z P(x < u)/E v at p' = 1).  It is
     constant below min x and equals log beta > 0 at u = 1.  Where it is not
-    negative at min x, u* = min x and the value is E|Z|; otherwise ``find_root``
-    brackets u* on [min x, 1] and runs to its width, with no stop at a
-    slack within rounding, as the value E v moves with u itself.  The
-    attaining pairing is (x^(p'-1) - u*^(p'-1))_+ for p > 1 and
-    (u*^(p'-1) - x^(p'-1))_+ for p < 0, zero wherever Z is; in the E|Z|
-    case it is the constant.  Both sides of the pairing equality are
-    1-homogeneous in Y', so it is returned in units of max |Z| and divided
-    by |p' - 1|, which keeps it finite near p' = 1 and gives
-    (log x - log u*)_+ at p' = 1 (p = +inf).
+    negative at min x, the value is E|Z| and u* is None, as for the zero
+    functional; otherwise ``find_root`` brackets u* on [min x, 1] and runs
+    to its width, with no stop at a slack within rounding, as the value E v
+    moves with u itself.  ``hb_witness_for`` builds the pairing from x, u*.
     """
     log_beta, pprime = RiskSpec(alpha, p).budget()
     w = np.abs(np.asarray(weights, dtype=float).ravel())
     if w.shape != d.values.shape:
         raise ValueError("weights must match the distribution's atoms")
     pr = d.probs
-    w_max = float(w.max())
-    if w_max == 0.0:  # the zero functional
-        return 0.0, np.ones(w.size)
-    x = w / w_max
+    w_max = float(w.max())  # nan if any weight is
+    if not math.isfinite(w_max):
+        raise ValueError("weights must be finite")
     e = pprime - 1.0
+    if w_max == 0.0:  # the zero functional
+        return 0.0, w, None, e
+    x = w / w_max
 
     def slack(u: float) -> Tuple[float, float]:
         if u >= 1.0:  # the constant density, of entropy 0
@@ -324,16 +322,10 @@ def _dual_norm_parts(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     low = float(x.min())
     first = slack(low)
     if first[0] >= 0.0:
-        return float(pr @ w), np.ones(w.size)
+        return float(pr @ w), x, None, e
     # find_root evaluates low first: the pre-test's pair, not a second pass
     u, _ = find_root(lambda v: first if v == low else slack(v), low, 1.0, _LEVEL_TOL)
-    # (x^e - u^e) / e, positive exactly where x > u in both regimes, as
-    # x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
-    top = x > u
-    gap = np.log(x[top] / u)
-    y = np.zeros(x.size)
-    y[top] = -np.expm1(-e * gap) / e * x[top] ** e if e else gap
-    return w_max * float(pr @ np.maximum(x, u)), y
+    return w_max * float(pr @ np.maximum(x, u)), x, u, e
 
 
 def dual_norm(z: Density, alpha: float, p: float) -> float:
@@ -350,8 +342,8 @@ def dual_norm(z: Density, alpha: float, p: float) -> float:
 
 def dual_norm_raw(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
                   p: float) -> float:
-    """Dual norm of an arbitrary (signed, unnormalized) per-atom functional."""
-    return _dual_norm_parts(d, np.asarray(weights, dtype=float), alpha, p)[0]
+    """Dual norm of an arbitrary (signed, unnormalized, finite) per-atom functional."""
+    return _dual_norm_parts(d, weights, alpha, p)[0]
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -380,12 +372,23 @@ def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
     """Per-atom variable Y' attaining E Y'Z = risk(|Y'|) * dual_norm(Z).
 
     It is the pairing of the dual-norm solve at its water level u*, signed
-    like Z, so both come from one computation: with x = |Z| / max |Z|,
-    |x^(p'-1) - u*^(p'-1)| / |p' - 1| where x > u*, else 0, and the signed
-    constant where the dual norm is E|Z|.  Every (alpha, p) with an entropy
-    budget has one; at p = +inf it is (log x - log u*)_+.
+    like Z: with x = |Z| / max |Z|, (x^(p'-1) - u*^(p'-1))_+ for p > 1 and
+    (u*^(p'-1) - x^(p'-1))_+ for p < 0, zero wherever Z is, and the signed
+    constant where the dual norm is E|Z| (no u*).  Both sides are
+    1-homogeneous in Y', so it is in units of max |Z| and divided by
+    |p' - 1|, which keeps it finite near p' = 1 and gives (log x - log u*)_+
+    at p' = 1 (p = +inf).  Every (alpha, p) with an entropy budget has one.
     """
-    return _sign(z.weights) * _dual_norm_parts(z.dist, z.weights, alpha, p)[1]
+    _, x, u, e = _dual_norm_parts(z.dist, z.weights, alpha, p)
+    if u is None:
+        return _sign(z.weights)
+    # (x^e - u^e) / e, positive exactly where x > u in both regimes, as
+    # x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
+    top = x > u
+    gap = np.log(x[top] / u)
+    y = np.zeros(x.size)
+    y[top] = -np.expm1(-e * gap) / e * x[top] ** e if e else gap
+    return _sign(z.weights) * y
 
 
 @dataclass(frozen=True)

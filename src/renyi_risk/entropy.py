@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, _log_moments
+from .distribution import DiscreteDistribution, _exp_shifted
 
 MEAN_TOL = 1e-10
 #: Bound on |q - 1| and on |q - 1| max |log Z| below which ``renyi_entropy``
@@ -81,5 +81,7 @@ def _entropy(p: np.ndarray, w: np.ndarray, q: float) -> float:
         pz = p[pos] * w[pos]
         total = float(pz.sum())
         return math.log1p(float(pz.dot(np.expm1(k * logw))) / total) / k - math.log(total)
-    return _log_moments(np.log(p[pos]), logw, q) / k
+    # a unit mean puts weights on both sides of 1, so some term is above -inf
+    m, e = _exp_shifted(np.log(p[pos]) + q * logw)
+    return (m + math.log(float(np.add.reduce(e)))) / k
 

@@ -530,6 +530,15 @@ class TestDualNorm:
         for p in (2.0, -2.0):
             assert dual_norm_raw(d, np.zeros(2), 0.5, p) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [2.0, math.inf, -2.0])
+    def test_non_finite_weights_rejected(self, bad, p):
+        # as Density rejects them; a nan or an infinite |Z| would otherwise
+        # come back as a nan or infinite dual norm
+        d = from_samples([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            dual_norm_raw(d, [1.0, bad, 2.0], 0.5, p)
+
 
 #: Values of ``dual_norm_raw`` at alpha 0.3 on the atoms [0, 1, 2.5, 4, 7]
 #: with probabilities [0.3, 0.25, 0.2, 0.15, 0.1], as computed by the former

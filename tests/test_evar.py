@@ -1,6 +1,7 @@
 """Risk family dispatch, regime solvers, bounds and the order derivative."""
 
 import importlib
+import itertools
 import math
 import sys
 import warnings
@@ -709,6 +710,21 @@ def seed11_requests():
             for order in (2.0, 10.0, math.inf, -2.0)]
 
 
+def replay_samples():
+    """30 samples shaped like the benchmark's grid_small, from one generator:
+    lognormal, half-unit rounded normal and weighted t(3), of 50, 200 and
+    1000 atoms."""
+    rng = np.random.default_rng([5, 2, 1])
+    for k in range(30):
+        kind, n = k % 3, (50, 200, 1000)[k // 3 % 3]
+        if kind == 0:
+            yield from_samples(rng.lognormal(0.0, 1.0, n))
+        elif kind == 1:
+            yield from_samples(np.round(2.0 * rng.normal(0.0, 1.0, n)) / 2.0)
+        else:
+            yield from_samples(rng.standard_t(3.0, n), rng.uniform(0.5, 1.5, n))
+
+
 class TestBisectionParity:
     def test_matches_bisection_in_few_evaluations(self, monkeypatch):
         # the same requests solved through the plain-bisection reference: the
@@ -751,16 +767,8 @@ class TestBisectionParity:
         # 312 that solve take 7.74 kernel passes on average and 38 at most,
         # a near-tie at order 2, every pass counted (12.46 and 58 with the
         # interpolating steps).  The bounds leave 5% and one pass
-        rng = np.random.default_rng([5, 2, 1])
         iterations = []
-        for k in range(30):
-            kind, n = k % 3, (50, 200, 1000)[k // 3 % 3]
-            if kind == 0:
-                d = from_samples(rng.lognormal(0.0, 1.0, n))
-            elif kind == 1:
-                d = from_samples(np.round(2.0 * rng.normal(0.0, 1.0, n)) / 2.0)
-            else:
-                d = from_samples(rng.standard_t(3.0, n), rng.uniform(0.5, 1.5, n))
+        for k, d in enumerate(replay_samples()):
             for alpha in (0.5, 0.95, 0.99):
                 for order in (2.0, 10.0, math.inf, -2.0):
                     r = evar(d, RiskSpec(alpha, order))
@@ -770,6 +778,38 @@ class TestBisectionParity:
         assert len(iterations) == 312
         assert np.mean(iterations) <= 8.13
         assert max(iterations) <= 39
+
+
+class TestLawInvariance:
+    """The paper's relations for a law-invariant risk measure, at every
+    branch that returns a density."""
+
+    ORDERS = (1.0, 1.5, 2.0, 10.0, math.inf, -0.5, -2.0, 1e6, -1e6)
+
+    def test_attaining_densities_are_nondecreasing_in_the_atom(self):
+        # the rearrangement fact: the attaining density is comonotone with Y
+        big = from_samples(np.random.default_rng(0).lognormal(size=100_000))
+        for d in itertools.chain(replay_samples(), [big]):
+            for alpha in (0.0, 0.1, 0.5, 0.95, 0.99):
+                for order in self.ORDERS:
+                    weights = evar(d, RiskSpec(alpha, order)).density.weights
+                    assert np.all(np.diff(weights) >= 0.0), (d.n_atoms, alpha, order)
+
+    def test_mean_preserving_spreads_never_lower_the_value(self):
+        # consistency with second-order stochastic dominance: splitting each
+        # atom y into y - delta and y + delta, half its probability each,
+        # spreads Y in the convex order
+        rng = np.random.default_rng(33)
+        for d in replay_samples():
+            spread = esssup(d) - essinf(d)
+            delta = rng.uniform(0.01, 0.5) * spread
+            wider = from_samples(np.concatenate([d.values - delta, d.values + delta]),
+                                 np.concatenate([d.probs, d.probs]))
+            for alpha in (0.1, 0.5, 0.95, 0.99):
+                for order in self.ORDERS:
+                    spec = RiskSpec(alpha, order)
+                    value = evar(d, spec).value
+                    assert evar(wider, spec).value >= value - 1e-14 * spread, (alpha, order)
 
 
 class TestCoherence:

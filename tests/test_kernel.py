@@ -1,6 +1,7 @@
-"""The log-moment kernel: agreement with direct power sums, edge cases, the
-scratch-writing solve against its allocating twin, against the 60-digit
-reference and against float certificates at scale, no scipy."""
+"""The log-moment kernel: the entropy's shifted exp pass against direct power
+sums on unit-mean densities, its edge cases and its bits, the scratch-writing
+solve against its allocating twin, against the 60-digit reference and against
+float certificates at scale, no scipy."""
 
 import math
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from renyi_risk import RiskSpec, esssup, essinf, evar, from_samples
-from renyi_risk.distribution import _exp_shifted, _log_moments
+from renyi_risk.distribution import _exp_shifted
+from renyi_risk.entropy import _entropy
 from renyi_risk.evar import DEFAULT_TOL
 
 from oracles import (conjugate_entropy, evar_decimal, evar_theta_alloc, objective_high,
@@ -26,77 +28,63 @@ def direct(p, x, k):
     return math.log(math.fsum(float(pi) * float(xi) ** k for pi, xi in zip(p, x)))
 
 
+def shannon(p, w):
+    """sum p w log w with plain logs and a compensated sum."""
+    return math.fsum(float(pi) * float(wi) * math.log(wi) for pi, wi in zip(p, w))
+
+
 class TestAgainstDirectSums:
     @pytest.mark.parametrize("k", [-2.0, 2.0, 10.0, 1e3])
     def test_both_orders_match_fsum(self, k):
-        # the orders k and k - 1, which the solve in t once read together
+        # the entropy of orders k and k - 1 of a unit-mean density: order 1
+        # (at k = 2) is the Shannon branch, every other the kernel's exp pass
         rng = np.random.default_rng(20)
         p = rng.dirichlet(np.ones(40))
-        # kept near 1 so that x^1000 neither overflows nor underflows directly
+        # kept near 1 so that w^1000 neither overflows nor underflows directly
         x = rng.uniform(0.5, 1.5, 40)
+        w = x / np.dot(p, x)
         for order in (k, k - 1.0):
-            assert _log_moments(np.log(p), np.log(x), order) == pytest.approx(
-                direct(p, x, order), rel=1e-12, abs=1e-12)
-
-    def test_shifted_moments_match_fsum_on_both_sides(self):
-        rng = np.random.default_rng(21)
-        y = np.sort(rng.normal(size=30))
-        p = rng.dirichlet(np.ones(30))
-        d = from_samples(y, p)
-        logp = np.log(d.probs)
-        t = float(np.median(y))
-        above = y > t
-        assert _log_moments(logp[above], np.log(d.values[above] - t), 3.0) == pytest.approx(
-            direct(p[above], y[above] - t, 3.0), rel=1e-12)
-        top = float(y[-1]) + 0.5
-        assert _log_moments(logp, np.log(top - d.values), -2.0) == pytest.approx(
-            direct(p, top - y, -2.0), rel=1e-12)
+            expected = shannon(p, w) if order == 1.0 else direct(p, w, order) / (order - 1.0)
+            assert _entropy(p, w, order) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestEdgeCases:
     def test_minus_inf_entries_drop_out(self):
-        logp = np.log(np.array([0.5, 0.5]))
-        logx = np.log(np.array([2.0, 3.0]))
-        with_holes = _log_moments(np.array([logp[0], -math.inf, logp[1]]),
-                                  np.array([logx[0], 0.7, logx[1]]), 2.0)
-        assert with_holes == pytest.approx(_log_moments(logp, logx, 2.0), rel=1e-15)
-
-    def test_all_entries_minus_inf(self):
-        logp = np.full(3, -math.inf)
-        assert _log_moments(logp, np.zeros(3), 2.0) == -math.inf
+        # a zero weight, whose log is -inf, drops out of the sum
+        p = np.array([0.4, 0.2, 0.4])
+        w = np.array([2.0, 0.0, 0.5])  # E w^2 = 0.4 * 4 + 0.4 * 0.25
+        without = _entropy(p[[0, 2]], w[[0, 2]], 2.0)
+        assert _entropy(p, w, 2.0) == pytest.approx(without, rel=1e-15)
+        assert without == pytest.approx(math.log(1.7), rel=1e-15)
 
     def test_one_atom(self):
-        assert _log_moments(np.array([math.log(0.25)]), np.array([math.log(3.0)]),
-                            -2.0) == pytest.approx(math.log(0.25 * 3.0 ** -2), rel=1e-15)
-
-    def test_no_active_atom(self):
-        # no atom above the shift: the plus part is zero, its log -inf
-        assert _log_moments(np.empty(0), np.empty(0), 2.0) == -math.inf
-
-    def test_atoms_at_the_shift_are_inactive(self):
-        d = from_samples([0.0, 1.0, 1.0, 2.0])
-        # only the atom at 2 lies above 1: (0.25 * 1^2)^(1/2)
-        above = d.values > 1.0
-        lk = _log_moments(np.log(d.probs[above]), np.log(d.values[above] - 1.0), 2.0)
-        assert math.exp(lk / 2.0) == pytest.approx(0.5, rel=1e-15)
+        # one term is its own largest: its exponential is 1 and m the term
+        m, e = _exp_shifted(np.array([math.log(0.25) - 2.0 * math.log(3.0)]))
+        assert e.tolist() == [1.0]
+        assert m + math.log(float(e.sum())) == pytest.approx(math.log(0.25 * 3.0 ** -2),
+                                                             rel=1e-15)
 
     @pytest.mark.parametrize("k", [-2.0, 2.0])
     def test_spreads_of_1e_plus_minus_300(self, k):
-        x = np.array([1e-300, 1.0, 1e300])
-        p = np.array([0.2, 0.3, 0.5])
+        # a unit-mean density spread from 1e-300 to 1e300: the top atom's
+        # probability is 5e-301, so its weight's share of the mean is 1/2
+        w = np.array([1e-300, 1.0, 1e300])
+        p = np.array([0.5, 0.5, 5e-301])
         # the extreme atom on the side the order favours dominates every other term
         big = 2 if k > 0 else 0
         for order in (k, k - 1.0):
-            lk = _log_moments(np.log(p), np.log(x), order)
-            assert math.isfinite(lk)
-            assert lk == pytest.approx(math.log(p[big]) + order * math.log(x[big]), rel=1e-14)
+            h = _entropy(p, w, order)
+            assert math.isfinite(h)
+            if order == 1.0:
+                expected = p[big] * w[big] * math.log(w[big])
+            else:
+                expected = (math.log(p[big]) + order * math.log(w[big])) / (order - 1.0)
+            assert h == pytest.approx(expected, rel=1e-14)
 
 
 def exp_shifted_by_reduce(terms):
     """``_exp_shifted`` with its maximum from ``np.maximum.reduce``: the reference for its bits."""
-    m = float(np.maximum.reduce(terms)) if terms.size else -math.inf
-    if m == -math.inf:
-        return m, terms[:0]
+    m = float(np.maximum.reduce(terms))
     np.subtract(terms, m, out=terms)
     return m, np.exp(terms, out=terms)
 
@@ -107,8 +95,9 @@ def float_bits(x):
 
 class TestExpShifted:
     @pytest.mark.parametrize("terms", [
-        [1.0, math.nan, 2.0], [math.nan, -math.inf], [-math.inf, -math.inf, -math.inf], [],
-        [-math.inf, 0.5, -math.inf], [-math.inf, -700.0], [-3.0, 2.5, 2.5, -1e300],
+        [1.0, math.nan, 2.0], [math.nan, -math.inf], [-math.inf, -math.inf, 3.0],
+        [-800.0, 0.0, -math.inf], [-math.inf, 0.5, -math.inf], [-math.inf, -700.0],
+        [-3.0, 2.5, 2.5, -1e300],
     ])
     def test_same_bits_as_the_reduction(self, terms):
         ours = _exp_shifted(np.array(terms, dtype=float))
