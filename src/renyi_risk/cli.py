@@ -43,10 +43,6 @@ class InputError(Exception):
     """Unreadable or malformed input data, or unwritable output (exit code 2)."""
 
 
-class SpecError(Exception):
-    """Invalid request: levels, orders, grids or density invariants (exit code 3)."""
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -180,21 +176,15 @@ def _parse_json(text: str, want_density: bool) -> _Columns:
     return values, weights, densities
 
 
-def _read_columns(path: str, want_density: bool) -> _Columns:
-    """The file's columns, read as JSON or as CSV; a density file always has
-    its density column."""
-    text = _read_text(path)
-    json_file = path.endswith(".json") or text.lstrip().startswith("{")
-    return (_parse_json if json_file else _parse_csv)(text, want_density)
-
-
 def _read_input(path: str, want_density: bool) -> Union[DiscreteDistribution, Density]:
-    """The file's distribution, or for a density file its ``Density``.
+    """The file's distribution (JSON or CSV), or for a density file its ``Density``.
 
     What ``from_samples`` rejects (no probability mass, say) is the file's
     fault under every command; what ``Density`` rejects is the request's.
     """
-    values, weights, dens = _read_columns(path, want_density)
+    text = _read_text(path)
+    json_file = path.endswith(".json") or text.lstrip().startswith("{")
+    values, weights, dens = (_parse_json if json_file else _parse_csv)(text, want_density)
     if want_density:
         order = np.argsort(values)
         values = np.asarray(values, dtype=float)[order]
@@ -223,9 +213,9 @@ def _parse_real(token: str, what: str) -> float:
     try:
         x = float(token)
     except ValueError as exc:
-        raise SpecError(f"cannot parse {what} {token!r}") from exc
+        raise ValueError(f"cannot parse {what} {token!r}") from exc
     if what == "order" and not math.isfinite(x) and token.strip().lower() != "inf":
-        raise SpecError("order must be a finite real or 'inf'")
+        raise ValueError("order must be a finite real or 'inf'")
     return x
 
 
@@ -238,16 +228,16 @@ def _parse_pprime_grid(token: str) -> Sequence[float]:
         return _DEFAULT_PPRIME
     parts = token.split(":")
     if len(parts) != 3:
-        raise SpecError(f"malformed grid {token!r}: expected lo:hi:n or a preset name")
+        raise ValueError(f"malformed grid {token!r}: expected lo:hi:n or a preset name")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         n = int(parts[2])
     except ValueError as exc:
-        raise SpecError(f"malformed grid {token!r}") from exc
+        raise ValueError(f"malformed grid {token!r}") from exc
     if not lo > 1.0:
-        raise SpecError("grid lower end must exceed 1")
+        raise ValueError("grid lower end must exceed 1")
     if n < 1 or (n > 1 and not lo < hi < math.inf):
-        raise SpecError(f"malformed grid {token!r}")
+        raise ValueError(f"malformed grid {token!r}")
     # Python floats, so that each prints as its repr
     return [lo] if n == 1 else np.linspace(lo, hi, n).tolist()
 
@@ -297,6 +287,8 @@ def _discard_stdout() -> None:
 
 
 def cmd_risk(d: DiscreteDistribution, args: argparse.Namespace) -> str:
+    if args.emit_density and args.format == "csv":  # CSV rows have no density column
+        raise ValueError("--emit-density needs --format json")
     alphas = [_parse_real(t, "alpha") for t in args.alpha]
     orders = [_parse_real(t, "order") for t in args.order]
     entries = []
@@ -353,8 +345,8 @@ def cmd_dualnorm(z: Density, args: argparse.Namespace) -> str:
 def cmd_kusuoka(d: DiscreteDistribution, args: argparse.Namespace) -> str:
     m = kusuoka(d, RiskSpec(_parse_real(args.alpha, "alpha"), _parse_real(args.order, "order")))
     return json.dumps({
-        "atoms": [[l, ms] for l, ms in m.atoms],
-        "distortion": [[u, h] for u, h in m.distortion],
+        "atoms": m.atoms,
+        "distortion": m.distortion,
         "tails": m.tails.tolist(),
         "version": VERSION_STRING,
     })
@@ -432,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SpecError, ValueError) as exc:  # the library's ValueError is a bad request
+    except ValueError as exc:  # a bad request, the library's checks included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

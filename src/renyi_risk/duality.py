@@ -346,12 +346,6 @@ def dual_norm_raw(d: DiscreteDistribution, weights: np.ndarray, alpha: float,
     return _dual_norm_parts(d, weights, alpha, p)[0]
 
 
-def _sign(x: np.ndarray) -> np.ndarray:
-    # sign with the +1 convention at 0, so witnesses keep the support of the
-    # attaining density on zero atoms
-    return np.where(x < 0.0, -1.0, 1.0)
-
-
 def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
     """Per-atom functional Z' attaining E YZ' = risk(|Y|) * dual_norm(Z').
 
@@ -365,30 +359,32 @@ def hb_density_for(d: DiscreteDistribution, spec: RiskSpec) -> np.ndarray:
     spec.budget()  # outside the budget evar answers in closed form, with no witness
     dabs = from_samples(np.abs(d.values), d.probs)
     weights = evar(dabs, spec).density.weights
-    return _sign(d.values) * weights[np.searchsorted(dabs.values, np.abs(d.values))]
+    # sign(Y) with +1 at 0, so the witness keeps the density's support on zero atoms
+    sign = np.where(d.values < 0.0, -1.0, 1.0)
+    return sign * weights[np.searchsorted(dabs.values, np.abs(d.values))]
 
 
 def hb_witness_for(z: Density, alpha: float, p: float) -> np.ndarray:
     """Per-atom variable Y' attaining E Y'Z = risk(|Y'|) * dual_norm(Z).
 
-    It is the pairing of the dual-norm solve at its water level u*, signed
-    like Z: with x = |Z| / max |Z|, (x^(p'-1) - u*^(p'-1))_+ for p > 1 and
-    (u*^(p'-1) - x^(p'-1))_+ for p < 0, zero wherever Z is, and the signed
-    constant where the dual norm is E|Z| (no u*).  Both sides are
-    1-homogeneous in Y', so it is in units of max |Z| and divided by
+    It is the pairing of the dual-norm solve at its water level u*: with
+    x = Z / max Z, (x^(p'-1) - u*^(p'-1))_+ for p > 1 and
+    (u*^(p'-1) - x^(p'-1))_+ for p < 0, zero wherever Z is, and the
+    constant 1 where the dual norm is E Z (no u*).  Both sides are
+    1-homogeneous in Y', so it is in units of max Z and divided by
     |p' - 1|, which keeps it finite near p' = 1 and gives (log x - log u*)_+
     at p' = 1 (p = +inf).  Every (alpha, p) with an entropy budget has one.
     """
     _, x, u, e = _dual_norm_parts(z.dist, z.weights, alpha, p)
     if u is None:
-        return _sign(z.weights)
+        return np.ones(x.size)
     # (x^e - u^e) / e, positive exactly where x > u in both regimes, as
     # x^e (1 - (u/x)^e) / e; at p' = 1 it is the limit log(x/u)
     top = x > u
     gap = np.log(x[top] / u)
     y = np.zeros(x.size)
     y[top] = -np.expm1(-e * gap) / e * x[top] ** e if e else gap
-    return _sign(z.weights) * y
+    return y
 
 
 @dataclass(frozen=True)

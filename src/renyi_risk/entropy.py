@@ -53,9 +53,10 @@ def renyi_entropy(z: Density, q: float) -> float:
     weights P Z / E Z: the entropy of Z / E Z, which keeps its precision
     as q -> 1, where log E Z^q / (q - 1) loses eps / |q - 1| and divides
     the rounding of E Z by q - 1.  Everything else is log E Z^q / (q - 1)
-    from the log-moment kernel.  The convention 0 log 0 = 0 applies at
-    q = 1; zero weights count as exact zeros at q = 0.  Negative orders
-    require a strictly positive density.
+    from the log-moment kernel, with q factored out of its terms past
+    |q| = 1e305, where q log Z may overflow.  The convention 0 log 0 = 0
+    applies at q = 1; zero weights count as exact zeros at q = 0.  Negative
+    orders require a strictly positive density.
     """
     if math.isnan(q) or (math.isinf(q) and q < 0):
         raise ValueError("order must be a real number or +inf")
@@ -81,6 +82,11 @@ def _entropy(p: np.ndarray, w: np.ndarray, q: float) -> float:
         pz = p[pos] * w[pos]
         total = float(pz.sum())
         return math.log1p(float(pz.dot(np.expm1(k * logw))) / total) / k - math.log(total)
+    if abs(q) > 1e305:  # |log p|, |log w| < 745: only here can q log w + log p overflow
+        a = np.log(p[pos]) / q + logw  # the terms over q, with q factored out about the top
+        a_top = float(a.max() if q > 0.0 else a.min())
+        with np.errstate(over="ignore"):  # the other exponents fall to -inf
+            return a_top * (q / k) + math.log(float(np.exp(q * (a - a_top)).sum())) / k
     # a unit mean puts weights on both sides of 1, so some term is above -inf
     m, e = _exp_shifted(np.log(p[pos]) + q * logw)
     return (m + math.log(float(np.add.reduce(e)))) / k

@@ -88,18 +88,18 @@ class RiskResult:
     None where no finite value exists, which includes finite orders of
     magnitude near the float range (the optimizer moves out like -p/theta).
     ``residual`` is |h| at the solution, the distance of the attaining
-    density's conjugate-order entropy from the budget log(1/(1-alpha)) (zero
-    for closed forms), ``iterations`` the number of kernel passes of the
-    scalar solve: bracket growth, steps, and the final pass where one runs
-    (zero for closed forms and pre-test exits).
+    density's conjugate-order entropy from the budget log(1/(1-alpha)), and
+    ``iterations`` the number of kernel passes of the scalar solve: bracket
+    growth, steps, and the final pass where one runs.  Both default to zero,
+    which is what closed forms and pre-test exits report.
     """
 
     value: float
     t_star: Optional[float]
     density: Optional[Density]
     branch: str
-    iterations: int
-    residual: float
+    iterations: int = 0
+    residual: float = 0.0
 
 
 def _argmax_density(d: DiscreteDistribution) -> Density:
@@ -156,7 +156,7 @@ def _avar(d: DiscreteDistribution, alpha: float) -> RiskResult:
     # atom: the excess terms are nonnegative and vanish when that atom is the
     # top one, so the value cannot round above esssup
     value = t + beta * math.fsum((p[idx + 1 :] * (v[idx + 1 :] - t)).tolist())
-    return RiskResult(value, t, Density(d, w), "avar", 0, 0.0)
+    return RiskResult(value, t, Density(d, w), "avar")
 
 
 def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
@@ -209,7 +209,7 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     if top >= 0.0:
         M = esssup(d)
         branch = "degenerate_negative_order" if p < 0.0 else branch
-        return RiskResult(M, M if finite else None, _argmax_density(d), branch, 0, 0.0)
+        return RiskResult(M, M if finite else None, _argmax_density(d), branch)
 
     m, spread, y = _unit_space(d)
     # theta and theta/|p| stay below e^700, so every term below is finite;
@@ -309,13 +309,12 @@ def evar(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     """
     a, p = spec.alpha, spec.order
     if a == 1.0:
-        return RiskResult(esssup(d), None, None, "esssup_level1", 0, 0.0)
+        return RiskResult(esssup(d), None, None, "esssup_level1")
     if 0.0 < p < 1.0:
         M = esssup(d)
-        return RiskResult(M, M, None, "esssup_collapse", 0, 0.0)
+        return RiskResult(M, M, None, "esssup_collapse")
     if a == 0.0:
-        return RiskResult(expectation(d), None, Density(d, np.ones(d.n_atoms)), "expectation",
-                          0, 0.0)
+        return RiskResult(expectation(d), None, Density(d, np.ones(d.n_atoms)), "expectation")
     if p == 1.0:
         return _avar(d, a)
     return _evar_power(d, spec)

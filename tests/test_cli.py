@@ -84,6 +84,17 @@ class TestRisk:
         entry = json.loads(out)["entries"][0]
         assert isinstance(entry["density"], list) and len(entry["density"]) == 3
 
+    def test_csv_format_rejects_emit_density(self, capsys, monkeypatch, sample_csv):
+        # CSV rows have no density column: the densities were dropped silently
+        def no_solve(*args):
+            raise AssertionError("solved before the request was checked")
+
+        monkeypatch.setattr(cli, "evar", no_solve)
+        code, out, err = run(capsys, ["risk", "--input", sample_csv, "--alpha", "0.5",
+                                      "--order", "2", "--format", "csv", "--emit-density"])
+        assert (code, out) == (3, "")
+        assert err == "error: --emit-density needs --format json\n"
+
     def test_round_trip_is_lossless(self, capsys, sample_csv):
         _, out1, _ = run(capsys, ["risk", "--input", sample_csv,
                                   "--alpha", "0.123456789", "--order", "2.5"])

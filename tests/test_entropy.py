@@ -1,6 +1,7 @@
 """Entropy branches, divergences and their order-monotonicity/convexity."""
 
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -128,6 +129,22 @@ class TestEntropyBranches:
         # -log 1 is -0.0
         z = Density(from_samples([1, 2]), np.ones(2))
         assert math.copysign(1.0, renyi_entropy(z, 0.0)) == 1.0
+
+    @pytest.mark.parametrize("probs, weights", [
+        ((0.4, 0.4, 0.2), (0.5, 0.5, 3.0)),
+        ((0.5, 0.25, 0.25), (0.5, 0.5, 2.5)),
+        ((0.4, 0.4, 0.2), tuple(np.array([0.1, 0.1, 5.5]) / 1.18)),
+    ])
+    @pytest.mark.parametrize("q", [1e300, -1e300, 1.7e308, -1.7e308])
+    def test_orders_near_the_float_range_tend_to_the_extreme_weight(self, probs, weights, q):
+        # q log w overflowed at 1.7e308 (nan, "overflow encountered in multiply"),
+        # and the terms' spread at +-1.7e308 ("overflow encountered in subtract")
+        z = Density(from_samples([0.0, 1.0, 2.0], probs), np.array(weights))
+        target = math.log(max(weights) if q > 0.0 else min(weights))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = renyi_entropy(z, q)
+        assert h == pytest.approx(target, rel=1e-15, abs=0.0)
 
 
 def hellinger(z, q):

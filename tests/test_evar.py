@@ -995,6 +995,25 @@ class TestNormBounds:
             with pytest.raises(ValueError, match=message):
                 norm_equivalence_bounds(alpha, 2.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 10.0])
+    def test_upper_constant_attained_by_an_indicator(self, alpha, p):
+        # Y = 1 on a set of probability 1 - alpha, else 0: risk(Y) = 1 and
+        # ||Y||_p = (1 - alpha)^(1/p), so the ratio is beta^(1/p)
+        d = from_samples([0.0, 1.0], [alpha, 1.0 - alpha])
+        ratio = evar(d, RiskSpec(alpha, p)).value / (1.0 - alpha) ** (1.0 / p)
+        upper = norm_equivalence_bounds(alpha, p)[1]
+        assert upper == pytest.approx((1.0 / (1.0 - alpha)) ** (1.0 / p), rel=1e-14, abs=0.0)
+        assert ratio == pytest.approx(upper, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("p", [-0.5, -2.0, -10.0])
+    def test_negative_order_upper_constant_attained_by_a_constant(self, alpha, p):
+        # risk(c) = c = ||c||_inf
+        d = from_samples([2.5])
+        assert norm_equivalence_bounds(alpha, p)[1] == 1.0
+        assert evar(d, RiskSpec(alpha, p)).value == 2.5
+
     def test_sandwich_on_random_distributions(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
