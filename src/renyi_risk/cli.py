@@ -325,7 +325,7 @@ def cmd_risk(d: DiscreteDistribution, args: argparse.Namespace) -> str:
 def cmd_sweep(d: DiscreteDistribution, args: argparse.Namespace) -> str:
     a = _parse_real(args.alpha, "alpha")
     rows = []
-    for pp in sorted(_parse_pprime_grid(args.pprime)):
+    for pp in _parse_pprime_grid(args.pprime):
         p = conjugate(pp)
         res = evar(d, RiskSpec(a, p))
         rows.append([pp, _order_token(p), res.value, res.t_star])

@@ -47,16 +47,17 @@ class Density:
 def renyi_entropy(z: Density, q: float) -> float:
     """Entropy of order q; q is any real or +inf.
 
-    Orders 0, 1 and +inf are dispatched exactly by value.  Near 1, where
-    |q - 1| and |q - 1| max |log Z| are below ``_NEAR_ONE``, it is
+    Orders 0, 1 and +inf are dispatched exactly by value; past |q| = 1e305
+    the order takes its limit, log max Z (q > 0) or log min Z (q < 0), which
+    is log E Z^q / (q - 1) there to the bit.  Near 1, where |q - 1| and
+    |q - 1| max |log Z| are below ``_NEAR_ONE``, it is
     log1p(E_t[expm1((q - 1) log Z)]) / (q - 1) - log E Z, with t the
     weights P Z / E Z: the entropy of Z / E Z, which keeps its precision
     as q -> 1, where log E Z^q / (q - 1) loses eps / |q - 1| and divides
     the rounding of E Z by q - 1.  Everything else is log E Z^q / (q - 1)
-    from the log-moment kernel, with q factored out of its terms past
-    |q| = 1e305, where q log Z may overflow.  The convention 0 log 0 = 0
-    applies at q = 1; zero weights count as exact zeros at q = 0.  Negative
-    orders require a strictly positive density.
+    from the log-moment kernel.  The convention 0 log 0 = 0 applies at
+    q = 1; zero weights count as exact zeros at q = 0.  Negative orders
+    require a strictly positive density.
     """
     if math.isnan(q) or (math.isinf(q) and q < 0):
         raise ValueError("order must be a real number or +inf")
@@ -74,19 +75,14 @@ def _entropy(p: np.ndarray, w: np.ndarray, q: float) -> float:
     if q == 1.0:
         wp = w[pos]
         return float(np.dot(p[pos] * wp, np.log(wp)))
-    if math.isinf(q):
-        return float(np.log(w.max()))
+    if abs(q) > 1e305:  # +inf; past 1e305, where q log w can overflow, the limit is the value
+        return float(np.log(w.max() if q > 0.0 else w.min()))
     k = q - 1.0
     logw = np.log(w[pos])
     if abs(k) < _NEAR_ONE and abs(k) * float(np.abs(logw).max()) < _NEAR_ONE:
         pz = p[pos] * w[pos]
         total = float(pz.sum())
         return math.log1p(float(pz.dot(np.expm1(k * logw))) / total) / k - math.log(total)
-    if abs(q) > 1e305:  # |log p|, |log w| < 745: only here can q log w + log p overflow
-        a = np.log(p[pos]) / q + logw  # the terms over q, with q factored out about the top
-        a_top = float(a.max() if q > 0.0 else a.min())
-        with np.errstate(over="ignore"):  # the other exponents fall to -inf
-            return a_top * (q / k) + math.log(float(np.exp(q * (a - a_top)).sum())) / k
     # a unit mean puts weights on both sides of 1, so some term is above -inf
     m, e = _exp_shifted(np.log(p[pos]) + q * logw)
     return (m + math.log(float(np.add.reduce(e)))) / k

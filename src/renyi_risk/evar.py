@@ -102,12 +102,6 @@ class RiskResult:
     residual: float = 0.0
 
 
-def _argmax_density(d: DiscreteDistribution) -> Density:
-    w = np.zeros(d.n_atoms)
-    w[-1] = 1.0 / float(d.probs[-1])
-    return Density(d, w)
-
-
 def _top_atom_test(d: DiscreteDistribution, log_beta: float) -> Tuple[float, np.ndarray]:
     """The one top-atom pre-test: ``(top, log probs)``.
 
@@ -209,7 +203,9 @@ def _evar_power(d: DiscreteDistribution, spec: RiskSpec) -> RiskResult:
     if top >= 0.0:
         M = esssup(d)
         branch = "degenerate_negative_order" if p < 0.0 else branch
-        return RiskResult(M, M if finite else None, _argmax_density(d), branch)
+        w = np.zeros(d.n_atoms)
+        w[-1] = 1.0 / float(d.probs[-1])
+        return RiskResult(M, M if finite else None, Density(d, w), branch)
 
     m, spread, y = _unit_space(d)
     # theta and theta/|p| stay below e^700, so every term below is finite;
@@ -365,18 +361,21 @@ def evar_derivative_pprime(d: DiscreteDistribution, alpha: float, pprime: float)
     derivative of the value in p', and it is nonpositive, as the value is
     nonincreasing in the conjugate order; near p = 1, where the solve's
     densities still miss the budget, it can come out positive.  Requires
-    strictly positive atoms.  On the boundary branch, a constant variable
-    among them, the value is esssup at every order and the derivative is 0.0.
+    strictly positive atoms.  The derivative is 0.0 where the value is flat:
+    on the boundary branch (a constant variable among them), at esssup, and
+    from p' of about 2^53 up, where p'/(p' - 1) rounds to 1, at the tail mean.
     """
-    if math.isnan(pprime) or math.isinf(pprime) or not pprime > 1.0:
+    if not 1.0 < pprime < math.inf:
         raise ValueError("conjugate order must be a finite real above 1")
     if essinf(d) <= 0.0:
         raise ValueError("atoms must be strictly positive")
     spec = RiskSpec(alpha, pprime / (pprime - 1.0))
+    if spec.order == 1.0 and 0.0 < spec.alpha < 1.0:  # the tail mean, at every larger p' too
+        return 0.0
     log_beta, _ = spec.budget()
     res = evar(d, spec)
     w = res.density.weights
-    # value - t* is beta^(1/p) ||(Y - t*)_+||_p, and 0 on the boundary branch
+    # value - t* is beta^(1/p) ||(Y - t*)_+||_p: 0 on the boundary branch (+0.0, not a tie's -0.0)
     scale = res.value - res.t_star
     if scale == 0.0:
         return 0.0

@@ -1139,6 +1139,23 @@ class TestDerivative:
             for pp in (238.0, 1e3, 1e6):
                 assert math.isfinite(evar_derivative_pprime(d, 0.95, pp))
 
+    @pytest.mark.parametrize("pp", [9.1e15, 1e16, 1e300, 1.7e308])
+    def test_zero_where_the_conjugate_order_rounds_to_one(self, pp):
+        # p'/(p' - 1) is exactly 1.0 from about 2^53 up: the tail mean, whose
+        # value every larger p' keeps; at 9e15 the slope is already below 1e-15
+        samples = [(from_samples([1.0, 2.0, 5.0], weights=[0.5, 0.3, 0.2]), 0.5),
+                   (from_samples(np.random.default_rng(0).lognormal(size=50)), 0.95)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, a in samples:
+                assert conjugate(pp) == 1.0
+                assert evar_derivative_pprime(d, a, pp) == 0.0
+                assert -1e-15 < evar_derivative_pprime(d, a, 9e15) <= 0.0
+                # the level is checked as at every other p'
+                for bad in (0.0, 1.0, 2.0):
+                    with pytest.raises(ValueError):
+                        evar_derivative_pprime(d, bad, pp)
+
     def test_preconditions(self):
         # a constant variable takes the boundary branch, where the value is
         # the atom at every order
